@@ -8,6 +8,7 @@ parameter's entries as little-endian 64-bit floats in header order.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -15,7 +16,8 @@ import numpy as np
 
 from .errors import ParseError
 
-FORMAT_VERSION = 1
+# 2: each GRU direction is stored as fused (w_ih, w_hh, b_ih, b_hh) tensors
+FORMAT_VERSION = 2
 
 
 def save_checkpoint(path, state, config):
@@ -48,16 +50,38 @@ def load_checkpoint(path):
         header = json.loads(raw[8 : 8 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: bad header json at byte 8: {exc}")
-    if header.get("format_version") != FORMAT_VERSION:
-        raise ParseError(f"{path}: unsupported format version {header.get('format_version')!r}")
+    entries = _param_entries(path, header)
     state = {}
     offset = 8 + header_len
-    for item in header["params"]:
-        shape = tuple(item["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        end = offset + 8 * count
+    for name, shape in entries:
+        end = offset + 8 * math.prod(shape)
         if end > len(raw):
-            raise ParseError(f"{path}: truncated payload for {item['name']!r} at byte {offset}")
-        state[item["name"]] = np.frombuffer(raw[offset:end], dtype="<f8").reshape(shape).copy()
+            raise ParseError(f"{path}: truncated payload for {name!r} at byte {offset}")
+        state[name] = np.frombuffer(raw[offset:end], dtype="<f8").reshape(shape).copy()
         offset = end
     return state, header.get("config", {})
+
+
+def _param_entries(path, header):
+    """Validated (name, shape) pairs of a decoded header, in payload order."""
+    if not isinstance(header, dict):
+        raise ParseError(f"{path}: header at byte 8 is not a JSON object")
+    version = header.get("format_version")
+    if version != FORMAT_VERSION:
+        raise ParseError(
+            f"{path}: unsupported format version {version!r} at byte 8; "
+            f"this build reads version {FORMAT_VERSION}"
+        )
+    params = header.get("params")
+    if not isinstance(params, list):
+        raise ParseError(f"{path}: header 'params' at byte 8 is not a list")
+    entries = []
+    for item in params:
+        name = item.get("name") if isinstance(item, dict) else None
+        shape = item.get("shape") if isinstance(item, dict) else None
+        if not isinstance(name, str) or not isinstance(shape, list) or not all(
+            type(d) is int and d >= 0 for d in shape
+        ):
+            raise ParseError(f"{path}: bad parameter entry {item!r} in header at byte 8")
+        entries.append((name, tuple(shape)))
+    return entries

@@ -217,26 +217,20 @@ def model_cases():
         return ad.reduce_sum(ad.mul(recurrent.gru_cell_step(t[0], t[1], p), Tensor(cell_probe)))
 
     gru_arrays = [r.normal(size=(2, d_in)), r.normal(size=(2, d_h))]
-    gru_arrays += [r.normal(size=(d_h, d_in)) * 0.5 for _ in range(3)]
-    gru_arrays += [r.normal(size=(d_h, d_h)) * 0.5 for _ in range(3)]
-    gru_arrays += [r.normal(size=(d_h,)) * 0.5 for _ in range(6)]
+    gru_arrays += [r.normal(size=s) * 0.5 for s in recurrent.GRUCellParams.shapes(d_in, d_h)]
     cases["gru_cell"] = (gru_cell_case, gru_arrays)
 
     bigru_probe = r.normal(size=(1, 4, 2 * d_h))
 
     def bigru_case(t):
         stack = recurrent.BiGRUStack.from_tensors(
-            t[1:], layers=2, input_size=d_in, hidden_size=d_h, dropout_p=0.0
+            t[1:], layers=2, hidden_size=d_h, dropout_p=0.0
         )
         out = recurrent.bigru_forward(t[0], stack, training=False)
         return ad.reduce_sum(ad.mul(out, Tensor(bigru_probe)))
 
-    bigru_arrays = [r.normal(size=(1, 4, d_in))] + [
-        a * 0.5
-        for a in recurrent.BiGRUStack.template_arrays(
-            layers=2, input_size=d_in, hidden_size=d_h, rng=_rng(7)
-        )
-    ]
+    template = recurrent.BiGRUStack.init(2, d_in, d_h, 0.0, _rng(7))
+    bigru_arrays = [r.normal(size=(1, 4, d_in))] + [p.data * 0.5 for p in template.parameters()]
     cases["bigru_2layer"] = (bigru_case, bigru_arrays)
 
     d_att = 2 * d_h

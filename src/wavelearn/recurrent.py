@@ -1,8 +1,12 @@
 """Bidirectional recurrent sequence encoding with attention over time.
 
-Gated recurrent cells follow the standard reset/update/candidate form.  The
-stacked encoder runs one cell forward and one backward over time per layer
-and concatenates their states per step; dropout applies between layers only,
+Gated recurrent cells follow the standard reset/update/candidate form.  Each
+direction stores the four tensors its scan consumes: input weights ``w_ih``
+(3H, D), hidden weights ``w_hh`` (3H, H) and biases ``b_ih``, ``b_hh`` (3H,).
+Gate rows are stacked in r, z, n order: rows [0, H) belong to the reset gate,
+[H, 2H) to the update gate and [2H, 3H) to the candidate.  The stacked
+encoder runs one scan forward and one backward over time per layer and
+concatenates their states per step; dropout applies between layers only,
 during training, from a seeded generator.  The attention head scores hidden
 states against the final state, softmax-normalizes over time, and squashes a
 linear map of [context; final state] to produce one vector per sequence.
@@ -14,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _scan_kernels
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DimensionError, InputTooShortError
@@ -22,26 +25,15 @@ from .errors import DimensionError, InputTooShortError
 
 @dataclass
 class GRUCellParams:
-    w_ir: Tensor
-    w_iz: Tensor
-    w_in: Tensor
-    w_hr: Tensor
-    w_hz: Tensor
-    w_hn: Tensor
-    b_ir: Tensor
-    b_iz: Tensor
-    b_in: Tensor
-    b_hr: Tensor
-    b_hz: Tensor
-    b_hn: Tensor
+    w_ih: Tensor  # (3H, D_in)
+    w_hh: Tensor  # (3H, H)
+    b_ih: Tensor  # (3H,)
+    b_hh: Tensor  # (3H,)
 
     @staticmethod
     def shapes(input_size, hidden_size):
-        return (
-            [(hidden_size, input_size)] * 3
-            + [(hidden_size, hidden_size)] * 3
-            + [(hidden_size,)] * 6
-        )
+        rows = 3 * hidden_size
+        return [(rows, input_size), (rows, hidden_size), (rows,), (rows,)]
 
     @classmethod
     def init(cls, input_size, hidden_size, rng):
@@ -50,16 +42,11 @@ class GRUCellParams:
         return cls(*[ad.parameter(a) for a in arrays])
 
     def tensors(self):
-        return [
-            self.w_ir, self.w_iz, self.w_in,
-            self.w_hr, self.w_hz, self.w_hn,
-            self.b_ir, self.b_iz, self.b_in,
-            self.b_hr, self.b_hz, self.b_hn,
-        ]
+        return [self.w_ih, self.w_hh, self.b_ih, self.b_hh]
 
     @property
     def hidden_size(self):
-        return self.w_hr.data.shape[0]
+        return self.w_hh.data.shape[1]
 
 
 def _linear(x, w, b):
@@ -67,48 +54,79 @@ def _linear(x, w, b):
 
 
 def gru_cell_step(x_t, h_prev, p):
-    """One recurrence step on (batch, D_in) input and (batch, D_h) state."""
-    if x_t.data.shape[1] != p.w_ir.data.shape[1]:
+    """One recurrence step on (batch, D_in) input and (batch, D_h) state.
+
+    Reads each gate's rows of the fused weights separately, independent of
+    ``gru_scan``, so it serves as the reference the scan is tested against.
+    """
+    if x_t.data.shape[1] != p.w_ih.data.shape[1]:
         raise DimensionError(
-            f"cell input extent {x_t.data.shape[1]} != {p.w_ir.data.shape[1]}"
+            f"cell input extent {x_t.data.shape[1]} != {p.w_ih.data.shape[1]}"
         )
-    if h_prev.data.shape[1] != p.hidden_size:
-        raise DimensionError(
-            f"cell state extent {h_prev.data.shape[1]} != {p.hidden_size}"
-        )
-    r = ad.sigmoid(ad.add(_linear(x_t, p.w_ir, p.b_ir), _linear(h_prev, p.w_hr, p.b_hr)))
-    z = ad.sigmoid(ad.add(_linear(x_t, p.w_iz, p.b_iz), _linear(h_prev, p.w_hz, p.b_hz)))
-    n = ad.tanh(
-        ad.add(_linear(x_t, p.w_in, p.b_in), ad.mul(r, _linear(h_prev, p.w_hn, p.b_hn)))
-    )
+    hidden = p.hidden_size
+    if h_prev.data.shape[1] != hidden:
+        raise DimensionError(f"cell state extent {h_prev.data.shape[1]} != {hidden}")
+    rows = [slice(i * hidden, (i + 1) * hidden) for i in range(3)]
+    x_r, x_z, x_n = (_linear(x_t, p.w_ih[s], p.b_ih[s]) for s in rows)
+    h_r, h_z, h_n = (_linear(h_prev, p.w_hh[s], p.b_hh[s]) for s in rows)
+    r = ad.sigmoid(ad.add(x_r, h_r))
+    z = ad.sigmoid(ad.add(x_z, h_z))
+    n = ad.tanh(ad.add(x_n, ad.mul(r, h_n)))
     return ad.add(ad.mul(ad.sub(Tensor(1.0), z), n), ad.mul(z, h_prev))
 
 
 def gru_scan(xproj, b_ih, w_hh, b_hh, h0, reverse=False):
     """Fused recurrence over (T, batch, 3H) precomputed input projections.
 
-    ``b_ih`` is the input-side bias stack, applied inside the kernel;
-    ``w_hh`` is the (3H, H) stack of the three hidden-side matrices and
-    ``b_hh`` the matching bias stack.  With ``reverse`` the scan consumes
-    time from the end; outputs stay aligned with input time either way.
-    Returns the (T, batch, H) state sequence; the backward pass is
-    hand-derived full-length BPTT.
+    ``b_ih`` is the input-side bias, added inside the scan; ``w_hh`` and
+    ``b_hh`` are the hidden-side weights and bias in the fused gate layout.
+    With ``reverse`` the scan consumes time from the end; outputs stay
+    aligned with input time either way.  Returns the (T, batch, H) state
+    sequence; the backward pass is hand-derived full-length BPTT.  Only the
+    step-to-step recurrence loops in Python; input projections and weight
+    gradients are single matrix products.
     """
-    out, hs, r, z, n = _scan_kernels.scan_forward(
-        xproj.data, b_ih.data, w_hh.data, b_hh.data, h0.data, reverse
-    )
+    xp, w = xproj.data, w_hh.data
+    T, B, H3 = xp.shape
+    H = H3 // 3
+    # gates and hs are stored in scan order; out[t] follows input time
+    r = np.empty((T, B, H))
+    z = np.empty((T, B, H))
+    n = np.empty((T, B, H))
+    hs = np.empty((T + 1, B, H))
+    out = np.empty((T, B, H))
+    hs[0] = h0.data
+    for s in range(T):
+        t = T - 1 - s if reverse else s
+        u = xp[t] + b_ih.data
+        v = hs[s] @ w.T + b_hh.data
+        r[s] = 1.0 / (1.0 + np.exp(-(u[:, :H] + v[:, :H])))
+        z[s] = 1.0 / (1.0 + np.exp(-(u[:, H : 2 * H] + v[:, H : 2 * H])))
+        n[s] = np.tanh(u[:, 2 * H :] + r[s] * v[:, 2 * H :])
+        hs[s + 1] = (1.0 - z[s]) * n[s] + z[s] * hs[s]
+        out[t] = hs[s + 1]
 
     def bwd(g):
-        T, B, H = g.shape
         prev = hs[:-1].reshape(T * B, H)
         # recompute the candidate gate's hidden-side pre-activation in bulk
-        vn = (prev @ w_hh.data[2 * H :].T + b_hh.data[2 * H :]).reshape(T, B, H)
-        dxp, dv, dh0 = _scan_kernels.scan_backward(g, hs, r, z, n, vn, w_hh.data, reverse)
+        vn = (prev @ w[2 * H :].T + b_hh.data[2 * H :]).reshape(T, B, H)
+        dxp = np.empty((T, B, 3 * H))
+        dv = np.empty((T, B, 3 * H))
+        carry = np.zeros((B, H))
+        for s in range(T - 1, -1, -1):
+            t = T - 1 - s if reverse else s
+            dh = g[t] + carry
+            da_n = dh * (1.0 - z[s]) * (1.0 - n[s] * n[s])
+            da_z = dh * (hs[s] - n[s]) * z[s] * (1.0 - z[s])
+            da_r = da_n * vn[s] * r[s] * (1.0 - r[s])
+            dxp[t, :, :H] = da_r
+            dxp[t, :, H : 2 * H] = da_z
+            dxp[t, :, 2 * H :] = da_n
+            dv[s, :, : 2 * H] = dxp[t, :, : 2 * H]
+            dv[s, :, 2 * H :] = da_n * r[s]
+            carry = dh * z[s] + dv[s] @ w
         dvm = dv.reshape(T * B, 3 * H)
-        dwhh = dvm.T @ prev
-        dbhh = dvm.sum(axis=0)
-        dbih = dxp.sum(axis=(0, 1))
-        return dxp, dbih, dwhh, dbhh, dh0
+        return dxp, dxp.sum(axis=(0, 1)), dvm.T @ prev, dvm.sum(axis=0), carry
 
     return ad.record("gru_scan", out, (xproj, b_ih, w_hh, b_hh, h0), bwd)
 
@@ -142,19 +160,10 @@ class BiGRUStack:
         return cls(layers=built, dropout_p=dropout_p, hidden_size=hidden_size)
 
     @classmethod
-    def template_arrays(cls, layers, input_size, hidden_size, rng):
-        """Numpy arrays in ``parameters()`` order, for gradient checking."""
-        stack = cls.init(layers, input_size, hidden_size, 0.0, rng)
-        return [p.data.copy() for p in stack.parameters()]
-
-    @classmethod
-    def from_tensors(cls, tensors, layers, input_size, hidden_size, dropout_p):
-        built = []
-        it = iter(tensors)
-        for _ in range(layers):
-            fwd = GRUCellParams(*[next(it) for _ in range(12)])
-            bwd = GRUCellParams(*[next(it) for _ in range(12)])
-            built.append(BiGRULayer(fwd=fwd, bwd=bwd))
+    def from_tensors(cls, tensors, layers, hidden_size, dropout_p):
+        """Rebuild a stack from tensors in ``parameters()`` order."""
+        cells = [GRUCellParams(*tensors[i : i + 4]) for i in range(0, 8 * layers, 4)]
+        built = [BiGRULayer(fwd=f, bwd=b) for f, b in zip(cells[::2], cells[1::2])]
         return cls(layers=built, dropout_p=dropout_p, hidden_size=hidden_size)
 
     def parameters(self):
@@ -165,29 +174,15 @@ class BiGRUStack:
         return out
 
 
-def _fused_input(cell):
-    w = ad.concat([cell.w_ir, cell.w_iz, cell.w_in], axis=0)
-    b = ad.concat([cell.b_ir, cell.b_iz, cell.b_in], axis=0)
-    return w, b
-
-
-def _fused_hidden(cell):
-    w = ad.concat([cell.w_hr, cell.w_hz, cell.w_hn], axis=0)
-    b = ad.concat([cell.b_hr, cell.b_hz, cell.b_hn], axis=0)
-    return w, b
-
-
 def _direction(x_tbd, cell, reverse):
-    t_len, batch, _ = x_tbd.data.shape
-    w_ih, b_ih = _fused_input(cell)
-    w_hh, b_hh = _fused_hidden(cell)
-    flat = ad.reshape(x_tbd, (t_len * batch, x_tbd.data.shape[2]))
+    t_len, batch, d_in = x_tbd.data.shape
+    flat = ad.reshape(x_tbd, (t_len * batch, d_in))
     xp = ad.reshape(
-        ad.matmul(flat, ad.transpose(w_ih)),
+        ad.matmul(flat, ad.transpose(cell.w_ih)),
         (t_len, batch, 3 * cell.hidden_size),
     )
     h0 = Tensor(np.zeros((batch, cell.hidden_size)))
-    return gru_scan(xp, b_ih, w_hh, b_hh, h0, reverse=reverse)
+    return gru_scan(xp, cell.b_ih, cell.w_hh, cell.b_hh, h0, reverse=reverse)
 
 
 def bigru_forward(seq, stack, training=False, seed=None):

@@ -1,0 +1,69 @@
+import json
+import struct
+
+import numpy as np
+import pytest
+
+from wavelearn.checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
+from wavelearn.errors import ParseError
+from wavelearn.model import ModelConfig, Network
+from wavelearn.wavelet import FrontEndConfig
+
+
+def _write(path, header, payload=b""):
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(struct.pack("<Q", len(blob)) + blob + payload)
+    return path
+
+
+def _header(params):
+    return {"format_version": FORMAT_VERSION, "config": {}, "params": params}
+
+
+def test_round_trip_reproduces_the_forward_pass(tmp_path):
+    cfg = ModelConfig(frontend=FrontEndConfig(levels=4, kernel_size=4), conv_channels=3,
+                      gru_layers=2, gru_hidden=3)
+    net = Network(cfg, seed=1)
+    samples = np.random.default_rng(0).normal(size=200)
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, net.state(), {"note": "tiny"})
+
+    state, config = load_checkpoint(path)
+    assert config == {"note": "tiny"}
+    restored = Network(cfg, seed=2)
+    restored.load_state(state)
+    assert np.array_equal(restored.forward(samples).data, net.forward(samples).data)
+
+
+def test_version_1_is_rejected_by_name(tmp_path):
+    path = _write(tmp_path / "v1.bin", {"format_version": 1, "config": {}, "params": []})
+    with pytest.raises(ParseError, match="version 1 at byte 8"):
+        load_checkpoint(path)
+
+
+def test_non_object_header(tmp_path):
+    with pytest.raises(ParseError, match="byte 8"):
+        load_checkpoint(_write(tmp_path / "c.bin", [FORMAT_VERSION]))
+
+
+def test_missing_params(tmp_path):
+    header = {"format_version": FORMAT_VERSION, "config": {}}
+    with pytest.raises(ParseError, match="byte 8"):
+        load_checkpoint(_write(tmp_path / "c.bin", header))
+
+
+def test_non_list_params(tmp_path):
+    with pytest.raises(ParseError, match="byte 8"):
+        load_checkpoint(_write(tmp_path / "c.bin", _header(3)))
+
+
+def test_entry_without_name(tmp_path):
+    with pytest.raises(ParseError, match="byte 8"):
+        load_checkpoint(_write(tmp_path / "c.bin", _header([{"shape": [1]}]), b"\0" * 8))
+
+
+@pytest.mark.parametrize("shape", [[-1], [2, -3], [1.5], ["2"], [True], 4])
+def test_bad_shape(tmp_path, shape):
+    header = _header([{"name": "w", "shape": shape}])
+    with pytest.raises(ParseError, match="byte 8"):
+        load_checkpoint(_write(tmp_path / "c.bin", header, b"\0" * 64))

@@ -31,7 +31,7 @@ def test_cell_all_zero():
 
 def test_cell_saturated_update_gate_keeps_state():
     p = _cell(2, 3)
-    p.b_iz.data = np.full(3, 30.0)  # z ~= 1
+    p.b_ih.data[3:6] = 30.0  # update-gate rows: z ~= 1
     h_prev = np.random.default_rng(0).normal(size=(1, 3))
     out = gru_cell_step(Tensor(np.ones((1, 2))), Tensor(h_prev), p)
     assert_allclose(out.data, h_prev, atol=1e-10)
@@ -39,8 +39,7 @@ def test_cell_saturated_update_gate_keeps_state():
 
 def test_cell_scalar_reference_value():
     p = _cell(1, 1)
-    for w in (p.w_ir, p.w_iz, p.w_in):
-        w.data = np.ones((1, 1))
+    p.w_ih.data = np.ones((3, 1))
     out = gru_cell_step(Tensor(np.ones((1, 1))), Tensor(np.zeros((1, 1))), p)
     sig = 1.0 / (1.0 + np.exp(-1.0))
     expected = (1.0 - sig) * np.tanh(1.0)
@@ -56,31 +55,57 @@ def test_cell_dimension_errors():
         gru_cell_step(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 4))), p)
 
 
+def _scan_of_projection(x, cell, h0, reverse):
+    t_len, batch, d_in = x.data.shape
+    flat = ad.matmul(ad.reshape(x, (t_len * batch, d_in)), ad.transpose(cell.w_ih))
+    xp = ad.reshape(flat, (t_len, batch, 3 * cell.hidden_size))
+    return gru_scan(xp, cell.b_ih, cell.w_hh, cell.b_hh, h0, reverse=reverse)
+
+
+def _repeated_cell_steps(x, cell, h0, reverse):
+    t_len = x.data.shape[0]
+    h = h0
+    states = [None] * t_len
+    for t in reversed(range(t_len)) if reverse else range(t_len):
+        h = gru_cell_step(x[t], h, cell)
+        states[t] = h
+    return ad.stack(states, axis=0)
+
+
 def test_scan_matches_repeated_cell_steps():
     rng = np.random.default_rng(1)
     cell = GRUCellParams.init(3, 4, rng)
     x = rng.normal(size=(5, 2, 3))  # (T, B, D_in)
+    h0 = rng.normal(size=(2, 4)) * 0.5
+    probe = rng.normal(size=(5, 2, 4))
+    arrays = [x, h0] + [t.data for t in cell.tensors()]
 
-    w_ih = np.concatenate([cell.w_ir.data, cell.w_iz.data, cell.w_in.data], axis=0)
-    b_ih = Tensor(np.concatenate([cell.b_ir.data, cell.b_iz.data, cell.b_in.data]))
-    w_hh = Tensor(np.concatenate([cell.w_hr.data, cell.w_hz.data, cell.w_hn.data], axis=0))
-    b_hh = Tensor(np.concatenate([cell.b_hr.data, cell.b_hz.data, cell.b_hn.data]))
-    xp = Tensor(np.einsum("tbd,hd->tbh", x, w_ih))
-    fused = gru_scan(xp, b_ih, w_hh, b_hh, Tensor(np.zeros((2, 4))))
+    for reverse in (False, True):
+        grads = []
+        for run in (_scan_of_projection, _repeated_cell_steps):
+            leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            with Tape():
+                out = run(leaves[0], GRUCellParams(*leaves[2:]), leaves[1], reverse)
+                backward(ad.reduce_sum(ad.mul(out, Tensor(probe))))
+            grads.append((out.data, [leaf.grad for leaf in leaves]))
+        (scan_out, scan_grads), (step_out, step_grads) = grads
+        assert_allclose(scan_out, step_out, atol=1e-12)
+        # gradients of x, h0, w_ih, w_hh, b_ih and b_hh
+        assert all(g is not None for g in scan_grads + step_grads)
+        for a, b in zip(scan_grads, step_grads):
+            assert_allclose(a, b, rtol=0, atol=1e-10)
 
-    h = Tensor(np.zeros((2, 4)))
-    stepwise = []
-    for t in range(5):
-        h = gru_cell_step(Tensor(x[t]), h, cell)
-        stepwise.append(h.data.copy())
-    assert_allclose(fused.data, np.stack(stepwise), atol=1e-12)
 
-    # the reversed scan equals running the plain scan on flipped input
-    rev = gru_scan(xp, b_ih, w_hh, b_hh, Tensor(np.zeros((2, 4))), reverse=True)
-    flipped = gru_scan(
-        Tensor(xp.data[::-1].copy()), b_ih, w_hh, b_hh, Tensor(np.zeros((2, 4)))
-    )
-    assert_allclose(rev.data, flipped.data[::-1], atol=1e-12)
+def test_init_stacks_the_per_gate_draws():
+    # the same seed drew w_ir, w_iz, w_in, w_hr, ..., b_hn one gate at a time
+    rng = np.random.default_rng(12)
+    cell = GRUCellParams.init(3, 4, rng)
+    k = 1.0 / np.sqrt(4)
+    rng = np.random.default_rng(12)
+    per_gate = [rng.uniform(-k, k, size=s) for s in [(4, 3)] * 3 + [(4, 4)] * 3 + [(4,)] * 6]
+    fused = [np.concatenate(per_gate[i : i + 3]) for i in range(0, 12, 3)]
+    for tensor, expected in zip(cell.tensors(), fused):
+        assert np.array_equal(tensor.data, expected)
 
 
 def test_scan_convexity_bound():
@@ -195,27 +220,3 @@ def test_temporal_attention_output_in_tanh_range():
     p = TemporalAttentionParams.init(6, rng)
     out = temporal_attention(Tensor(rng.normal(size=(4, 7, 6)) * 3), p)
     assert np.all(out.data > -1.0) and np.all(out.data < 1.0)
-
-
-@pytest.mark.parametrize("reverse", [False, True])
-def test_kernels_fallback_matches_jit(reverse):
-    from wavelearn import _scan_kernels as sk
-
-    rng = np.random.default_rng(11)
-    xp = rng.normal(size=(6, 2, 9))
-    bih = rng.normal(size=(9,))
-    whh = rng.normal(size=(9, 3)) * 0.5
-    bhh = rng.normal(size=(9,))
-    h0 = rng.normal(size=(2, 3))
-    jit = sk.scan_forward(xp, bih, whh, bhh, h0, reverse)
-    py = sk._scan_forward_py(xp, bih, whh, bhh, h0, reverse)
-    for a, b in zip(jit, py):
-        assert_allclose(a, b, atol=1e-12)
-
-    gh = rng.normal(size=(6, 2, 3))
-    _, hs, r, z, n = jit
-    vn = (hs[:-1].reshape(12, 3) @ whh[6:].T + bhh[6:]).reshape(6, 2, 3)
-    out_jit = sk.scan_backward(gh, hs, r, z, n, vn, whh, reverse)
-    out_py = sk._scan_backward_py(gh, hs, r, z, n, vn, np.ascontiguousarray(whh.T), reverse)
-    for a, b in zip(out_jit, out_py):
-        assert_allclose(a, b, atol=1e-12)
