@@ -11,7 +11,6 @@ forward values and records nothing.
 
 from __future__ import annotations
 
-import itertools
 import threading
 
 import numpy as np
@@ -19,7 +18,6 @@ import numpy as np
 from .errors import ContractError, DimensionError, DomainError, InputTooShortError
 
 _STATE = threading.local()
-_TAPE_IDS = itertools.count(1)
 
 
 def _active_tape():
@@ -30,7 +28,6 @@ class Tape:
     """Ordered record of one forward pass, usable as a context manager."""
 
     def __init__(self):
-        self.uid = next(_TAPE_IDS)
         self.kinds = []
         self.parent_ids = []
         self.backward_fns = []
@@ -495,20 +492,6 @@ def _conv_geometry(width, taps, stride, dilation, padding):
     return out_w, idx, pad
 
 
-def _conv_forward_data(x, w, b, stride, dilation, padding):
-    batch, chans, width = x.shape
-    k_out, _, taps = w.shape
-    out_w, idx, pad = _conv_geometry(width, taps, stride, dilation, padding)
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad))) if pad else x
-    cols = xp[:, :, idx]  # (batch, C, out_w, S)
-    mat = cols.transpose(0, 2, 1, 3).reshape(batch * out_w, chans * taps)
-    out = mat @ w.reshape(k_out, chans * taps).T
-    out = out.reshape(batch, out_w, k_out).transpose(0, 2, 1)
-    if b is not None:
-        out = out + b[None, :, None]
-    return out, mat, idx, pad
-
-
 def conv1d(x, w, b=None, stride=1, dilation=1, padding=0):
     """Cross-correlation along the last axis.
 
@@ -524,54 +507,37 @@ def conv1d(x, w, b=None, stride=1, dilation=1, padding=0):
         )
     if stride < 1 or dilation < 1:
         raise DimensionError("conv1d stride and dilation must be positive")
-    out, mat, idx, pad = _conv_forward_data(
-        x.data, w.data, None if b is None else b.data, stride, dilation, padding
-    )
     batch, chans, width = x.data.shape
     k_out, _, taps = w.data.shape
-    out_w = out.shape[2]
+    out_w, idx, pad = _conv_geometry(width, taps, stride, dilation, padding)
+    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad))) if pad else x.data
+    cols = xp[:, :, idx]  # (batch, C, out_w, S)
+    mat = cols.transpose(0, 2, 1, 3).reshape(batch * out_w, chans * taps)
+    wmat = w.data.reshape(k_out, chans * taps)
+    out = (mat @ wmat.T).reshape(batch, out_w, k_out).transpose(0, 2, 1)
+    if b is not None:
+        out = out + b.data[None, :, None]
+    span = dilation * (taps - 1) + 1
+    # every tap's reads, unwrapped: circular indices run past the width by
+    # less than one span, and width >= span, so one fold puts them back
+    full = max((out_w - 1) * stride + span, width + 2 * pad)
 
     def bwd(g):
         gmat = g.transpose(0, 2, 1).reshape(batch * out_w, k_out)
         gw = (gmat.T @ mat).reshape(k_out, chans, taps)
-        gb = None if b is None else g.sum(axis=(0, 2))
-        gcols = (gmat @ w.data.reshape(k_out, chans * taps)).reshape(
-            batch, out_w, chans, taps
-        )
-        if stride == 1 and padding != "circular":
-            span = dilation * (taps - 1)
-            gpad = np.pad(g, ((0, 0), (0, 0), (span, span)))
-            wt = np.ascontiguousarray(w.data[:, :, ::-1].transpose(1, 0, 2))
-            gx_full, _, _, _ = _conv_forward_data(gpad, wt, None, 1, dilation, 0)
-            gx = gx_full[:, :, pad : pad + width] if pad else gx_full
-        elif padding == "circular":
-            # scatter the tap contributions with two wrap-free slice adds
-            gx = np.zeros((batch, chans, width))
-            parts = gcols.transpose(0, 2, 1, 3)  # (batch, C, out_w, S)
-            for s in range(taps):
-                offset = dilation * s
-                n_direct = min(out_w, -(-(width - offset) // stride))
-                seg = parts[:, :, :, s]
-                stop = offset + (n_direct - 1) * stride + 1
-                gx[:, :, offset : stop : stride] += seg[:, :, :n_direct]
-                if n_direct < out_w:
-                    start = n_direct * stride + offset - width
-                    m = out_w - n_direct
-                    gx[:, :, start : start + (m - 1) * stride + 1 : stride] += seg[:, :, n_direct:]
+        gcols = (gmat @ wmat).reshape(batch, out_w, chans, taps).transpose(0, 2, 1, 3)
+        gxp = np.zeros((batch, chans, full))
+        for s in range(taps):
+            start = dilation * s
+            gxp[:, :, start : start + (out_w - 1) * stride + 1 : stride] += gcols[:, :, :, s]
+        if padding == "circular":
+            gx = gxp[:, :, :width]
+            gx[:, :, : full - width] += gxp[:, :, width:]
         else:
-            gxp = np.zeros((batch, chans, width + 2 * pad))
-            np.add.at(
-                gxp,
-                (
-                    np.arange(batch)[:, None, None, None],
-                    np.arange(chans)[None, :, None, None],
-                    idx[None, None, :, :],
-                ),
-                gcols.transpose(0, 2, 1, 3),
-            )
-            gx = gxp[:, :, pad : pad + width] if pad else gxp
-        grads = (gx, gw) if b is None else (gx, gw, gb)
-        return grads
+            gx = gxp[:, :, pad : pad + width]
+        if b is None:
+            return (gx, gw)
+        return (gx, gw, g.sum(axis=(0, 2)))
 
     parents = (x, w) if b is None else (x, w, b)
     return record("conv1d", out, parents, bwd)

@@ -17,7 +17,8 @@ import numpy as np
 from .errors import ParseError
 
 # 2: each GRU direction is stored as fused (w_ih, w_hh, b_ih, b_hh) tensors
-FORMAT_VERSION = 2
+# 3: the run-config echo lost four model keys that had only one value in use
+FORMAT_VERSION = 3
 
 
 def save_checkpoint(path, state, config):

@@ -17,10 +17,8 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import config as cfgmod
-from . import training
 from .autodiff import Tensor
 from .data import (
-    build_emodb_manifest,
     generate_synthetic,
     load_manifest,
     load_wav,
@@ -42,7 +40,6 @@ from .training import (
     LossConfig,
     evaluate,
     inverse_frequency_alphas,
-    metrics_from_pairs,
     predict,
     stratified_split,
     train_model,
@@ -196,31 +193,32 @@ def cmd_train(args):
 
 
 def _restore(checkpoint_path, cfg_fallback):
+    """(network, the checkpoint's run config or None, class names)."""
     state, meta = ckpt.load_checkpoint(checkpoint_path)
     names = meta.get("classes") or []
-    run = meta.get("run")
-    if run:
-        cfg = cfgmod.load_config(None, ())
-        cfgmod._apply_mapping(cfg, run)
-    else:
-        cfg = cfg_fallback
+    run_cfg = cfgmod.from_mapping(meta["run"]) if meta.get("run") else None
+    cfg = run_cfg or cfg_fallback
     net = _make_network(cfg, len(names) or cfg.model.classes)
     net.load_state(state)
-    return net, cfg, names
+    return net, run_cfg, names
 
 
 def cmd_evaluate(args):
     file_cfg = _load_run_config(args)
-    net, cfg, names = _restore(args.checkpoint, file_cfg)
+    net, run_cfg, names = _restore(args.checkpoint, file_cfg)
     clips, labels, data_names = _load_dataset(file_cfg)
     if names and data_names != names:
         raise LabelError(
             f"checkpoint classes {names} do not match dataset classes {data_names}"
         )
     if args.split == "test":
-        plan = stratified_split(labels, file_cfg.training.seed,
-                                test_frac=file_cfg.training.test_frac,
-                                n_folds=file_cfg.training.folds)
+        # the split the checkpoint was trained under, whatever --seed says now
+        if run_cfg is None:
+            raise ConfigError(
+                f"{args.checkpoint} has no run config, so its test split is unknown"
+            )
+        ts = run_cfg.training
+        plan = stratified_split(labels, ts.seed, test_frac=ts.test_frac, n_folds=ts.folds)
         keep = plan.test_indices
         clips = [clips[i] for i in keep]
         labels = np.asarray(labels)[keep].tolist()

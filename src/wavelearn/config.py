@@ -7,7 +7,7 @@ from pathlib import Path
 
 import yaml
 
-from .data import SyntheticSpec, default_synthetic_spec
+from .data import default_synthetic_spec
 from .errors import ConfigError
 from .model import ABLATION_TAGS, ModelConfig, apply_ablation
 from .wavelet import FrontEndConfig
@@ -131,16 +131,27 @@ def load_config(path=None, overrides=()):
             cursor = cursor[key]
         cursor[keys[-1]] = value
         _apply_mapping(cfg, mapping)
-    if cfg.ablation is not None and cfg.ablation not in ABLATION_TAGS:
-        raise ConfigError(f"unknown ablation {cfg.ablation!r}; known: {ABLATION_TAGS}")
+    _validate(cfg)
+    return cfg
+
+
+def from_mapping(mapping):
+    """A validated RunConfig from defaults plus a nested mapping.
+
+    ``mapping`` has the layout of ``RunConfig.to_dict()``, which is what a
+    checkpoint's ``run`` entry holds.
+    """
+    cfg = RunConfig()
+    _apply_mapping(cfg, mapping)
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg):
+    if cfg.ablation is not None and cfg.ablation not in ABLATION_TAGS:
+        raise ConfigError(f"unknown ablation {cfg.ablation!r}; known: {ABLATION_TAGS}")
     fe = cfg.model.frontend
-    FrontEndConfig(**{k: getattr(fe, k) for k in
-                      ("levels", "kernel_size", "sharing", "laht_enabled", "laht_on_approx")})
+    FrontEndConfig(**asdict(fe))  # re-run its checks on the coerced values
     if cfg.data.synthetic_min_len < fe.min_input_length:
         raise ConfigError(
             f"synthetic_min_len {cfg.data.synthetic_min_len} below the "
@@ -150,7 +161,3 @@ def _validate(cfg):
         raise ConfigError("test_frac must lie in (0, 1)")
     if cfg.training.epochs < 1 or cfg.training.batch_size < 1:
         raise ConfigError("epochs and batch_size must be positive")
-
-
-def dump_config(cfg):
-    return yaml.safe_dump(cfg.to_dict(), sort_keys=True)

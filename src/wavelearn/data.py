@@ -45,9 +45,10 @@ class AudioClip:
 def load_wav(path):
     """Parse a RIFF/WAVE file into a mono AudioClip at its original rate.
 
-    PCM16 samples are scaled by 1/32768; float32 passes through; stereo
-    frames are averaged.  Malformed structure raises ParseError with the
-    byte offset; unsupported encodings raise FormatError naming the code.
+    PCM16 samples are scaled by 1/32768; finite float32 passes through;
+    stereo frames are averaged.  Malformed structure, a partial sample and a
+    NaN or infinite float raise ParseError with the byte offset; unsupported
+    encodings raise FormatError naming the code.
     """
     raw = Path(path).read_bytes()
 
@@ -71,9 +72,10 @@ def load_wav(path):
         if chunk_id == b"fmt ":
             if chunk_size < 16:
                 raise ParseError(f"{path}: fmt chunk too small at byte {offset}")
-            fmt = struct.unpack_from("<HHIIHH", raw, body)
+            fmt = struct.unpack("<HHIIHH", need(body, 16, "fmt chunk"))
         elif chunk_id == b"data":
             data = need(body, chunk_size, "data chunk")
+            data_at = body
         offset = body + chunk_size + (chunk_size & 1)
     if fmt is None:
         raise ParseError(f"{path}: no fmt chunk before byte {offset}")
@@ -84,15 +86,27 @@ def load_wav(path):
     if channels not in (1, 2):
         raise FormatError(f"{path}: {channels} channels unsupported (want 1 or 2)")
     if audio_format == 0x0001 and bits == 16:
-        values = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
+        dtype = "<i2"
     elif audio_format == 0x0003 and bits == 32:
-        values = np.frombuffer(data, dtype="<f4").astype(np.float64)
+        dtype = "<f4"
     else:
         name = _WAVE_FORMAT_NAMES.get(audio_format, hex(audio_format))
         raise FormatError(
             f"{path}: unsupported encoding {name} ({bits}-bit); "
             "want PCM 16-bit or IEEE float 32-bit"
         )
+    size = bits // 8
+    if len(data) % size:
+        raise ParseError(
+            f"{path}: data chunk at byte {data_at} holds {len(data)} bytes, "
+            f"not a whole number of {size}-byte samples"
+        )
+    values = np.frombuffer(data, dtype=dtype).astype(np.float64)
+    if dtype == "<i2":
+        values = values / 32768.0
+    elif not np.all(np.isfinite(values)):
+        bad = int(np.flatnonzero(~np.isfinite(values))[0])
+        raise ParseError(f"{path}: non-finite float sample at byte {data_at + size * bad}")
     if channels == 2:
         values = values[: len(values) // 2 * 2].reshape(-1, 2).mean(axis=1)
     return AudioClip(samples=values, sample_rate=int(rate), source_id=str(path))

@@ -1,7 +1,7 @@
 """Per-band local feature extraction.
 
-A short stack of dilated convolution blocks (conv, instance norm, leaky
-activation) followed by width-wise attention that scores every position with
+A short stack of dilated convolution blocks (conv, instance norm with eps
+1e-5, leaky activation with slope 0.01) followed by width-wise attention that scores every position with
 a kernel-size-1 convolution over the feature map blended with its global
 mean context.  No pooling anywhere: for stride-1 blocks the output width is
 W minus the total dilated kernel span.
@@ -28,12 +28,9 @@ class ConvBlockParams:
     stride: int = 1
     dilation: int = 1
     padding: int = 0
-    leaky_slope: float = 0.01
-    in_eps: float = 1e-5
 
     @classmethod
-    def init(cls, in_channels, out_channels, kernel, rng, dilation=1, stride=1,
-             padding=0, leaky_slope=0.01, in_eps=1e-5):
+    def init(cls, in_channels, out_channels, kernel, rng, dilation=1, stride=1, padding=0):
         scale = (2.0 / (in_channels * kernel)) ** 0.5
         return cls(
             weight=ad.parameter(rng.normal(0.0, scale, size=(out_channels, in_channels, kernel))),
@@ -43,8 +40,6 @@ class ConvBlockParams:
             stride=stride,
             dilation=dilation,
             padding=padding,
-            leaky_slope=leaky_slope,
-            in_eps=in_eps,
         )
 
     def tensors(self):
@@ -55,8 +50,7 @@ def conv_block(x, p):
     """leaky_relu(instance_norm(conv1d(x))) with the block's parameters."""
     y = ad.conv1d(x, p.weight, p.bias, stride=p.stride, dilation=p.dilation,
                   padding=p.padding)
-    y = ad.instance_norm(y, p.in_gamma, p.in_beta, eps=p.in_eps)
-    return ad.leaky_relu(y, p.leaky_slope)
+    return ad.leaky_relu(ad.instance_norm(y, p.in_gamma, p.in_beta))
 
 
 @dataclass
@@ -108,18 +102,14 @@ class BandPipelineParams:
     attention: SpatialAttentionParams
 
     @classmethod
-    def init(cls, channels, kernel, dilations, rng, strides=None, paddings=None,
-             leaky_slope=0.01, in_eps=1e-5):
+    def init(cls, channels, kernel, dilations, rng, strides=None, paddings=None):
         strides = strides or (1,) * len(dilations)
         paddings = paddings or (0,) * len(dilations)
         blocks = []
         c_in = 1
         for d, s, p in zip(dilations, strides, paddings):
             blocks.append(
-                ConvBlockParams.init(
-                    c_in, channels, kernel, rng, dilation=d, stride=s, padding=p,
-                    leaky_slope=leaky_slope, in_eps=in_eps,
-                )
+                ConvBlockParams.init(c_in, channels, kernel, rng, dilation=d, stride=s, padding=p)
             )
             c_in = channels
         return cls(blocks=blocks, attention=SpatialAttentionParams.init(channels, rng))

@@ -35,12 +35,8 @@ class HeadParams:
     class_conv: ConvBlockParams
 
     @classmethod
-    def init(cls, bands, classes, kernel, rng, leaky_slope=0.01, in_eps=1e-5):
-        return cls(
-            class_conv=ConvBlockParams.init(
-                bands, classes, kernel, rng, leaky_slope=leaky_slope, in_eps=in_eps
-            )
-        )
+    def init(cls, bands, classes, kernel, rng):
+        return cls(class_conv=ConvBlockParams.init(bands, classes, kernel, rng))
 
     def tensors(self):
         return self.class_conv.tensors()

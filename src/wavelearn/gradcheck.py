@@ -132,6 +132,8 @@ def core_cases():
         "conv1d_stride": dict(stride=2, dilation=1, padding=1),
         "conv1d_dilated": dict(stride=1, dilation=2, padding=0),
         "conv1d_circular": dict(stride=2, dilation=1, padding="circular"),
+        "conv1d_circular_dilated": dict(stride=1, dilation=2, padding="circular"),
+        "conv1d_stride_dilated": dict(stride=2, dilation=2, padding=2),
     }
     for name, kwargs in conv_variants.items():
         def conv_case(t, kw=kwargs):
@@ -187,7 +189,7 @@ def model_cases():
     def conv_block_case(t):
         p = features.ConvBlockParams(
             weight=t[1], bias=t[2], in_gamma=t[3], in_beta=t[4],
-            stride=1, dilation=2, leaky_slope=0.01, in_eps=1e-5,
+            stride=1, dilation=2,
         )
         return ad.reduce_sum(ad.mul(features.conv_block(t[0], p), Tensor(block_probe)))
 

@@ -1,7 +1,8 @@
-"""Full network: wavelet front-end, band pipelines, fusion head.
+"""Full network: wavelet front-end, one shared band pipeline, fusion head.
 
 One forward pass maps a raw waveform (one utterance, any admissible length)
-to log class probabilities.  Parameters live in a flat name -> tensor
+to log class probabilities.  Every band goes through the same conv stack,
+spatial attention, BiGRU stack and temporal attention.  Parameters live in a flat name -> tensor
 mapping so the optimizer and the checkpoint format stay trivial.
 """
 
@@ -52,13 +53,10 @@ class ModelConfig:
     # encoder has to scan; paddings keep the short low-frequency bands alive
     conv_strides: tuple = (2, 2, 1)
     conv_paddings: tuple = (1, 2, 4)
-    leaky_slope: float = 0.01
-    in_eps: float = 1e-5
     gru_layers: int = 6
     gru_hidden: int = 16
     dropout: float = 0.2
     bigru_enabled: bool = True
-    per_band_params: bool = False
     head_kernel: int = 3
     classes: int = 4
 
@@ -89,34 +87,20 @@ class Network:
             [LAHTParams.init() for _ in range(fe.levels)] if fe.laht_enabled else None
         )
         bands = fe.levels + 1
-        n_pipes = bands if cfg.per_band_params else 1
-        self.pipelines = [
-            BandPipelineParams.init(
-                cfg.conv_channels, cfg.conv_kernel, cfg.dilations, rng,
-                strides=cfg.conv_strides, paddings=cfg.conv_paddings,
-                leaky_slope=cfg.leaky_slope, in_eps=cfg.in_eps,
-            )
-            for _ in range(n_pipes)
-        ]
-        if cfg.bigru_enabled:
-            self.stacks = [
-                BiGRUStack.init(
-                    cfg.gru_layers, cfg.conv_channels, cfg.gru_hidden, cfg.dropout, rng
-                )
-                for _ in range(n_pipes)
-            ]
-            self.temporal = [
-                TemporalAttentionParams.init(2 * cfg.gru_hidden, rng)
-                for _ in range(n_pipes)
-            ]
-        else:
-            self.stacks = []
-            self.temporal = []
-        self.channel_weights = ChannelWeights.init(bands)
-        self.head = HeadParams.init(
-            bands, cfg.classes, cfg.head_kernel, rng,
-            leaky_slope=cfg.leaky_slope, in_eps=cfg.in_eps,
+        self.pipeline = BandPipelineParams.init(
+            cfg.conv_channels, cfg.conv_kernel, cfg.dilations, rng,
+            strides=cfg.conv_strides, paddings=cfg.conv_paddings,
         )
+        if cfg.bigru_enabled:
+            self.stack = BiGRUStack.init(
+                cfg.gru_layers, cfg.conv_channels, cfg.gru_hidden, cfg.dropout, rng
+            )
+            self.temporal = TemporalAttentionParams.init(2 * cfg.gru_hidden, rng)
+        else:
+            self.stack = None
+            self.temporal = None
+        self.channel_weights = ChannelWeights.init(bands)
+        self.head = HeadParams.init(bands, cfg.classes, cfg.head_kernel, rng)
         self._params = self._collect()
 
     def _collect(self):
@@ -131,12 +115,10 @@ class Network:
         if self.lahts is not None:
             for level, p in enumerate(self.lahts):
                 put(f"frontend.laht.{level}", p.tensors())
-        for i, pipe in enumerate(self.pipelines):
-            put(f"pipeline.{i}", pipe.tensors())
-        for i, stack in enumerate(self.stacks):
-            put(f"gru.{i}", stack.parameters())
-        for i, att in enumerate(self.temporal):
-            put(f"temporal.{i}", att.tensors())
+        put("pipeline.0", self.pipeline.tensors())
+        if self.stack is not None:
+            put("gru.0", self.stack.parameters())
+            put("temporal.0", self.temporal.tensors())
         put("fusion.weights", self.channel_weights.tensors())
         put("head", self.head.tensors())
         return params
@@ -161,29 +143,21 @@ class Network:
     def state(self):
         return {name: p.data.copy() for name, p in self._params.items()}
 
-    def _band_vector(self, band, index, training, dropout_seed):
-        pipe_idx = index if self.cfg.per_band_params else 0
-        pipe = self.pipelines[pipe_idx]
-        sequence, summary = band_features(band, pipe.blocks, pipe.attention)
-        if not self.cfg.bigru_enabled:
+    def _band_vector(self, band, training, dropout_seed):
+        sequence, summary = band_features(band, self.pipeline.blocks, self.pipeline.attention)
+        if self.stack is None:
             return summary
         states = bigru_forward(
-            ad.transpose(sequence, (0, 2, 1)),
-            self.stacks[pipe_idx],
-            training=training,
-            seed=dropout_seed,
+            ad.transpose(sequence, (0, 2, 1)), self.stack, training=training, seed=dropout_seed
         )
-        return temporal_attention(states, self.temporal[pipe_idx])
+        return temporal_attention(states, self.temporal)
 
     def forward(self, samples, training=False, dropout_seed=None):
         """Log class probabilities (1, classes) for one waveform."""
         samples = np.asarray(samples, dtype=np.float64).reshape(-1)
         x = Tensor(samples.reshape(1, 1, -1))
         decomp = frontend_forward(x, self.cfg.frontend, self.filters, self.lahts)
-        vectors = [
-            self._band_vector(band, i, training, dropout_seed)
-            for i, band in enumerate(decomp.bands())
-        ]
+        vectors = [self._band_vector(band, training, dropout_seed) for band in decomp.bands()]
         fused = fuse_bands(vectors)
         weighted = channel_weighting(fused, self.channel_weights)
         return classify(weighted, self.head)

@@ -227,8 +227,9 @@ def metrics_from_pairs(true_labels, predicted, n_classes):
     predicted = np.asarray(predicted, dtype=np.int64)
     if true_labels.size == 0:
         raise DatasetError("cannot compute metrics on an empty subset")
-    confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-    np.add.at(confusion, (true_labels, predicted), 1)
+    confusion = np.bincount(
+        true_labels * n_classes + predicted, minlength=n_classes * n_classes
+    ).reshape(n_classes, n_classes)
     tp = np.diag(confusion).astype(np.float64)
     support = confusion.sum(axis=1).astype(np.float64)
     predicted_count = confusion.sum(axis=0).astype(np.float64)
@@ -274,13 +275,12 @@ class EpochRecord:
 
 
 def train_model(model, clips, labels, loss_cfg, adam, epochs, seed,
-                batch_size=16, val_clips=None, val_labels=None,
-                dropout_training=True, stop_fn=None):
-    """Per-utterance training with gradient accumulation.
+                batch_size=16, val_clips=None, val_labels=None):
+    """Per-utterance training with dropout and gradient accumulation.
 
     ``model`` follows the interface of ``model.Network`` (``forward`` and
-    ``parameters``).  Returns per-epoch records; mutates the model parameters
-    in place.  ``stop_fn(epoch, records)`` may end training early.
+    ``parameters``).  Runs all ``epochs``, returns per-epoch records and
+    mutates the model parameters in place.
     """
     params = model.parameters()
     n = len(clips)
@@ -298,7 +298,7 @@ def train_model(model, clips, labels, loss_cfg, adam, epochs, seed,
             batch_n = min(batch_size, n - (row - row % batch_size))
             with Tape() as tape:
                 log_probs = model.forward(
-                    clips[idx], training=dropout_training,
+                    clips[idx], training=True,
                     dropout_seed=np.random.default_rng(drop_seed),
                 )
                 loss = focal_loss(log_probs, [labels[idx]], loss_cfg)
@@ -322,8 +322,6 @@ def train_model(model, clips, labels, loss_cfg, adam, epochs, seed,
         if val_clips:
             val_loss, val_acc = _validate(model, val_clips, val_labels, loss_cfg)
             records.append(EpochRecord(epoch, "val", val_loss, val_acc))
-        if stop_fn is not None and stop_fn(epoch, records):
-            break
     return records
 
 

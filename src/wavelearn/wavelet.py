@@ -69,11 +69,6 @@ def daubechies_lowpass(order):
     return h.copy()
 
 
-def init_daubechies(order=10):
-    """The length-2*order orthonormal low-pass filter as a constant tensor."""
-    return Tensor(daubechies_lowpass(order))
-
-
 def derive_cqf(h):
     """High-pass filter g[n] = (-1)^n h[K-1-n] for an even-length low-pass h.
 
@@ -173,7 +168,6 @@ class FrontEndConfig:
     kernel_size: int = 20
     sharing: str = "all_kernel"
     laht_enabled: bool = True
-    laht_on_approx: bool = True
 
     def __post_init__(self):
         if self.sharing not in SHARING_MODES:
@@ -247,8 +241,7 @@ def frontend_forward(signal, cfg, filters, lahts=None):
 
     Recursion always continues on the approximation.  When thresholding is
     enabled, each level's activation is applied to both of its outputs before
-    further use; ``cfg.laht_on_approx`` controls whether the final
-    approximation is thresholded too.
+    further use, so the final approximation is thresholded too.
     """
     if signal.data.ndim != 3 or signal.data.shape[1] != 1:
         raise DimensionError("frontend_forward expects (batch, 1, W)")
@@ -266,65 +259,7 @@ def frontend_forward(signal, cfg, filters, lahts=None):
         h, g = filters.level_pair(level)
         a, d = decompose_level(a, h, g)
         if cfg.laht_enabled:
-            params = lahts[level]
-            d = laht(d, params)
-            last = level == cfg.levels - 1
-            if not last or cfg.laht_on_approx:
-                a = laht(a, params)
+            d = laht(d, lahts[level])
+            a = laht(a, lahts[level])
         details.append(d)
     return DecompositionOutput(details=details, approximation=a)
-
-
-def reconstruct(bands, filters_or_pairs):
-    """Inverse cascade for orthonormal analysis filters (test utility).
-
-    Upsamples each level by 2 and applies the adjoint circular correlation,
-    which inverts the analysis exactly for orthonormal filters, circular
-    boundaries, and even widths throughout.  Operates on plain arrays and is
-    not differentiable.
-    """
-    if isinstance(bands, DecompositionOutput):
-        details = [np.asarray(d.data if isinstance(d, Tensor) else d) for d in bands.details]
-        approx = np.asarray(
-            bands.approximation.data
-            if isinstance(bands.approximation, Tensor)
-            else bands.approximation
-        )
-    else:
-        *details, approx = [np.asarray(b.data if isinstance(b, Tensor) else b) for b in bands]
-    levels = len(details)
-    pairs = _resolve_pairs(filters_or_pairs, levels)
-    if len(pairs) != levels:
-        raise DimensionError(
-            f"band count {levels} does not match filter levels {len(pairs)}"
-        )
-    a = approx.reshape(-1)
-    for level in range(levels - 1, -1, -1):
-        d = details[level].reshape(-1)
-        if d.shape != a.shape:
-            raise DimensionError(
-                f"detail band {level + 1} has length {d.size}, expected {a.size}"
-            )
-        h, g = pairs[level]
-        width = 2 * a.size
-        out = np.zeros(width)
-        pos = 2 * np.arange(a.size)
-        for s in range(h.size):
-            np.add.at(out, (pos + s) % width, a * h[s] + d * g[s])
-        a = out
-    return a
-
-
-def _resolve_pairs(filters_or_pairs, levels):
-    if isinstance(filters_or_pairs, FrontEndFilters):
-        pairs = []
-        for level in range(levels):
-            h, g = filters_or_pairs.level_pair(level)
-            pairs.append((np.asarray(h.data), np.asarray(g.data)))
-        return pairs
-    resolved = []
-    for h, g in filters_or_pairs:
-        h = np.asarray(h.data if isinstance(h, Tensor) else h)
-        g = np.asarray(g.data if isinstance(g, Tensor) else g)
-        resolved.append((h, g))
-    return resolved

@@ -29,49 +29,58 @@ def test_conv1d_strided_example():
     assert_allclose(ad.conv1d(x, w, stride=2).data, [[[3.0, 7.0]]])
 
 
-def _naive_conv(x, w, b, stride, dilation, padding):
+def _naive_conv(x, w, b, stride, dilation, padding, g):
+    """Output and the x, w, b gradients of sum(out * g), one term at a time."""
     batch, chans, width = x.shape
     k_out, _, taps = w.shape
+    pad = 0 if padding == "circular" else padding
     if padding == "circular":
         out_w = -(-width // stride)
     else:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
-        width = x.shape[2]
-        out_w = (width - dilation * (taps - 1) - 1) // stride + 1
+        out_w = (width + 2 * pad - dilation * (taps - 1) - 1) // stride + 1
     out = np.zeros((batch, k_out, out_w))
+    gx, gw = np.zeros_like(x), np.zeros_like(w)
+    gb = np.zeros_like(b)
     for n in range(batch):
         for k in range(k_out):
             for q in range(out_w):
-                acc = 0.0 if b is None else b[k]
+                out[n, k, q] = b[k]
+                gb[k] += g[n, k, q]
                 for c in range(chans):
                     for s in range(taps):
-                        pos = q * stride + dilation * s
+                        pos = q * stride + dilation * s - pad
                         if padding == "circular":
                             pos %= width
-                        acc += x[n, c, pos] * w[k, c, s]
-                out[n, k, q] = acc
-    return out
+                        elif not 0 <= pos < width:
+                            continue  # a padding zero
+                        out[n, k, q] += x[n, c, pos] * w[k, c, s]
+                        gx[n, c, pos] += g[n, k, q] * w[k, c, s]
+                        gw[k, c, s] += g[n, k, q] * x[n, c, pos]
+    return out, gx, gw, gb
 
 
-@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("seed", range(24))
 def test_conv1d_matches_naive_loop(seed):
     r = np.random.default_rng(seed)
     batch, chans, width = r.integers(1, 4), r.integers(1, 4), r.integers(4, 9)
     k_out, taps = r.integers(1, 4), r.integers(1, 4)
-    stride = int(r.integers(1, 3))
-    dilation = int(r.integers(1, 3))
-    padding = [0, 1, 2, "circular"][r.integers(0, 4)]
+    stride = int(r.integers(1, 4))
+    dilation = int(r.integers(1, 4))
+    padding = [0, 1, 2, 4, "circular"][seed % 5]
     span = dilation * (taps - 1) + 1
     pad_w = width if padding == "circular" else width + 2 * padding
-    if pad_w < span:
-        width = span + (0 if padding == "circular" else 0)
-        pad_w = width
+    width = max(width, width + span - pad_w)
     x = r.normal(size=(batch, chans, int(width)))
     w = r.normal(size=(int(k_out), int(chans), int(taps)))
     b = r.normal(size=(int(k_out),))
-    out = ad.conv1d(Tensor(x), Tensor(w), Tensor(b), stride=stride, dilation=dilation, padding=padding)
-    expected = _naive_conv(x, w, b, stride, dilation, padding)
-    assert_allclose(out.data, expected, atol=1e-12)
+    leaves = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+    with Tape():
+        out = ad.conv1d(*leaves, stride=stride, dilation=dilation, padding=padding)
+        g = r.normal(size=out.shape)
+        backward(ad.reduce_sum(ad.mul(out, Tensor(g))))
+    expected = _naive_conv(x, w, b, stride, dilation, padding, g)
+    for got, want in zip([out.data] + [t.grad for t in leaves], expected):
+        assert_allclose(got, want, atol=1e-12)
 
 
 def test_conv1d_shape_errors():

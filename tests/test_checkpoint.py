@@ -35,10 +35,11 @@ def test_round_trip_reproduces_the_forward_pass(tmp_path):
     assert np.array_equal(restored.forward(samples).data, net.forward(samples).data)
 
 
-def test_version_1_is_rejected_by_name(tmp_path):
-    path = _write(tmp_path / "v1.bin", {"format_version": 1, "config": {}, "params": []})
-    with pytest.raises(ParseError, match="version 1 at byte 8"):
-        load_checkpoint(path)
+@pytest.mark.parametrize("version", [1, 2])
+def test_old_versions_are_rejected_by_name(tmp_path, version):
+    header = {"format_version": version, "config": {}, "params": []}
+    with pytest.raises(ParseError, match=f"version {version} at byte 8"):
+        load_checkpoint(_write(tmp_path / "old.bin", header))
 
 
 def test_non_object_header(tmp_path):

@@ -63,6 +63,28 @@ def test_malformed_riff_reports_offset(tmp_path):
         load_wav(path)
 
 
+def test_truncated_fmt_chunk_reports_offset(tmp_path):
+    path = tmp_path / "t.wav"
+    path.write_bytes(b"RIFF\x00\x00\x00\x00WAVEfmt " + struct.pack("<I", 16) + b"\x01\x00\x01")
+    with pytest.raises(ParseError, match="truncated fmt chunk at byte 20"):
+        load_wav(path)
+
+
+def test_partial_sample_reports_offset(tmp_path):
+    path = tmp_path / "odd.wav"
+    _write_raw_wav(path, 1, 16, 1, 16000, b"\x00\x01\x02")
+    with pytest.raises(ParseError, match="byte 44 holds 3 bytes"):
+        load_wav(path)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_float_reports_offset(tmp_path, bad):
+    path = tmp_path / "nan.wav"
+    _write_raw_wav(path, 3, 32, 1, 16000, struct.pack("<3f", 0.5, bad, 0.25))
+    with pytest.raises(ParseError, match="non-finite float sample at byte 48"):
+        load_wav(path)
+
+
 def test_unsupported_encoding_names_code(tmp_path):
     path = tmp_path / "u.wav"
     _write_raw_wav(path, 7, 8, 1, 8000, b"\x00\x00")

@@ -30,3 +30,23 @@ def _imported():
 
 def test_declared_dependencies_match_imports():
     assert _declared() == _imported()
+
+
+def _unused_imports(source):
+    """Names a module imports but never reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in (ROOT / "src" / "wavelearn").glob("*.py")))
+def test_every_import_is_used(name):
+    assert _unused_imports((ROOT / "src" / "wavelearn" / name).read_text()) == []

@@ -6,10 +6,9 @@ from numpy.testing import assert_allclose
 
 from wavelearn import autodiff as ad
 from wavelearn.autodiff import Tape, Tensor, backward
-from wavelearn.errors import ConfigError, DimensionError, InputTooShortError
+from wavelearn.errors import ConfigError, InputTooShortError
 from wavelearn.gradcheck import check_gradients
 from wavelearn.wavelet import (
-    DecompositionOutput,
     FrontEndConfig,
     FrontEndFilters,
     LAHTParams,
@@ -17,10 +16,8 @@ from wavelearn.wavelet import (
     decompose_level,
     derive_cqf,
     frontend_forward,
-    init_daubechies,
     laht,
     laht_apply,
-    reconstruct,
 )
 
 # Standard orthonormal 20-tap table (10 vanishing moments), as printed in the
@@ -36,8 +33,26 @@ DB10_REFERENCE = np.array([
 HAAR = np.array([1.0, 1.0]) / np.sqrt(2.0)
 
 
+def _reconstruct(bands, pairs):
+    """Inverse cascade for orthonormal filters, circular boundaries, even widths.
+
+    ``bands`` are the detail arrays, high frequency first, then the
+    approximation; ``pairs`` holds one (h, g) array pair per level.  Each level
+    upsamples by 2 and applies the adjoint circular correlation.
+    """
+    *details, a = [np.asarray(b).reshape(-1) for b in bands]
+    assert len(details) == len(pairs)
+    for d, (h, g) in zip(reversed(details), reversed(pairs)):
+        out = np.zeros(2 * a.size)
+        pos = 2 * np.arange(a.size)
+        for s in range(h.size):
+            out[(pos + s) % out.size] += a * h[s] + d * g[s]
+        a = out
+    return a
+
+
 def test_db10_normalization():
-    h = init_daubechies(10).data
+    h = daubechies_lowpass(10)
     assert h.shape == (20,)
     assert abs(h.sum() - np.sqrt(2)) < 1e-10
     assert abs((h**2).sum() - 1.0) < 1e-10
@@ -72,7 +87,7 @@ def test_cqf_single_tap_example():
 
 
 def test_cqf_db10_vanishing_sum():
-    g = derive_cqf(init_daubechies(10))
+    g = derive_cqf(Tensor(daubechies_lowpass(10)))
     assert abs(g.data.sum()) < 1e-10
 
 
@@ -249,7 +264,7 @@ def test_roundtrip_haar():
         a_t, d_t = decompose_level(Tensor(a), Tensor(h), Tensor(g))
         bands.append(d_t.data)
         a = a_t.data
-    rebuilt = reconstruct(bands + [a], pairs)
+    rebuilt = _reconstruct(bands + [a], pairs)
     assert np.abs(rebuilt - x).max() < 1e-10
 
 
@@ -258,7 +273,8 @@ def test_roundtrip_db10_five_levels():
     x = rng.normal(size=2048)
     cfg, filters = _fixed_frontend(5)
     out = frontend_forward(Tensor(x.reshape(1, 1, -1)), cfg, filters)
-    rebuilt = reconstruct(out, filters)
+    pairs = [tuple(f.data for f in filters.level_pair(i)) for i in range(cfg.levels)]
+    rebuilt = _reconstruct([b.data for b in out.bands()], pairs)
     assert np.abs(rebuilt - x).max() < 1e-6
 
 
@@ -276,20 +292,9 @@ def test_roundtrip_property(log_len, levels, seed):
     if 2**log_len < cfg.min_input_length:
         return
     out = frontend_forward(Tensor(x.reshape(1, 1, -1)), cfg, filters)
-    rebuilt = reconstruct(out, filters)
+    pairs = [tuple(f.data for f in filters.level_pair(i)) for i in range(cfg.levels)]
+    rebuilt = _reconstruct([b.data for b in out.bands()], pairs)
     assert np.abs(rebuilt - x).max() < 1e-6
-
-
-def test_reconstruct_zero_bands():
-    pairs = [(HAAR, derive_cqf(Tensor(HAAR)).data)] * 2
-    rebuilt = reconstruct([np.zeros(8), np.zeros(4), np.zeros(4)], pairs)
-    assert_allclose(rebuilt, np.zeros(16))
-
-
-def test_reconstruct_band_count_mismatch():
-    pairs = [(HAAR, derive_cqf(Tensor(HAAR)).data)]
-    with pytest.raises(DimensionError):
-        reconstruct([np.zeros(8), np.zeros(4), np.zeros(4)], pairs)
 
 
 def test_energy_partition_per_level_db10():
