@@ -4,9 +4,11 @@ A ``Tape`` records every differentiable operation of one forward pass in
 execution order (which is a topological order by construction).  ``backward``
 walks the records in reverse and accumulates gradients into the
 ``requires_grad`` leaves.  There is one tape per forward pass; parameters are
-registered as leaves the first time the pass touches them.  Tapes are
-confined to a single thread; running with no active tape computes plain
-forward values and records nothing.
+registered as leaves the first time the pass touches them.  ``backward`` runs
+inside the tape's ``with`` block: leaving the block drops the backward
+closures, which would otherwise keep the pass's tensors in a reference cycle
+until a full garbage collection.  Tapes are confined to a single thread;
+running with no active tape computes plain forward values and records nothing.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import threading
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, DomainError, InputTooShortError
+from .errors import ContractError, DimensionError, InputTooShortError
 
 _STATE = threading.local()
 
@@ -44,6 +46,7 @@ class Tape:
 
     def __exit__(self, *exc):
         _STATE.tape = self._outer
+        self.backward_fns.clear()
         return False
 
     def _leaf_node(self, tensor):
@@ -165,8 +168,8 @@ def backward(root):
     Repeated calls without clearing leaf grads accumulate, which is what
     gradient accumulation over a logical batch relies on.
     """
-    if not isinstance(root, Tensor) or root.tape is None or root.node_id is None:
-        raise ContractError("backward root must be produced on an active tape")
+    if not isinstance(root, Tensor) or root.tape is None or root.tape is not _active_tape():
+        raise ContractError("backward root must be produced on the active tape")
     if root.data.size != 1:
         raise ContractError(f"backward root must be scalar, got shape {root.data.shape}")
     tape = root.tape
@@ -263,12 +266,6 @@ def neg(a):
 def exp(a):
     out = np.exp(a.data)
     return record("exp", out, (a,), lambda g: (g * out,))
-
-
-def log(a):
-    if np.any(a.data <= 0.0):
-        raise DomainError("log requires strictly positive inputs")
-    return record("log", np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
 def sigmoid(a):

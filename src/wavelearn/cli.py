@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +63,6 @@ def _build_parser():
     def common(p):
         p.add_argument("--config", default=None, help="YAML run configuration")
         p.add_argument("--seed", type=int, default=None, help="overrides training.seed")
-        p.add_argument("--workers", type=int, default=1, help="evaluation thread count")
         p.add_argument("--epochs", type=int, default=None, help="overrides training.epochs")
         p.add_argument("--ablation", default=None, choices=ABLATION_TAGS)
         p.add_argument("--out-dir", default="out", help="artifact directory")
@@ -91,8 +91,10 @@ def _build_parser():
     p_synth.add_argument("--per-class", type=int, default=None,
                          help="overrides data.synthetic_n_per_class")
 
+    for p in (p_train, p_eval, p_pred):
+        p.add_argument("--workers", type=int, default=1, help="evaluation thread count")
+
     p_grad = sub.add_parser("gradcheck", help="finite-difference check of every operation")
-    common(p_grad)
     p_grad.add_argument("--tolerance", type=float, default=1e-4)
     return parser
 
@@ -144,10 +146,7 @@ def _write_epochs(out_dir, cfg, records):
 
 
 def _make_network(cfg, n_classes):
-    model_cfg = cfg.resolved_model()
-    from dataclasses import replace
-
-    model_cfg = replace(model_cfg, classes=n_classes)
+    model_cfg = replace(cfg.resolved_model(), classes=n_classes)
     return Network(model_cfg, seed=cfg.training.seed)
 
 
@@ -203,9 +202,24 @@ def _restore(checkpoint_path, cfg_fallback):
     return net, run_cfg, names
 
 
+def _check_same_data(file_cfg, run_cfg, checkpoint):
+    """The checkpoint's test indices only mean something on its own dataset."""
+    if run_cfg is None:
+        raise ConfigError(f"{checkpoint} has no run config, so its test split is unknown")
+    given, trained = asdict(file_cfg.data), asdict(run_cfg.data)
+    for key, value in trained.items():
+        if given[key] != value:
+            raise ConfigError(
+                f"data.{key} is {given[key]!r} but {checkpoint} was trained with "
+                f"{value!r}, so its test split would pick other clips"
+            )
+
+
 def cmd_evaluate(args):
     file_cfg = _load_run_config(args)
     net, run_cfg, names = _restore(args.checkpoint, file_cfg)
+    if args.split == "test":
+        _check_same_data(file_cfg, run_cfg, args.checkpoint)
     clips, labels, data_names = _load_dataset(file_cfg)
     if names and data_names != names:
         raise LabelError(
@@ -213,10 +227,6 @@ def cmd_evaluate(args):
         )
     if args.split == "test":
         # the split the checkpoint was trained under, whatever --seed says now
-        if run_cfg is None:
-            raise ConfigError(
-                f"{args.checkpoint} has no run config, so its test split is unknown"
-            )
         ts = run_cfg.training
         plan = stratified_split(labels, ts.seed, test_frac=ts.test_frac, n_folds=ts.folds)
         keep = plan.test_indices

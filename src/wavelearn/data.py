@@ -46,7 +46,7 @@ def load_wav(path):
     """Parse a RIFF/WAVE file into a mono AudioClip at its original rate.
 
     PCM16 samples are scaled by 1/32768; finite float32 passes through;
-    stereo frames are averaged.  Malformed structure, a partial sample and a
+    stereo frames are averaged.  Malformed structure, a partial frame and a
     NaN or infinite float raise ParseError with the byte offset; unsupported
     encodings raise FormatError naming the code.
     """
@@ -96,10 +96,10 @@ def load_wav(path):
             "want PCM 16-bit or IEEE float 32-bit"
         )
     size = bits // 8
-    if len(data) % size:
+    if len(data) % (size * channels):
         raise ParseError(
             f"{path}: data chunk at byte {data_at} holds {len(data)} bytes, "
-            f"not a whole number of {size}-byte samples"
+            f"not a whole number of {channels}-channel frames of {size}-byte samples"
         )
     values = np.frombuffer(data, dtype=dtype).astype(np.float64)
     if dtype == "<i2":
@@ -108,7 +108,7 @@ def load_wav(path):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise ParseError(f"{path}: non-finite float sample at byte {data_at + size * bad}")
     if channels == 2:
-        values = values[: len(values) // 2 * 2].reshape(-1, 2).mean(axis=1)
+        values = values.reshape(-1, 2).mean(axis=1)
     return AudioClip(samples=values, sample_rate=int(rate), source_id=str(path))
 
 
@@ -272,9 +272,6 @@ class DatasetManifest:
 
     def __len__(self):
         return len(self.rows)
-
-    def label_index(self, name):
-        return self.vocabulary.index(name)
 
     def load_clip(self, i):
         rel, label = self.rows[i]

@@ -13,10 +13,6 @@ class InputTooShortError(WavelearnError, ValueError):
     """A signal or feature map is too short to produce any output."""
 
 
-class DomainError(WavelearnError, ValueError):
-    """An operand is outside the mathematical domain of an operation."""
-
-
 class ContractError(WavelearnError, RuntimeError):
     """An API precondition was violated by the caller."""
 

@@ -4,8 +4,10 @@ Gated recurrent cells follow the standard reset/update/candidate form.  Each
 direction stores the four tensors its scan consumes: input weights ``w_ih``
 (3H, D), hidden weights ``w_hh`` (3H, H) and biases ``b_ih``, ``b_hh`` (3H,).
 Gate rows are stacked in r, z, n order: rows [0, H) belong to the reset gate,
-[H, 2H) to the update gate and [2H, 3H) to the candidate.  The stacked
-encoder runs one scan forward and one backward over time per layer and
+[H, 2H) to the update gate and [2H, 3H) to the candidate.  A scan is one tape
+node: it projects a direction's whole (batch, T, D) input in one matrix
+product and runs the recurrence from a zero state.  The stacked encoder runs
+one scan forward and one backward over time per layer, batch-major, and
 concatenates their states per step; dropout applies between layers only,
 during training, from a seeded generator.  The attention head scores hidden
 states against the final state, softmax-normalizes over time, and squashes a
@@ -75,60 +77,63 @@ def gru_cell_step(x_t, h_prev, p):
     return ad.add(ad.mul(ad.sub(Tensor(1.0), z), n), ad.mul(z, h_prev))
 
 
-def gru_scan(xproj, b_ih, w_hh, b_hh, h0, reverse=False):
-    """Fused recurrence over (T, batch, 3H) precomputed input projections.
+def gru_scan(x, cell, reverse=False):
+    """One recurrent direction over (batch, T, D_in) input, from a zero state.
 
-    ``b_ih`` is the input-side bias, added inside the scan; ``w_hh`` and
-    ``b_hh`` are the hidden-side weights and bias in the fused gate layout.
-    With ``reverse`` the scan consumes time from the end; outputs stay
-    aligned with input time either way.  Returns the (T, batch, H) state
-    sequence; the backward pass is hand-derived full-length BPTT.  Only the
-    step-to-step recurrence loops in Python; input projections and weight
-    gradients are single matrix products.
+    The input projection ``x @ w_ih.T + b_ih`` of all steps is one matrix
+    product; only the step-to-step update loops in Python.  With ``reverse``
+    the scan consumes time from the end; outputs stay aligned with input time
+    either way.  Returns the (batch, T, H) states as one tape node over ``x``
+    and the four tensors of ``cell``; its backward is hand-derived BPTT.
     """
-    xp, w = xproj.data, w_hh.data
-    T, B, H3 = xp.shape
-    H = H3 // 3
-    # gates and hs are stored in scan order; out[t] follows input time
+    xd, w_ih, w, b_hh = x.data, cell.w_ih.data, cell.w_hh.data, cell.b_hh.data
+    B, T, D = xd.shape
+    H = w.shape[1]
+    if D != w_ih.shape[1]:
+        raise DimensionError(f"scan input extent {D} != {w_ih.shape[1]}")
+    xp = (xd.reshape(B * T, D) @ w_ih.T + cell.b_ih.data).reshape(B, T, 3 * H)
+    # gates and hs are stored in scan order; out[:, t] follows input time
     r = np.empty((T, B, H))
     z = np.empty((T, B, H))
     n = np.empty((T, B, H))
-    hs = np.empty((T + 1, B, H))
-    out = np.empty((T, B, H))
-    hs[0] = h0.data
+    hs = np.zeros((T + 1, B, H))
+    out = np.empty((B, T, H))
     for s in range(T):
         t = T - 1 - s if reverse else s
-        u = xp[t] + b_ih.data
-        v = hs[s] @ w.T + b_hh.data
+        u = xp[:, t]
+        v = hs[s] @ w.T + b_hh
         r[s] = 1.0 / (1.0 + np.exp(-(u[:, :H] + v[:, :H])))
         z[s] = 1.0 / (1.0 + np.exp(-(u[:, H : 2 * H] + v[:, H : 2 * H])))
         n[s] = np.tanh(u[:, 2 * H :] + r[s] * v[:, 2 * H :])
         hs[s + 1] = (1.0 - z[s]) * n[s] + z[s] * hs[s]
-        out[t] = hs[s + 1]
+        out[:, t] = hs[s + 1]
 
     def bwd(g):
         prev = hs[:-1].reshape(T * B, H)
         # recompute the candidate gate's hidden-side pre-activation in bulk
-        vn = (prev @ w[2 * H :].T + b_hh.data[2 * H :]).reshape(T, B, H)
-        dxp = np.empty((T, B, 3 * H))
+        vn = (prev @ w[2 * H :].T + b_hh[2 * H :]).reshape(T, B, H)
+        dxp = np.empty((B, T, 3 * H))
         dv = np.empty((T, B, 3 * H))
         carry = np.zeros((B, H))
         for s in range(T - 1, -1, -1):
             t = T - 1 - s if reverse else s
-            dh = g[t] + carry
+            dh = g[:, t] + carry
             da_n = dh * (1.0 - z[s]) * (1.0 - n[s] * n[s])
             da_z = dh * (hs[s] - n[s]) * z[s] * (1.0 - z[s])
             da_r = da_n * vn[s] * r[s] * (1.0 - r[s])
-            dxp[t, :, :H] = da_r
-            dxp[t, :, H : 2 * H] = da_z
-            dxp[t, :, 2 * H :] = da_n
-            dv[s, :, : 2 * H] = dxp[t, :, : 2 * H]
+            dxp[:, t, :H] = da_r
+            dxp[:, t, H : 2 * H] = da_z
+            dxp[:, t, 2 * H :] = da_n
+            dv[s, :, : 2 * H] = dxp[:, t, : 2 * H]
             dv[s, :, 2 * H :] = da_n * r[s]
             carry = dh * z[s] + dv[s] @ w
+        dxm = dxp.reshape(B * T, 3 * H)
         dvm = dv.reshape(T * B, 3 * H)
-        return dxp, dxp.sum(axis=(0, 1)), dvm.T @ prev, dvm.sum(axis=0), carry
+        dx = (dxm @ w_ih).reshape(B, T, D)
+        return dx, dxm.T @ xd.reshape(B * T, D), dvm.T @ prev, dxm.sum(axis=0), dvm.sum(axis=0)
 
-    return ad.record("gru_scan", out, (xproj, b_ih, w_hh, b_hh, h0), bwd)
+    parents = (x, cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh)
+    return ad.record("gru_scan", out, parents, bwd)
 
 
 @dataclass
@@ -141,7 +146,6 @@ class BiGRULayer:
 class BiGRUStack:
     layers: list
     dropout_p: float
-    hidden_size: int
 
     @classmethod
     def init(cls, layers, input_size, hidden_size, dropout_p, rng):
@@ -157,14 +161,14 @@ class BiGRUStack:
                 )
             )
             d_in = 2 * hidden_size
-        return cls(layers=built, dropout_p=dropout_p, hidden_size=hidden_size)
+        return cls(layers=built, dropout_p=dropout_p)
 
     @classmethod
-    def from_tensors(cls, tensors, layers, hidden_size, dropout_p):
+    def from_tensors(cls, tensors, layers, dropout_p):
         """Rebuild a stack from tensors in ``parameters()`` order."""
         cells = [GRUCellParams(*tensors[i : i + 4]) for i in range(0, 8 * layers, 4)]
         built = [BiGRULayer(fwd=f, bwd=b) for f, b in zip(cells[::2], cells[1::2])]
-        return cls(layers=built, dropout_p=dropout_p, hidden_size=hidden_size)
+        return cls(layers=built, dropout_p=dropout_p)
 
     def parameters(self):
         out = []
@@ -172,17 +176,6 @@ class BiGRUStack:
             out.extend(layer.fwd.tensors())
             out.extend(layer.bwd.tensors())
         return out
-
-
-def _direction(x_tbd, cell, reverse):
-    t_len, batch, d_in = x_tbd.data.shape
-    flat = ad.reshape(x_tbd, (t_len * batch, d_in))
-    xp = ad.reshape(
-        ad.matmul(flat, ad.transpose(cell.w_ih)),
-        (t_len, batch, 3 * cell.hidden_size),
-    )
-    h0 = Tensor(np.zeros((batch, cell.hidden_size)))
-    return gru_scan(xp, cell.b_ih, cell.w_hh, cell.b_hh, h0, reverse=reverse)
 
 
 def bigru_forward(seq, stack, training=False, seed=None):
@@ -199,15 +192,13 @@ def bigru_forward(seq, stack, training=False, seed=None):
     rng = None
     if training and stack.dropout_p > 0.0:
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    x = ad.transpose(seq, (1, 0, 2))
+    x = seq
     for index, layer in enumerate(stack.layers):
-        fwd_states = _direction(x, layer.fwd, reverse=False)
-        bwd_states = _direction(x, layer.bwd, reverse=True)
-        x = ad.concat([fwd_states, bwd_states], axis=2)
+        x = ad.concat([gru_scan(x, layer.fwd), gru_scan(x, layer.bwd, reverse=True)], axis=2)
         if rng is not None and index < len(stack.layers) - 1:
             keep = (rng.random(x.data.shape) >= stack.dropout_p).astype(np.float64)
             x = ad.mul(x, Tensor(keep / (1.0 - stack.dropout_p)))
-    return ad.transpose(x, (1, 0, 2))
+    return x
 
 
 @dataclass

@@ -296,16 +296,13 @@ def train_model(model, clips, labels, loss_cfg, adam, epochs, seed,
         for row, idx in enumerate(order):
             drop_seed = np.random.SeedSequence((seed, epoch, int(idx)))
             batch_n = min(batch_size, n - (row - row % batch_size))
-            with Tape() as tape:
+            with Tape():
                 log_probs = model.forward(
                     clips[idx], training=True,
                     dropout_seed=np.random.default_rng(drop_seed),
                 )
                 loss = focal_loss(log_probs, [labels[idx]], loss_cfg)
                 backward(ad.mul(Tensor(1.0 / batch_n), loss))
-            # the closures hold this clip's tensors, which hold the tape; drop
-            # them so the tape is freed now, not at the next full gc pass
-            tape.backward_fns.clear()
             value = float(loss.data)
             _check_finite(value, params, f"epoch {epoch}")
             total_loss += value

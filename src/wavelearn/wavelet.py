@@ -156,12 +156,6 @@ def laht_apply(x, alpha, beta, bias_pos, bias_neg):
     return ad.mul(x, gate)
 
 
-def laht(x, params):
-    """Thresholding with the constrained effective values of ``params``."""
-    alpha, beta, bias_pos, bias_neg = params.effective()
-    return laht_apply(x, alpha, beta, bias_pos, bias_neg)
-
-
 @dataclass
 class FrontEndConfig:
     levels: int = 8
@@ -221,9 +215,6 @@ class FrontEndFilters:
             return []
         return list(self._h) + list(self._g)
 
-    def learnable_filter_count(self):
-        return len(self.parameters())
-
 
 @dataclass
 class DecompositionOutput:
@@ -259,7 +250,8 @@ def frontend_forward(signal, cfg, filters, lahts=None):
         h, g = filters.level_pair(level)
         a, d = decompose_level(a, h, g)
         if cfg.laht_enabled:
-            d = laht(d, lahts[level])
-            a = laht(a, lahts[level])
+            effective = lahts[level].effective()
+            d = laht_apply(d, *effective)
+            a = laht_apply(a, *effective)
         details.append(d)
     return DecompositionOutput(details=details, approximation=a)

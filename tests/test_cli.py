@@ -1,6 +1,7 @@
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from wavelearn import cli
 from wavelearn.checkpoint import save_checkpoint
@@ -26,7 +27,7 @@ def _checkpoint(path, meta_of):
     return cfg, clips
 
 
-def _evaluate(tmp_path, checkpoint, monkeypatch, seen):
+def _evaluate(tmp_path, checkpoint, monkeypatch, seen, extra=()):
     def fake_evaluate(model, clips, labels, n_classes, workers=1):
         seen.extend(clips)
         return metrics_from_pairs(labels, labels, n_classes)
@@ -34,7 +35,7 @@ def _evaluate(tmp_path, checkpoint, monkeypatch, seen):
     monkeypatch.setattr(cli, "evaluate", fake_evaluate)
     argv = ["evaluate", "--checkpoint", str(checkpoint), "--seed", "1",
             "--out-dir", str(tmp_path / "out")]
-    for item in TINY:
+    for item in TINY + list(extra):
         argv += ["--set", item]
     return cli.main(argv)
 
@@ -62,3 +63,19 @@ def test_evaluate_test_split_needs_the_run_config(tmp_path, monkeypatch, capsys)
     assert _evaluate(tmp_path, path, monkeypatch, seen) == cli.EXIT_CONFIG
     assert seen == []
     assert "no run config" in capsys.readouterr().err
+
+
+def test_evaluate_test_split_needs_the_training_dataset(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "model.bin"
+    _checkpoint(path, lambda c, names: {"run": c.to_dict(), "classes": names})
+    seen = []
+    extra = ["data.synthetic_seed=1"]
+    assert _evaluate(tmp_path, path, monkeypatch, seen, extra) == cli.EXIT_CONFIG
+    assert seen == []
+    assert "data.synthetic_seed is 1" in capsys.readouterr().err
+
+
+def test_gradcheck_takes_no_run_options():
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gradcheck", "--workers", "2"])
+    assert exc.value.code == 2

@@ -77,6 +77,13 @@ def test_partial_sample_reports_offset(tmp_path):
         load_wav(path)
 
 
+def test_partial_stereo_frame_reports_offset(tmp_path):
+    path = tmp_path / "half.wav"
+    _write_raw_wav(path, 1, 16, 2, 16000, struct.pack("<3h", 1, 2, 3))
+    with pytest.raises(ParseError, match="byte 44 holds 6 bytes"):
+        load_wav(path)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_float_reports_offset(tmp_path, bad):
     path = tmp_path / "nan.wav"

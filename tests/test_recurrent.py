@@ -53,44 +53,38 @@ def test_cell_dimension_errors():
         gru_cell_step(Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 3))), p)
     with pytest.raises(DimensionError):
         gru_cell_step(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 4))), p)
+    with pytest.raises(DimensionError):
+        gru_scan(Tensor(np.zeros((1, 5, 4))), p)
 
 
-def _scan_of_projection(x, cell, h0, reverse):
-    t_len, batch, d_in = x.data.shape
-    flat = ad.matmul(ad.reshape(x, (t_len * batch, d_in)), ad.transpose(cell.w_ih))
-    xp = ad.reshape(flat, (t_len, batch, 3 * cell.hidden_size))
-    return gru_scan(xp, cell.b_ih, cell.w_hh, cell.b_hh, h0, reverse=reverse)
-
-
-def _repeated_cell_steps(x, cell, h0, reverse):
-    t_len = x.data.shape[0]
-    h = h0
+def _repeated_cell_steps(x, cell, reverse):
+    batch, t_len, _ = x.data.shape
+    h = Tensor(np.zeros((batch, cell.hidden_size)))
     states = [None] * t_len
     for t in reversed(range(t_len)) if reverse else range(t_len):
-        h = gru_cell_step(x[t], h, cell)
+        h = gru_cell_step(x[:, t], h, cell)
         states[t] = h
-    return ad.stack(states, axis=0)
+    return ad.stack(states, axis=1)
 
 
 def test_scan_matches_repeated_cell_steps():
     rng = np.random.default_rng(1)
     cell = GRUCellParams.init(3, 4, rng)
-    x = rng.normal(size=(5, 2, 3))  # (T, B, D_in)
-    h0 = rng.normal(size=(2, 4)) * 0.5
-    probe = rng.normal(size=(5, 2, 4))
-    arrays = [x, h0] + [t.data for t in cell.tensors()]
+    x = rng.normal(size=(2, 5, 3))  # (B, T, D_in)
+    probe = rng.normal(size=(2, 5, 4))
+    arrays = [x] + [t.data for t in cell.tensors()]
 
     for reverse in (False, True):
         grads = []
-        for run in (_scan_of_projection, _repeated_cell_steps):
+        for run in (gru_scan, _repeated_cell_steps):
             leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
             with Tape():
-                out = run(leaves[0], GRUCellParams(*leaves[2:]), leaves[1], reverse)
+                out = run(leaves[0], GRUCellParams(*leaves[1:]), reverse)
                 backward(ad.reduce_sum(ad.mul(out, Tensor(probe))))
             grads.append((out.data, [leaf.grad for leaf in leaves]))
         (scan_out, scan_grads), (step_out, step_grads) = grads
-        assert_allclose(scan_out, step_out, atol=1e-12)
-        # gradients of x, h0, w_ih, w_hh, b_ih and b_hh
+        assert_allclose(scan_out, step_out, rtol=0, atol=1e-10)
+        # gradients of x, w_ih, w_hh, b_ih and b_hh
         assert all(g is not None for g in scan_grads + step_grads)
         for a, b in zip(scan_grads, step_grads):
             assert_allclose(a, b, rtol=0, atol=1e-10)
@@ -113,7 +107,7 @@ def test_scan_convexity_bound():
     rng = np.random.default_rng(2)
     cell = GRUCellParams.init(2, 3, rng)
     stack = BiGRUStack(layers=[BiGRULayer(fwd=cell, bwd=GRUCellParams.init(2, 3, rng))],
-                       dropout_p=0.0, hidden_size=3)
+                       dropout_p=0.0)
     out = bigru_forward(Tensor(rng.normal(size=(1, 50, 2)) * 5), stack)
     assert np.all(np.abs(out.data) < 1.0)
 
@@ -132,7 +126,7 @@ def test_bigru_single_step_concatenates_directions():
 def test_bigru_time_reversal_swaps_directions_with_tied_cells():
     rng = np.random.default_rng(4)
     cell = GRUCellParams.init(2, 3, rng)
-    stack = BiGRUStack(layers=[BiGRULayer(fwd=cell, bwd=cell)], dropout_p=0.0, hidden_size=3)
+    stack = BiGRUStack(layers=[BiGRULayer(fwd=cell, bwd=cell)], dropout_p=0.0)
     x = rng.normal(size=(1, 2, 2))
     out = bigru_forward(Tensor(x), stack)
     rev = bigru_forward(Tensor(x[:, ::-1].copy()), stack)
@@ -150,7 +144,7 @@ def test_bigru_dropout_determinism_and_zero_p():
     assert np.array_equal(a.data, b.data)
     assert not np.array_equal(a.data, c.data)
 
-    plain = BiGRUStack(layers=stack.layers, dropout_p=0.0, hidden_size=3)
+    plain = BiGRUStack(layers=stack.layers, dropout_p=0.0)
     d = bigru_forward(x, plain, training=True, seed=7)
     e = bigru_forward(x, plain, training=True, seed=123)
     assert np.array_equal(d.data, e.data)
@@ -165,19 +159,14 @@ def test_bigru_empty_sequence():
 @pytest.mark.parametrize("reverse", [False, True])
 def test_scan_gradcheck(reverse):
     rng = np.random.default_rng(6)
-    probe = rng.normal(size=(4, 2, 3))
+    probe = rng.normal(size=(2, 4, 3))
 
     def build(t):
-        out = gru_scan(t[0], t[1], t[2], t[3], t[4], reverse=reverse)
+        out = gru_scan(t[0], GRUCellParams(*t[1:]), reverse=reverse)
         return ad.reduce_sum(ad.mul(out, Tensor(probe)))
 
-    arrays = [
-        rng.normal(size=(4, 2, 9)),
-        rng.normal(size=(9,)) * 0.5,
-        rng.normal(size=(9, 3)) * 0.6,
-        rng.normal(size=(9,)) * 0.5,
-        rng.normal(size=(2, 3)),
-    ]
+    arrays = [rng.normal(size=(2, 4, 5))]
+    arrays += [rng.normal(size=s) * 0.6 for s in GRUCellParams.shapes(5, 3)]
     assert check_gradients(build, arrays) < 1e-4
 
 

@@ -16,7 +16,6 @@ from wavelearn.wavelet import (
     decompose_level,
     derive_cqf,
     frontend_forward,
-    laht,
     laht_apply,
 )
 
@@ -157,7 +156,7 @@ def test_decompose_odd_width_extends_circularly():
 
 def test_laht_zero_fixed_point():
     p = LAHTParams.init()
-    out = laht(Tensor(np.zeros(4)), p)
+    out = laht_apply(Tensor(np.zeros(4)), *p.effective())
     assert_allclose(out.data, np.zeros(4))
 
 
@@ -252,6 +251,15 @@ def test_frontend_too_short_names_minimum():
     cfg, filters = _fixed_frontend(3)
     with pytest.raises(InputTooShortError, match=str(cfg.min_input_length)):
         frontend_forward(Tensor(np.zeros((1, 1, 64))), cfg, filters)
+
+
+@pytest.mark.parametrize("levels", [1, 3])
+def test_frontend_reparameterizes_each_laht_level_once(levels):
+    cfg = FrontEndConfig(levels=levels, kernel_size=2, sharing="db10_fixed")
+    lahts = [LAHTParams.init() for _ in range(levels)]
+    with Tape() as tape:
+        frontend_forward(Tensor(np.ones((1, 1, 64))), cfg, FrontEndFilters(cfg), lahts)
+    assert tape.kinds.count("softplus") == 2 * levels
 
 
 def test_roundtrip_haar():
@@ -350,6 +358,6 @@ def test_sharing_mode_parameter_counts():
     ]:
         cfg = FrontEndConfig(levels=4, kernel_size=20, sharing=mode, laht_enabled=False)
         filters = FrontEndFilters(cfg)
-        assert filters.learnable_filter_count() == expected
+        assert len(filters.parameters()) == expected
         for p in filters.parameters():
             assert p.data.shape == (20,)
