@@ -49,18 +49,24 @@ def load_checkpoint(path):
         raise ParseError(f"{path}: truncated header at byte 8")
     try:
         header = json.loads(raw[8 : 8 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"{path}: bad header json at byte 8: {exc}")
     entries = _param_entries(path, header)
+    config = header.get("config", {})
+    if not isinstance(config, dict):
+        raise ParseError(f"{path}: header 'config' at byte 8 is not a JSON object")
     state = {}
     offset = 8 + header_len
     for name, shape in entries:
         end = offset + 8 * math.prod(shape)
         if end > len(raw):
             raise ParseError(f"{path}: truncated payload for {name!r} at byte {offset}")
-        state[name] = np.frombuffer(raw[offset:end], dtype="<f8").reshape(shape).copy()
+        try:
+            state[name] = np.frombuffer(raw[offset:end], dtype="<f8").reshape(shape).copy()
+        except ValueError as exc:  # an empty shape with too many or too large extents
+            raise ParseError(f"{path}: bad shape for {name!r} at byte {offset}: {exc}")
         offset = end
-    return state, header.get("config", {})
+    return state, config
 
 
 def _param_entries(path, header):

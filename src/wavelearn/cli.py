@@ -60,14 +60,17 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def run_config(p):
         p.add_argument("--config", default=None, help="YAML run configuration")
-        p.add_argument("--seed", type=int, default=None, help="overrides training.seed")
-        p.add_argument("--epochs", type=int, default=None, help="overrides training.epochs")
         p.add_argument("--ablation", default=None, choices=ABLATION_TAGS)
-        p.add_argument("--out-dir", default="out", help="artifact directory")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY.PATH=VALUE", help="dotted config override")
+
+    def common(p):
+        run_config(p)
+        p.add_argument("--seed", type=int, default=None, help="overrides training.seed")
+        p.add_argument("--epochs", type=int, default=None, help="overrides training.epochs")
+        p.add_argument("--out-dir", default="out", help="artifact directory")
 
     p_train = sub.add_parser("train", help="train on the configured dataset")
     common(p_train)
@@ -78,7 +81,7 @@ def _build_parser():
     p_eval.add_argument("--split", choices=("all", "test"), default="test")
 
     p_pred = sub.add_parser("predict", help="classify wav files, CSV on stdout")
-    common(p_pred)
+    run_config(p_pred)  # only for a checkpoint without a run config
     p_pred.add_argument("--checkpoint", required=True)
     p_pred.add_argument("wavs", nargs="+", help="wav files to classify")
 
@@ -101,9 +104,9 @@ def _build_parser():
 
 def _load_run_config(args):
     overrides = list(args.overrides)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:  # predict has no --seed or --epochs
         overrides.append(f"training.seed={args.seed}")
-    if args.epochs is not None:
+    if getattr(args, "epochs", None) is not None:
         overrides.append(f"training.epochs={args.epochs}")
     if args.ablation is not None:
         overrides.append(f"ablation={args.ablation}")
@@ -244,7 +247,13 @@ def cmd_evaluate(args):
 
 def cmd_predict(args):
     file_cfg = _load_run_config(args)
-    net, _, names = _restore(args.checkpoint, file_cfg)
+    net, run_cfg, names = _restore(args.checkpoint, file_cfg)
+    flags = {"--config": args.config, "--ablation": args.ablation, "--set": args.overrides}
+    given = [flag for flag, value in flags.items() if value]
+    if run_cfg is not None and given:
+        raise ConfigError(
+            f"{args.checkpoint} carries its run config, which {', '.join(given)} cannot change"
+        )
     clips = []
     for wav in args.wavs:
         clip = resample_to_16k(load_wav(wav))

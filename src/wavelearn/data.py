@@ -9,6 +9,7 @@ fixed wavelet decomposition separates the classes by construction.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import struct
 from dataclasses import dataclass
@@ -285,11 +286,15 @@ class DatasetManifest:
 
 
 def load_manifest(path, root=None, vocabulary=None):
-    """Read a `path,label` CSV and validate every referenced file exists."""
+    """Read a UTF-8 `path,label` CSV and validate every referenced file exists."""
     path = Path(path)
     root = Path(root) if root is not None else path.parent
-    with open(path, newline="") as fh:
-        lines = [ln for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: invalid UTF-8 at byte {exc.start}")
+    lines = [ln for ln in io.StringIO(text, newline="")
+             if ln.strip() and not ln.lstrip().startswith("#")]
     reader = csv.reader(lines)
     header = next(reader, None)
     if header is None or [h.strip() for h in header[:2]] != ["path", "label"]:

@@ -6,12 +6,15 @@ direction stores the four tensors its scan consumes: input weights ``w_ih``
 Gate rows are stacked in r, z, n order: rows [0, H) belong to the reset gate,
 [H, 2H) to the update gate and [2H, 3H) to the candidate.  A scan is one tape
 node: it projects a direction's whole (batch, T, D) input in one matrix
-product and runs the recurrence from a zero state.  The stacked encoder runs
-one scan forward and one backward over time per layer, batch-major, and
-concatenates their states per step; dropout applies between layers only,
-during training, from a seeded generator.  The attention head scores hidden
-states against the final state, softmax-normalizes over time, and squashes a
-linear map of [context; final state] to produce one vector per sequence.
+product and runs the recurrence from a zero state, one matmul and a dozen
+in-place ufuncs on preallocated buffers per step.  Its backward builds every
+step's state Jacobian in bulk, so the only sequential work left is one
+vector-Jacobian product per step.  The stacked encoder runs one scan forward
+and one backward over time per layer, batch-major, and concatenates their
+states per step; dropout applies between layers only, during training, from
+a seeded generator.  The attention head scores hidden states against the
+final state, softmax-normalizes over time, and squashes a linear map of
+[context; final state] to produce one vector per sequence.
 """
 
 from __future__ import annotations
@@ -80,57 +83,73 @@ def gru_cell_step(x_t, h_prev, p):
 def gru_scan(x, cell, reverse=False):
     """One recurrent direction over (batch, T, D_in) input, from a zero state.
 
-    The input projection ``x @ w_ih.T + b_ih`` of all steps is one matrix
-    product; only the step-to-step update loops in Python.  With ``reverse``
-    the scan consumes time from the end; outputs stay aligned with input time
-    either way.  Returns the (batch, T, H) states as one tape node over ``x``
-    and the four tensors of ``cell``; its backward is hand-derived BPTT.
+    Returns the (batch, T, H) states, aligned with input time in either
+    direction, as one tape node over ``x`` and the four tensors of ``cell``.
+    The forward projects the input once, time-major in scan order (from the
+    end when ``reverse``), with ``b_hh``'s r and z rows folded in.  Each step
+    is one matmul into a reused (B, 3H) buffer and in-place ufuncs that write
+    the gates r, z into a stored (T, B, 2H) array, the candidate n into a
+    stored (T, B, H) array and the state into ``hs[s + 1]``.  The backward
+    forms every step's Jacobian ``J_s = dh_s / dh_(s-1)`` in bulk, as one
+    (T, B, H, H) array freed on return, so BPTT loops over one add and one
+    vector-Jacobian product per step; the input-side and weight gradients
+    then follow from the state gradients in a few bulk products.
     """
     xd, w_ih, w, b_hh = x.data, cell.w_ih.data, cell.w_hh.data, cell.b_hh.data
     B, T, D = xd.shape
     H = w.shape[1]
     if D != w_ih.shape[1]:
         raise DimensionError(f"scan input extent {D} != {w_ih.shape[1]}")
-    xp = (xd.reshape(B * T, D) @ w_ih.T + cell.b_ih.data).reshape(B, T, 3 * H)
-    # gates and hs are stored in scan order; out[:, t] follows input time
-    r = np.empty((T, B, H))
-    z = np.empty((T, B, H))
-    n = np.empty((T, B, H))
-    hs = np.zeros((T + 1, B, H))
-    out = np.empty((B, T, H))
-    for s in range(T):
-        t = T - 1 - s if reverse else s
-        u = xp[:, t]
-        v = hs[s] @ w.T + b_hh
-        r[s] = 1.0 / (1.0 + np.exp(-(u[:, :H] + v[:, :H])))
-        z[s] = 1.0 / (1.0 + np.exp(-(u[:, H : 2 * H] + v[:, H : 2 * H])))
-        n[s] = np.tanh(u[:, 2 * H :] + r[s] * v[:, 2 * H :])
-        hs[s + 1] = (1.0 - z[s]) * n[s] + z[s] * hs[s]
-        out[:, t] = hs[s + 1]
+    step = -1 if reverse else 1  # every (T, B, .) array below is in scan order
+    xt = np.ascontiguousarray(xd[:, ::step].transpose(1, 0, 2)).reshape(T * B, D)
+    bias = cell.b_ih.data + np.concatenate([b_hh[: 2 * H], np.zeros(H)])
+    xp = (xt @ w_ih.T + bias).reshape(T, B, 3 * H)
+    v, c, w_t, b_n = np.empty((B, 3 * H)), np.empty((B, H)), w.T, b_hh[2 * H :]
+    v_rz, v_n = v[:, : 2 * H], v[:, 2 * H :]
+    rz, n, hs = np.empty((T, B, 2 * H)), np.empty((T, B, H)), np.zeros((T + 1, B, H))
+    r, z = rz[..., :H], rz[..., H:]
+    steps = zip(hs[:-1], hs[1:], xp[..., : 2 * H], xp[..., 2 * H :], rz, r, z, n)
+    for h_prev, h, u_rz, u_n, a, r_s, z_s, n_s in steps:
+        np.matmul(h_prev, w_t, out=v)
+        np.add(u_rz, v_rz, out=a)  # a = sigmoid(u + v) for r and z at once
+        np.negative(a, out=a)
+        np.exp(a, out=a)
+        a += 1.0
+        np.reciprocal(a, out=a)
+        np.add(v_n, b_n, out=c)
+        np.multiply(c, r_s, out=n_s)
+        n_s += u_n
+        np.tanh(n_s, out=n_s)
+        np.subtract(h_prev, n_s, out=h)  # h = n + z (h_prev - n)
+        h *= z_s
+        h += n_s
+    out = np.ascontiguousarray(hs[1:].transpose(1, 0, 2)[:, ::step])
 
     def bwd(g):
-        prev = hs[:-1].reshape(T * B, H)
-        # recompute the candidate gate's hidden-side pre-activation in bulk
-        vn = (prev @ w[2 * H :].T + b_hh[2 * H :]).reshape(T, B, H)
-        dxp = np.empty((B, T, 3 * H))
-        dv = np.empty((T, B, 3 * H))
-        carry = np.zeros((B, H))
-        for s in range(T - 1, -1, -1):
-            t = T - 1 - s if reverse else s
-            dh = g[:, t] + carry
-            da_n = dh * (1.0 - z[s]) * (1.0 - n[s] * n[s])
-            da_z = dh * (hs[s] - n[s]) * z[s] * (1.0 - z[s])
-            da_r = da_n * vn[s] * r[s] * (1.0 - r[s])
-            dxp[:, t, :H] = da_r
-            dxp[:, t, H : 2 * H] = da_z
-            dxp[:, t, 2 * H :] = da_n
-            dv[s, :, : 2 * H] = dxp[:, t, : 2 * H]
-            dv[s, :, 2 * H :] = da_n * r[s]
-            carry = dh * z[s] + dv[s] @ w
-        dxm = dxp.reshape(B * T, 3 * H)
+        h_prev = hs[:-1]
+        vn = (h_prev.reshape(T * B, H) @ w[2 * H :].T + b_n).reshape(T, B, H)
+        # dh_s scales the pre-activation gradients of n, z, r and of w_hn h
+        # by k_n, k_z, k_r and k_n r; k stacks the three that meet w_hh
+        k_n = (1.0 - z) * (1.0 - n * n)
+        k_z = (h_prev - n) * z * (1.0 - z)
+        k = np.stack([k_n * vn * r * (1.0 - r), k_z, k_n * r], axis=2)  # (T, B, 3, H)
+        jac = np.einsum("tbgi,gij->tbij", k, w.reshape(3, H, H))
+        diag = np.einsum("tbii->tbi", jac)
+        diag += z
+        dh = np.empty((T, B, 1, H))
+        dh[:, :, 0] = g.transpose(1, 0, 2)[::step]
+        carry = np.zeros((B, 1, H))
+        for dh_s, jac_s in zip(dh[::-1], jac[::-1]):
+            dh_s += carry
+            np.matmul(dh_s, jac_s, out=carry)
+        dv = (dh * k).reshape(T, B, 3 * H)
+        dxp = dv.copy()
+        dxp[..., 2 * H :] = dh[:, :, 0] * k_n
+        dxm = dxp.transpose(1, 0, 2)[:, ::step].reshape(B * T, 3 * H)  # input order
         dvm = dv.reshape(T * B, 3 * H)
         dx = (dxm @ w_ih).reshape(B, T, D)
-        return dx, dxm.T @ xd.reshape(B * T, D), dvm.T @ prev, dxm.sum(axis=0), dvm.sum(axis=0)
+        dw_ih, dw_hh = dxm.T @ xd.reshape(B * T, D), dvm.T @ h_prev.reshape(T * B, H)
+        return dx, dw_ih, dw_hh, dxm.sum(axis=0), dvm.sum(axis=0)
 
     parents = (x, cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh)
     return ad.record("gru_scan", out, parents, bwd)

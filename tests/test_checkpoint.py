@@ -68,3 +68,25 @@ def test_bad_shape(tmp_path, shape):
     header = _header([{"name": "w", "shape": shape}])
     with pytest.raises(ParseError, match="byte 8"):
         load_checkpoint(_write(tmp_path / "c.bin", header, b"\0" * 64))
+
+
+def test_deeply_nested_header(tmp_path):
+    path = tmp_path / "c.bin"
+    blob = b"[" * 100_000
+    path.write_bytes(struct.pack("<Q", len(blob)) + blob)
+    with pytest.raises(ParseError, match="bad header json at byte 8"):
+        load_checkpoint(path)
+
+
+def test_non_object_config(tmp_path):
+    header = {"format_version": FORMAT_VERSION, "config": [1], "params": []}
+    with pytest.raises(ParseError, match="'config' at byte 8"):
+        load_checkpoint(_write(tmp_path / "c.bin", header))
+
+
+@pytest.mark.parametrize("shape", [[0, 2**70], [0] * 65], ids=["huge", "too-many-axes"])
+def test_empty_shape_numpy_cannot_build(tmp_path, shape):
+    header = _header([{"name": "w", "shape": [1]}, {"name": "v", "shape": shape}])
+    offset = 8 + len(json.dumps(header)) + 8
+    with pytest.raises(ParseError, match=f"bad shape for 'v' at byte {offset}:"):
+        load_checkpoint(_write(tmp_path / "c.bin", header, b"\0" * 8))

@@ -6,7 +6,7 @@ import pytest
 from wavelearn import cli
 from wavelearn.checkpoint import save_checkpoint
 from wavelearn.config import load_config
-from wavelearn.data import generate_synthetic
+from wavelearn.data import generate_synthetic, write_wav_pcm16
 from wavelearn.model import Network
 from wavelearn.training import metrics_from_pairs, stratified_split
 
@@ -79,3 +79,46 @@ def test_gradcheck_takes_no_run_options():
     with pytest.raises(SystemExit) as exc:
         cli.main(["gradcheck", "--workers", "2"])
     assert exc.value.code == 2
+
+
+def _predict(checkpoint, wav, *options):
+    return cli.main(["predict", "--checkpoint", str(checkpoint), *options, str(wav)])
+
+
+def _checkpoints_and_wav(tmp_path):
+    with_run, without_run = tmp_path / "run.bin", tmp_path / "bare.bin"
+    _checkpoint(with_run, lambda c, names: {"run": c.to_dict(), "classes": names})
+    _, clips = _checkpoint(without_run, lambda c, names: {"classes": names})
+    wav = tmp_path / "clip.wav"
+    write_wav_pcm16(wav, clips[0].samples, clips[0].sample_rate)
+    return with_run, without_run, wav
+
+
+@pytest.mark.parametrize("option", [["--seed", "1"], ["--epochs", "1"], ["--out-dir", "d"]],
+                         ids=lambda option: option[0])
+def test_predict_takes_no_training_options(tmp_path, option):
+    with pytest.raises(SystemExit) as exc:
+        _predict(tmp_path / "model.bin", tmp_path / "clip.wav", *option)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag", ["--config", "--ablation", "--set"])
+def test_predict_rejects_options_the_run_config_overrides(tmp_path, capsys, flag):
+    with_run, _, wav = _checkpoints_and_wav(tmp_path)
+    (tmp_path / "run.yaml").write_text("training:\n  seed: 0\n")
+    value = {"--config": str(tmp_path / "run.yaml"), "--ablation": "allkernel+laht",
+             "--set": "training.seed=0"}[flag]
+    assert _predict(with_run, wav, flag, value) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"which {flag} cannot change" in captured.err
+
+
+def test_predict_builds_a_bare_checkpoint_from_the_options(tmp_path, capsys):
+    with_run, without_run, wav = _checkpoints_and_wav(tmp_path)
+    assert _predict(with_run, wav) == cli.EXIT_OK
+    expected = capsys.readouterr().out
+    options = [arg for item in TINY for arg in ("--set", item)]
+    assert _predict(without_run, wav, *options) == cli.EXIT_OK
+    assert capsys.readouterr().out == expected
+    assert expected.splitlines()[0] == "path,predicted,logp_0,logp_1,logp_2,logp_3"

@@ -233,6 +233,13 @@ def test_manifest_missing_file(tmp_path):
         load_manifest(manifest_path)
 
 
+def test_manifest_invalid_utf8_reports_offset(tmp_path):
+    manifest_path = tmp_path / "manifest.csv"
+    manifest_path.write_bytes(b"path,label\nx.wav,\xffcalm\n")
+    with pytest.raises(ParseError, match="invalid UTF-8 at byte 17"):
+        load_manifest(manifest_path)
+
+
 def test_manifest_fixed_vocabulary(tmp_path):
     write_wav_pcm16(tmp_path / "x.wav", np.zeros(10), 16000)
     manifest_path = tmp_path / "manifest.csv"

@@ -67,27 +67,55 @@ def _repeated_cell_steps(x, cell, reverse):
     return ad.stack(states, axis=1)
 
 
-def test_scan_matches_repeated_cell_steps():
-    rng = np.random.default_rng(1)
-    cell = GRUCellParams.init(3, 4, rng)
-    x = rng.normal(size=(2, 5, 3))  # (B, T, D_in)
-    probe = rng.normal(size=(2, 5, 4))
-    arrays = [x] + [t.data for t in cell.tensors()]
+def _scan_and_grads(run, arrays, probe, reverse):
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    with Tape():
+        out = run(leaves[0], GRUCellParams(*leaves[1:]), reverse)
+        backward(ad.reduce_sum(ad.mul(out, Tensor(probe))))
+    return out.data, [leaf.grad for leaf in leaves]
 
+
+# (B, T, D, H): T=1, B=1, B=3, D != H, and a 200-step Jacobian chain
+SCAN_SHAPES = [(2, 5, 3, 4), (1, 1, 3, 2), (3, 1, 2, 2), (1, 7, 4, 4), (3, 6, 5, 2),
+               (2, 200, 3, 5)]
+
+
+@pytest.mark.parametrize("batch, t_len, d_in, hidden", SCAN_SHAPES,
+                         ids=["B{}-T{}-D{}-H{}".format(*s) for s in SCAN_SHAPES])
+def test_scan_matches_repeated_cell_steps(batch, t_len, d_in, hidden):
+    rng = np.random.default_rng(1)
+    cell = GRUCellParams.init(d_in, hidden, rng)
+    arrays = [rng.normal(size=(batch, t_len, d_in))] + [t.data for t in cell.tensors()]
+    probe = rng.normal(size=(batch, t_len, hidden))
     for reverse in (False, True):
-        grads = []
-        for run in (gru_scan, _repeated_cell_steps):
-            leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-            with Tape():
-                out = run(leaves[0], GRUCellParams(*leaves[1:]), reverse)
-                backward(ad.reduce_sum(ad.mul(out, Tensor(probe))))
-            grads.append((out.data, [leaf.grad for leaf in leaves]))
-        (scan_out, scan_grads), (step_out, step_grads) = grads
+        scan_out, scan_grads = _scan_and_grads(gru_scan, arrays, probe, reverse)
+        step_out, step_grads = _scan_and_grads(_repeated_cell_steps, arrays, probe, reverse)
         assert_allclose(scan_out, step_out, rtol=0, atol=1e-10)
         # gradients of x, w_ih, w_hh, b_ih and b_hh
         assert all(g is not None for g in scan_grads + step_grads)
         for a, b in zip(scan_grads, step_grads):
             assert_allclose(a, b, rtol=0, atol=1e-10)
+
+
+def test_scan_leaves_its_inputs_and_shared_cells_intact():
+    rng = np.random.default_rng(11)
+    cell = GRUCellParams.init(3, 4, rng)
+    arrays = [rng.normal(size=(2, 6, 3))] + [t.data for t in cell.tensors()]
+    before = [a.copy() for a in arrays]
+    probe = rng.normal(size=(2, 6, 4))
+    separate = [_scan_and_grads(gru_scan, arrays, probe, reverse)[1] for reverse in (False, True)]
+    for a, b in zip(arrays, before):
+        assert np.array_equal(a, b)
+
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    shared = GRUCellParams(*leaves[1:])
+    with Tape():
+        both = ad.add(gru_scan(leaves[0], shared), gru_scan(leaves[0], shared, reverse=True))
+        backward(ad.reduce_sum(ad.mul(both, Tensor(probe))))
+    for leaf, forward_grad, reverse_grad in zip(leaves, *separate):
+        assert_allclose(leaf.grad, forward_grad + reverse_grad, rtol=1e-13, atol=1e-15)
+    for leaf, a in zip(leaves, before):
+        assert np.array_equal(leaf.data, a)
 
 
 def test_init_stacks_the_per_gate_draws():
@@ -156,16 +184,21 @@ def test_bigru_empty_sequence():
         bigru_forward(Tensor(np.zeros((1, 0, 2))), stack)
 
 
-@pytest.mark.parametrize("reverse", [False, True])
-def test_scan_gradcheck(reverse):
+@pytest.mark.parametrize("reverse, batch, t_len", [
+    pytest.param(False, 2, 4, id="False"),
+    pytest.param(True, 2, 4, id="True"),
+    pytest.param(False, 3, 1, id="False-B3-T1"),
+    pytest.param(True, 3, 1, id="True-B3-T1"),
+])
+def test_scan_gradcheck(reverse, batch, t_len):
     rng = np.random.default_rng(6)
-    probe = rng.normal(size=(2, 4, 3))
+    probe = rng.normal(size=(batch, t_len, 3))
 
     def build(t):
         out = gru_scan(t[0], GRUCellParams(*t[1:]), reverse=reverse)
         return ad.reduce_sum(ad.mul(out, Tensor(probe)))
 
-    arrays = [rng.normal(size=(2, 4, 5))]
+    arrays = [rng.normal(size=(batch, t_len, 5))]
     arrays += [rng.normal(size=s) * 0.6 for s in GRUCellParams.shapes(5, 3)]
     assert check_gradients(build, arrays) < 1e-4
 
