@@ -288,6 +288,17 @@ def leaky_relu(a, slope=0.01):
     return record("leaky_relu", a.data * factor, (a,), lambda g: (g * factor,))
 
 
+def dropout(a, p, rng):
+    """Zero each entry with probability ``p`` and scale the rest by 1 / (1 - p).
+
+    The keep mask is ``rng.random(shape) >= p``; the tape holds it as booleans
+    and keeps neither a float mask nor the input.
+    """
+    keep = rng.random(a.data.shape) >= p
+    scale = 1.0 / (1.0 - p)
+    return record("dropout", a.data * keep * scale, (a,), lambda g: (g * keep * scale,))
+
+
 def softplus(a):
     # log(1 + e^x) in an overflow-safe form; derivative is the sigmoid.
     x = a.data

@@ -10,10 +10,10 @@ from __future__ import annotations
 import json
 import math
 import struct
-from pathlib import Path
 
 import numpy as np
 
+from .data import read_file
 from .errors import ParseError
 
 # 2: each GRU direction is stored as fused (w_ih, w_hh, b_ih, b_hh) tensors
@@ -41,7 +41,7 @@ def save_checkpoint(path, state, config):
 
 def load_checkpoint(path):
     """Read back (state dict, config dict)."""
-    raw = Path(path).read_bytes()
+    raw = read_file(path)
     if len(raw) < 8:
         raise ParseError(f"{path}: truncated header length at byte 0")
     (header_len,) = struct.unpack_from("<Q", raw, 0)

@@ -197,8 +197,12 @@ def cmd_train(args):
 def _restore(checkpoint_path, cfg_fallback):
     """(network, the checkpoint's run config or None, class names)."""
     state, meta = ckpt.load_checkpoint(checkpoint_path)
-    names = meta.get("classes") or []
-    run_cfg = cfgmod.from_mapping(meta["run"]) if meta.get("run") else None
+    run, names = meta.get("run", {}), meta.get("classes", [])
+    if not isinstance(run, dict):
+        raise ParseError(f"{checkpoint_path}: checkpoint key 'run' is not an object")
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise ParseError(f"{checkpoint_path}: checkpoint key 'classes' is not a list of strings")
+    run_cfg = cfgmod.from_mapping(run) if run else None
     cfg = run_cfg or cfg_fallback
     net = _make_network(cfg, len(names) or cfg.model.classes)
     net.load_state(state)

@@ -43,6 +43,14 @@ class AudioClip:
         return len(self.samples)
 
 
+def read_file(path):
+    """All bytes of ``path``; a file that cannot be read is a ParseError naming it."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+
+
 def load_wav(path):
     """Parse a RIFF/WAVE file into a mono AudioClip at its original rate.
 
@@ -51,7 +59,7 @@ def load_wav(path):
     NaN or infinite float raise ParseError with the byte offset; unsupported
     encodings raise FormatError naming the code.
     """
-    raw = Path(path).read_bytes()
+    raw = read_file(path)
 
     def need(offset, count, what):
         if offset + count > len(raw):
@@ -290,7 +298,7 @@ def load_manifest(path, root=None, vocabulary=None):
     path = Path(path)
     root = Path(root) if root is not None else path.parent
     try:
-        text = path.read_bytes().decode("utf-8")
+        text = read_file(path).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: invalid UTF-8 at byte {exc.start}")
     lines = [ln for ln in io.StringIO(text, newline="")

@@ -30,7 +30,7 @@ class LabelError(WavelearnError, ValueError):
 
 
 class ParseError(WavelearnError, ValueError):
-    """A binary file could not be parsed; message includes the byte offset."""
+    """A file could not be read or parsed; the message names the file and any byte offset."""
 
 
 class FormatError(WavelearnError, ValueError):

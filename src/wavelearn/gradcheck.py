@@ -234,15 +234,16 @@ def model_cases():
         cases[name] = (scan_case, scan_arrays)
 
     bigru_probe = r.normal(size=(1, 4, 2 * d_h))
-
-    def bigru_case(t):
-        stack = recurrent.BiGRUStack.from_tensors(t[1:], layers=2, dropout_p=0.0)
-        out = recurrent.bigru_forward(t[0], stack, training=False)
-        return ad.reduce_sum(ad.mul(out, Tensor(bigru_probe)))
-
     template = recurrent.BiGRUStack.init(2, d_in, d_h, 0.0, _rng(7))
     bigru_arrays = [r.normal(size=(1, 4, d_in))] + [p.data * 0.5 for p in template.parameters()]
-    cases["bigru_2layer"] = (bigru_case, bigru_arrays)
+    for name, p in (("bigru_2layer", 0.0), ("bigru_2layer_dropout", 0.3)):
+        def bigru_case(t, p=p):
+            # an int seed draws the same dropout masks on every evaluation
+            stack = recurrent.BiGRUStack.from_tensors(t[1:], layers=2, dropout_p=p)
+            out = recurrent.bigru_forward(t[0], stack, training=True, seed=3)
+            return ad.reduce_sum(ad.mul(out, Tensor(bigru_probe)))
+
+        cases[name] = (bigru_case, bigru_arrays)
 
     d_att = 2 * d_h
     temporal_probe = r.normal(size=(2, d_att))

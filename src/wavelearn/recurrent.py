@@ -6,14 +6,17 @@ direction stores the four tensors its scan consumes: input weights ``w_ih``
 Gate rows are stacked in r, z, n order: rows [0, H) belong to the reset gate,
 [H, 2H) to the update gate and [2H, 3H) to the candidate.  A scan is one tape
 node: it projects a direction's whole (batch, T, D) input in one matrix
-product and runs the recurrence from a zero state, one matmul and a dozen
-in-place ufuncs on preallocated buffers per step.  Its backward builds every
-step's state Jacobian in bulk, so the only sequential work left is one
-vector-Jacobian product per step.  The stacked encoder runs one scan forward
-and one backward over time per layer, batch-major, and concatenates their
-states per step; dropout applies between layers only, during training, from
-a seeded generator.  The attention head scores hidden states against the
-final state, softmax-normalizes over time, and squashes a linear map of
+product and runs the recurrence from a zero state, one matmul and ten
+in-place ufuncs on reused scratch buffers per step.  The tape keeps only the
+state sequence, and the returned states are a view of it.  The backward
+recomputes the projection and every gate from the states in bulk, builds
+every step's state Jacobian in bulk, and so is left with one
+vector-Jacobian product per step as its only sequential work.  The stacked
+encoder runs one scan forward and one backward over time per layer,
+batch-major, and concatenates their states per step; dropout applies between
+layers only, during training, from a seeded generator, as one node that keeps
+a boolean mask.  The attention head scores hidden states against the final
+state, softmax-normalizes over time, and squashes a linear map of
 [context; final state] to produce one vector per sequence.
 """
 
@@ -85,49 +88,66 @@ def gru_scan(x, cell, reverse=False):
 
     Returns the (batch, T, H) states, aligned with input time in either
     direction, as one tape node over ``x`` and the four tensors of ``cell``.
-    The forward projects the input once, time-major in scan order (from the
-    end when ``reverse``), with ``b_hh``'s r and z rows folded in.  Each step
-    is one matmul into a reused (B, 3H) buffer and in-place ufuncs that write
-    the gates r, z into a stored (T, B, 2H) array, the candidate n into a
-    stored (T, B, H) array and the state into ``hs[s + 1]``.  The backward
-    forms every step's Jacobian ``J_s = dh_s / dh_(s-1)`` in bulk, as one
-    (T, B, H, H) array freed on return, so BPTT loops over one add and one
-    vector-Jacobian product per step; the input-side and weight gradients
-    then follow from the state gradients in a few bulk products.
+    The tape keeps only the (T + 1, B, H + 1) state array in scan order (from
+    the end when ``reverse``); the returned states are a view of it, so
+    neither direction copies them.  Its last column is a constant 1 that
+    carries ``b_hh``'s candidate rows through the hidden matmul, and the input
+    projection folds in ``b_hh``'s r and z rows.  Both negate the r and z rows,
+    so those gates are ``1 / (1 + exp(u + v))``.  Each forward step is one
+    matmul and ten in-place ufuncs on reused (B, 3H), (B, 2H) and (B, H)
+    scratch buffers.  The backward recomputes the projection from ``x`` and
+    every gate from the stored states in bulk, forms every step's Jacobian
+    ``J_s = dh_s / dh_(s-1)`` as one (T, B, H, H) array freed on return, and
+    loops over one add and one vector-Jacobian product per step; the
+    input-side and weight gradients then follow in a few bulk products.
     """
-    xd, w_ih, w, b_hh = x.data, cell.w_ih.data, cell.w_hh.data, cell.b_hh.data
+    xd, w_ih, w, b_ih, b_hh = (t.data for t in (x, *cell.tensors()))
     B, T, D = xd.shape
     H = w.shape[1]
     if D != w_ih.shape[1]:
         raise DimensionError(f"scan input extent {D} != {w_ih.shape[1]}")
     step = -1 if reverse else 1  # every (T, B, .) array below is in scan order
-    xt = np.ascontiguousarray(xd[:, ::step].transpose(1, 0, 2)).reshape(T * B, D)
-    bias = cell.b_ih.data + np.concatenate([b_hh[: 2 * H], np.zeros(H)])
-    xp = (xt @ w_ih.T + bias).reshape(T, B, 3 * H)
-    v, c, w_t, b_n = np.empty((B, 3 * H)), np.empty((B, H)), w.T, b_hh[2 * H :]
-    v_rz, v_n = v[:, : 2 * H], v[:, 2 * H :]
-    rz, n, hs = np.empty((T, B, 2 * H)), np.empty((T, B, H)), np.zeros((T + 1, B, H))
-    r, z = rz[..., :H], rz[..., H:]
-    steps = zip(hs[:-1], hs[1:], xp[..., : 2 * H], xp[..., 2 * H :], rz, r, z, n)
-    for h_prev, h, u_rz, u_n, a, r_s, z_s, n_s in steps:
-        np.matmul(h_prev, w_t, out=v)
-        np.add(u_rz, v_rz, out=a)  # a = sigmoid(u + v) for r and z at once
-        np.negative(a, out=a)
+
+    def operands():
+        """The (T, B, 3H) input projection and the (H + 1, 3H) weights of [h, 1]."""
+        sign = np.repeat([-1.0, -1.0, 1.0], H)  # r and z rows negated
+        bias = sign * (b_ih + np.concatenate([b_hh[: 2 * H], np.zeros(H)]))
+        xt = np.ascontiguousarray(xd[:, ::step].transpose(1, 0, 2)).reshape(T * B, D)
+        u = (xt @ (sign[:, None] * w_ih).T + bias).reshape(T, B, 3 * H)
+        w_aug = np.empty((H + 1, 3 * H))
+        w_aug[:H] = (sign[:, None] * w).T
+        w_aug[H] = np.concatenate([np.zeros(2 * H), b_hh[2 * H :]])
+        return u, w_aug
+
+    u, w_aug = operands()
+    hs = np.zeros((T + 1, B, H + 1))
+    hs[..., H] = 1.0
+    v, a, n = np.empty((B, 3 * H)), np.empty((B, 2 * H)), np.empty((B, H))
+    v_rz, v_n, r, z = v[:, : 2 * H], v[:, 2 * H :], a[:, :H], a[:, H:]
+    steps = zip(hs[:-1], hs[:-1, :, :H], hs[1:, :, :H], u[..., : 2 * H], u[..., 2 * H :])
+    for h_aug, h_prev, h, u_rz, u_n in steps:
+        np.dot(h_aug, w_aug, out=v)
+        np.add(u_rz, v_rz, out=a)  # a = [r, z] = 1 / (1 + exp(u + v))
         np.exp(a, out=a)
         a += 1.0
         np.reciprocal(a, out=a)
-        np.add(v_n, b_n, out=c)
-        np.multiply(c, r_s, out=n_s)
-        n_s += u_n
-        np.tanh(n_s, out=n_s)
-        np.subtract(h_prev, n_s, out=h)  # h = n + z (h_prev - n)
-        h *= z_s
-        h += n_s
-    out = np.ascontiguousarray(hs[1:].transpose(1, 0, 2)[:, ::step])
+        np.multiply(v_n, r, out=n)
+        n += u_n
+        np.tanh(n, out=n)
+        np.subtract(h_prev, n, out=h)  # h = n + z (h_prev - n)
+        h *= z
+        h += n
+    out = hs[1:, :, :H].transpose(1, 0, 2)[:, ::step]
 
     def bwd(g):
-        h_prev = hs[:-1]
-        vn = (h_prev.reshape(T * B, H) @ w[2 * H :].T + b_n).reshape(T, B, H)
+        h_aug = hs[:-1].reshape(T * B, H + 1)
+        h_prev = hs[:-1, :, :H]
+        # the forward's gates, recomputed in bulk from the stored states
+        u, w_aug = operands()
+        v = (h_aug @ w_aug).reshape(T, B, 3 * H)
+        rz = 1.0 / (1.0 + np.exp(u[..., : 2 * H] + v[..., : 2 * H]))
+        r, z, vn = rz[..., :H], rz[..., H:], v[..., 2 * H :]
+        n = np.tanh(vn * r + u[..., 2 * H :])
         # dh_s scales the pre-activation gradients of n, z, r and of w_hn h
         # by k_n, k_z, k_r and k_n r; k stacks the three that meet w_hh
         k_n = (1.0 - z) * (1.0 - n * n)
@@ -146,10 +166,10 @@ def gru_scan(x, cell, reverse=False):
         dxp = dv.copy()
         dxp[..., 2 * H :] = dh[:, :, 0] * k_n
         dxm = dxp.transpose(1, 0, 2)[:, ::step].reshape(B * T, 3 * H)  # input order
-        dvm = dv.reshape(T * B, 3 * H)
         dx = (dxm @ w_ih).reshape(B, T, D)
-        dw_ih, dw_hh = dxm.T @ xd.reshape(B * T, D), dvm.T @ h_prev.reshape(T * B, H)
-        return dx, dw_ih, dw_hh, dxm.sum(axis=0), dvm.sum(axis=0)
+        # the constant state column's weight gradient is b_hh's gradient
+        dw_aug = dv.reshape(T * B, 3 * H).T @ h_aug
+        return dx, dxm.T @ xd.reshape(B * T, D), dw_aug[:, :H], dxm.sum(axis=0), dw_aug[:, H]
 
     parents = (x, cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh)
     return ad.record("gru_scan", out, parents, bwd)
@@ -215,8 +235,7 @@ def bigru_forward(seq, stack, training=False, seed=None):
     for index, layer in enumerate(stack.layers):
         x = ad.concat([gru_scan(x, layer.fwd), gru_scan(x, layer.bwd, reverse=True)], axis=2)
         if rng is not None and index < len(stack.layers) - 1:
-            keep = (rng.random(x.data.shape) >= stack.dropout_p).astype(np.float64)
-            x = ad.mul(x, Tensor(keep / (1.0 - stack.dropout_p)))
+            x = ad.dropout(x, stack.dropout_p, rng)
     return x
 
 

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -10,7 +11,7 @@ from numpy.testing import assert_allclose
 from wavelearn import autodiff as ad
 from wavelearn.autodiff import Tape, Tensor, backward
 from wavelearn.errors import ContractError, DimensionError, InputTooShortError
-from wavelearn.gradcheck import check_gradients, core_cases
+from wavelearn.gradcheck import all_cases, check_gradients
 
 
 def test_conv1d_dilated_example():
@@ -201,6 +202,29 @@ def test_leaving_the_tape_frees_it_without_gc():
         gc.enable()
 
 
+def test_dropout_keeps_its_mask_and_output_but_not_its_input():
+    x = Tensor(np.random.default_rng(0).normal(size=(4, 1000)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        with Tape():
+            y = ad.add(x, x)  # its closure keeps x, not y
+            before = tracemalloc.get_traced_memory()[0]
+            out = ad.dropout(y, 0.25, np.random.default_rng(1))
+            kept = tracemalloc.get_traced_memory()[0] - before
+            y_data = weakref.ref(y.data)
+            del y
+            assert y_data() is None
+            backward(ad.reduce_sum(out))
+    finally:
+        tracemalloc.stop()
+    # the float64 output and a one-byte-per-entry mask, not a float64 mask
+    assert 9 * x.size <= kept <= 1.1 * 9 * x.size
+    keep = np.random.default_rng(1).random(x.shape) >= 0.25
+    scale = 1.0 / 0.75
+    assert np.array_equal(out.data, np.where(keep, (x.data + x.data) * scale, 0.0))
+    assert np.array_equal(x.grad, np.where(keep, 2 * scale, 0.0))
+
+
 def test_no_tape_means_no_graph():
     x = Tensor(np.ones(3), requires_grad=True)
     out = ad.mul(x, x)
@@ -246,7 +270,10 @@ def test_forward_determinism():
     assert np.array_equal(first, second)
 
 
-@pytest.mark.parametrize("name", sorted(core_cases().keys()))
+CASES = all_cases()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_gradients_match_finite_differences(name):
-    build, arrays = core_cases()[name]
+    build, arrays = CASES[name]
     assert check_gradients(build, arrays) < 1e-4

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -90,3 +91,10 @@ def test_empty_shape_numpy_cannot_build(tmp_path, shape):
     offset = 8 + len(json.dumps(header)) + 8
     with pytest.raises(ParseError, match=f"bad shape for 'v' at byte {offset}:"):
         load_checkpoint(_write(tmp_path / "c.bin", header, b"\0" * 8))
+
+
+@pytest.mark.parametrize("name", ["missing.bin", "."], ids=["missing", "directory"])
+def test_unreadable_file_is_a_parse_error_naming_it(tmp_path, name):
+    path = tmp_path / name
+    with pytest.raises(ParseError, match=re.escape(f"{path}: cannot read")):
+        load_checkpoint(path)

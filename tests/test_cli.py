@@ -122,3 +122,20 @@ def test_predict_builds_a_bare_checkpoint_from_the_options(tmp_path, capsys):
     assert _predict(without_run, wav, *options) == cli.EXIT_OK
     assert capsys.readouterr().out == expected
     assert expected.splitlines()[0] == "path,predicted,logp_0,logp_1,logp_2,logp_3"
+
+
+def test_predict_with_a_missing_checkpoint_exits_3(tmp_path, capsys):
+    assert _predict(tmp_path / "nope.bin", tmp_path / "x.wav") == cli.EXIT_DATA
+    assert "nope.bin: cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, meta", [
+    ("run", {"run": [1]}),
+    ("classes", {"classes": 7}),
+    ("classes", {"classes": ["calm", 2]}),
+], ids=["run-list", "classes-int", "classes-mixed"])
+def test_restore_rejects_mistyped_metadata(tmp_path, capsys, key, meta):
+    path = tmp_path / "model.bin"
+    _checkpoint(path, lambda c, names: meta)
+    assert _predict(path, tmp_path / "x.wav") == cli.EXIT_DATA
+    assert f"checkpoint key '{key}' is not" in capsys.readouterr().err

@@ -233,6 +233,16 @@ def test_manifest_missing_file(tmp_path):
         load_manifest(manifest_path)
 
 
+def test_missing_manifest_is_a_parse_error_naming_it(tmp_path):
+    with pytest.raises(ParseError, match="manifest.csv: cannot read"):
+        load_manifest(tmp_path / "manifest.csv")
+
+
+def test_missing_wav_is_a_parse_error_naming_it(tmp_path):
+    with pytest.raises(ParseError, match="clip.wav: cannot read"):
+        load_wav(tmp_path / "clip.wav")
+
+
 def test_manifest_invalid_utf8_reports_offset(tmp_path):
     manifest_path = tmp_path / "manifest.csv"
     manifest_path.write_bytes(b"path,label\nx.wav,\xffcalm\n")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -116,6 +118,25 @@ def test_scan_leaves_its_inputs_and_shared_cells_intact():
         assert_allclose(leaf.grad, forward_grad + reverse_grad, rtol=1e-13, atol=1e-15)
     for leaf, a in zip(leaves, before):
         assert np.array_equal(leaf.data, a)
+
+
+def test_reverse_scan_keeps_only_its_states():
+    batch, t_len, d_in, hidden = 2, 500, 8, 4
+    rng = np.random.default_rng(13)
+    cell = GRUCellParams.init(d_in, hidden, rng)
+    x = Tensor(rng.normal(size=(batch, t_len, d_in)))
+    tracemalloc.start()
+    try:
+        with Tape():
+            before = tracemalloc.get_traced_memory()[0]
+            out = gru_scan(x, cell, reverse=True)
+            kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # the (T + 1, B, H + 1) float64 states; the output is a view of them
+    states = 8 * (t_len + 1) * batch * (hidden + 1)
+    assert kept <= 1.25 * states
+    assert out.data.shape == (batch, t_len, hidden)
 
 
 def test_init_stacks_the_per_gate_draws():
