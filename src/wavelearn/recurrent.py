@@ -6,12 +6,12 @@ direction stores the four tensors its scan consumes: input weights ``w_ih``
 Gate rows are stacked in r, z, n order: rows [0, H) belong to the reset gate,
 [H, 2H) to the update gate and [2H, 3H) to the candidate.  A scan is one tape
 node: it projects a direction's whole (batch, T, D) input in one matrix
-product and runs the recurrence from a zero state, one matmul and ten
-in-place ufuncs on reused scratch buffers per step.  The tape keeps only the
-state sequence, and the returned states are a view of it.  The backward
-recomputes the projection and every gate from the states in bulk, builds
-every step's state Jacobian in bulk, and so is left with one
-vector-Jacobian product per step as its only sequential work.  The stacked
+product into a work array that sits beside the state, and runs the recurrence
+from a zero state as one matmul and eight in-place ufuncs per step.  The tape
+keeps only the state sequence, and the returned states are a view of it.  The
+backward recomputes the projection and every gate from the states in bulk and
+never forms a state Jacobian: its only sequential work is one elementwise
+product and one vector-Jacobian matmul per step.  The stacked
 encoder runs one scan forward and one backward over time per layer,
 batch-major, and concatenates their states per step; dropout applies between
 layers only, during training, from a seeded generator, as one node that keeps
@@ -92,14 +92,26 @@ def gru_scan(x, cell, reverse=False):
     the end when ``reverse``); the returned states are a view of it, so
     neither direction copies them.  Its last column is a constant 1 that
     carries ``b_hh``'s candidate rows through the hidden matmul, and the input
-    projection folds in ``b_hh``'s r and z rows.  Both negate the r and z rows,
-    so those gates are ``1 / (1 + exp(u + v))``.  Each forward step is one
-    matmul and ten in-place ufuncs on reused (B, 3H), (B, 2H) and (B, H)
-    scratch buffers.  The backward recomputes the projection from ``x`` and
-    every gate from the stored states in bulk, forms every step's Jacobian
-    ``J_s = dh_s / dh_(s-1)`` as one (T, B, H, H) array freed on return, and
-    loops over one add and one vector-Jacobian product per step; the
-    input-side and weight gradients then follow in a few bulk products.
+    projection ``u`` folds in ``b_hh``'s r and z rows.  Both negate the r and z
+    rows, so those gates are ``1 / (1 + exp(u + v))``.
+
+    The forward writes ``u`` into a transient (T + 1, B, 4H + 1) work array
+    whose rows are ``[h | 1 | u_rz | u_n]``.  Each step is one matmul of a row
+    against a (4H + 1, 4H) weight whose identity blocks add ``u_rz`` and pass
+    ``u_n`` through, giving ``[u_rz + v_rz | v_n | u_n]``, then eight in-place
+    ufuncs: ``q = 1 + exp(.)`` is ``1 / [r, z]``, ``n = tanh(v_n / q_r + u_n)``
+    and ``h = (h_prev - n) / q_z + n``, written into the next row.  The state
+    columns are copied out and the work array is freed on return.
+
+    The backward recomputes the projection from ``x`` and every gate from the
+    stored states in bulk, and stacks the (T, B, 4, H) coefficients
+    ``k = [k_r, k_z, k_n r, z]`` by which ``dh_s`` reaches the pre-activations
+    of r and z, ``w_hn h`` and, directly, ``h_(s-1)``.  Each step writes
+    ``k_s dh_s`` into a (B, 5H) row that already holds the output gradient
+    ``g_(s-1)``, and one matmul of that row against ``[w_hh; I; I]`` gives
+    ``dh_(s-1)``: one 2-D matmul for any batch, and no (T, B, H, H) Jacobian.
+    The input-side and weight gradients then follow from the rows' first
+    three blocks in a few bulk products.
     """
     xd, w_ih, w, b_ih, b_hh = (t.data for t in (x, *cell.tensors()))
     B, T, D = xd.shape
@@ -120,23 +132,29 @@ def gru_scan(x, cell, reverse=False):
         return u, w_aug
 
     u, w_aug = operands()
-    hs = np.zeros((T + 1, B, H + 1))
-    hs[..., H] = 1.0
-    v, a, n = np.empty((B, 3 * H)), np.empty((B, 2 * H)), np.empty((B, H))
-    v_rz, v_n, r, z = v[:, : 2 * H], v[:, 2 * H :], a[:, :H], a[:, H:]
-    steps = zip(hs[:-1], hs[:-1, :, :H], hs[1:, :, :H], u[..., : 2 * H], u[..., 2 * H :])
-    for h_aug, h_prev, h, u_rz, u_n in steps:
-        np.dot(h_aug, w_aug, out=v)
-        np.add(u_rz, v_rz, out=a)  # a = [r, z] = 1 / (1 + exp(u + v))
-        np.exp(a, out=a)
-        a += 1.0
-        np.reciprocal(a, out=a)
-        np.multiply(v_n, r, out=n)
+    work = np.empty((T + 1, B, 4 * H + 1))
+    work[0, :, :H] = 0.0
+    work[:, :, H] = 1.0
+    work[:T, :, H + 1 :] = u
+    # a row [h | 1 | u_rz | u_n] times w_work is [u_rz + v_rz | v_n | u_n]
+    w_work = np.zeros((4 * H + 1, 4 * H))
+    w_work[: H + 1, : 3 * H] = w_aug
+    w_work[H + 1 : 3 * H + 1, : 2 * H] = np.eye(2 * H)
+    w_work[3 * H + 1 :, 3 * H :] = np.eye(H)
+    o = np.empty((B, 4 * H))
+    q, n, u_n = o[:, : 2 * H], o[:, 2 * H : 3 * H], o[:, 3 * H :]
+    q_r, q_z = q[:, :H], q[:, H:]
+    for row, h_prev, h in zip(work[:-1], work[:-1, :, :H], work[1:, :, :H]):
+        np.dot(row, w_work, o)
+        np.exp(q, q)
+        q += 1.0  # q = 1 / [r, z]
+        np.divide(n, q_r, n)  # v_n r
         n += u_n
-        np.tanh(n, out=n)
-        np.subtract(h_prev, n, out=h)  # h = n + z (h_prev - n)
-        h *= z
+        np.tanh(n, n)
+        np.subtract(h_prev, n, h)  # h = n + z (h_prev - n)
+        np.divide(h, q_z, h)
         h += n
+    hs = work[:, :, : H + 1].copy()
     out = hs[1:, :, :H].transpose(1, 0, 2)[:, ::step]
 
     def bwd(g):
@@ -148,23 +166,28 @@ def gru_scan(x, cell, reverse=False):
         rz = 1.0 / (1.0 + np.exp(u[..., : 2 * H] + v[..., : 2 * H]))
         r, z, vn = rz[..., :H], rz[..., H:], v[..., 2 * H :]
         n = np.tanh(vn * r + u[..., 2 * H :])
-        # dh_s scales the pre-activation gradients of n, z, r and of w_hn h
-        # by k_n, k_z, k_r and k_n r; k stacks the three that meet w_hh
         k_n = (1.0 - z) * (1.0 - n * n)
-        k_z = (h_prev - n) * z * (1.0 - z)
-        k = np.stack([k_n * vn * r * (1.0 - r), k_z, k_n * r], axis=2)  # (T, B, 3, H)
-        jac = np.einsum("tbgi,gij->tbij", k, w.reshape(3, H, H))
-        diag = np.einsum("tbii->tbi", jac)
-        diag += z
-        dh = np.empty((T, B, 1, H))
-        dh[:, :, 0] = g.transpose(1, 0, 2)[::step]
-        carry = np.zeros((B, 1, H))
-        for dh_s, jac_s in zip(dh[::-1], jac[::-1]):
-            dh_s += carry
-            np.matmul(dh_s, jac_s, out=carry)
-        dv = (dh * k).reshape(T, B, 3 * H)
+        k_r = k_n * vn * r * (1.0 - r)
+        k = np.stack([k_r, (h_prev - n) * z * (1.0 - z), k_n * r, z], axis=2)
+        # dk rows are [k_s dh_s | g_(s-1)], so one matmul against [w_hh; I; I]
+        # gives dh_(s-1); dh[0] only absorbs the first step's carry
+        w_vjp = np.concatenate([w, np.eye(H), np.eye(H)])  # (5H, H)
+        g_scan = g.transpose(1, 0, 2)[::step]
+        dh = np.empty((T + 1, B, 1, H))
+        dh[T, :, 0] = g_scan[T - 1]
+        dk = np.empty((T, B, 5, H))
+        dk[0, :, 4] = 0.0
+        dk[1:, :, 4] = g_scan[:-1]
+        dk_rows = dk.reshape(T, B, 5 * H)
+        dh_rows = dh.reshape(T + 1, B, H)
+        steps = zip(dh[:0:-1], k[::-1], dk[::-1, :, :4], dk_rows[::-1], dh_rows[-2::-1])
+        for dh_s, k_s, dk_s, dk_row, dh_prev in steps:
+            np.multiply(k_s, dh_s, dk_s)
+            np.dot(dk_row, w_vjp, dh_prev)
+        dh = dh_rows[1:]
+        dv = dk_rows[..., : 3 * H]  # gradients of the pre-activations r, z and w_hn h
         dxp = dv.copy()
-        dxp[..., 2 * H :] = dh[:, :, 0] * k_n
+        dxp[..., 2 * H :] = dh * k_n
         dxm = dxp.transpose(1, 0, 2)[:, ::step].reshape(B * T, 3 * H)  # input order
         dx = (dxm @ w_ih).reshape(B, T, D)
         # the constant state column's weight gradient is b_hh's gradient

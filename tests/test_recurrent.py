@@ -6,8 +6,10 @@ from numpy.testing import assert_allclose
 
 from wavelearn import autodiff as ad
 from wavelearn.autodiff import Tape, Tensor, backward
+from wavelearn.data import default_synthetic_spec, generate_synthetic
 from wavelearn.errors import DimensionError, InputTooShortError
 from wavelearn.gradcheck import check_gradients
+from wavelearn.model import ModelConfig, Network
 from wavelearn.recurrent import (
     BiGRULayer,
     BiGRUStack,
@@ -18,6 +20,7 @@ from wavelearn.recurrent import (
     gru_scan,
     temporal_attention,
 )
+from wavelearn.wavelet import FrontEndConfig
 
 
 def _cell(input_size, hidden, fill=0.0):
@@ -77,9 +80,10 @@ def _scan_and_grads(run, arrays, probe, reverse):
     return out.data, [leaf.grad for leaf in leaves]
 
 
-# (B, T, D, H): T=1, B=1, B=3, D != H, and a 200-step Jacobian chain
+# (B, T, D, H): T=1, B=1, B=3, D != H, a 200-step gradient chain, and the
+# model's widths: the first layer's 32-wide input and a deeper layer's
 SCAN_SHAPES = [(2, 5, 3, 4), (1, 1, 3, 2), (3, 1, 2, 2), (1, 7, 4, 4), (3, 6, 5, 2),
-               (2, 200, 3, 5)]
+               (2, 200, 3, 5), (1, 64, 32, 16), (4, 33, 16, 16)]
 
 
 @pytest.mark.parametrize("batch, t_len, d_in, hidden", SCAN_SHAPES,
@@ -97,6 +101,41 @@ def test_scan_matches_repeated_cell_steps(batch, t_len, d_in, hidden):
         assert all(g is not None for g in scan_grads + step_grads)
         for a, b in zip(scan_grads, step_grads):
             assert_allclose(a, b, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_scan_saturated_gates_stay_finite(reverse):
+    rng = np.random.default_rng(14)
+    cell = GRUCellParams.init(5, 4, rng)
+    arrays = [rng.normal(size=(2, 30, 5)) * 1e3] + [t.data for t in cell.tensors()]
+    probe = rng.normal(size=(2, 30, 4))
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        gru_scan(Tensor(arrays[0]), cell, reverse)  # the gate exp overflows to inf
+    with np.errstate(over="ignore"):
+        scan_out, scan_grads = _scan_and_grads(gru_scan, arrays, probe, reverse)
+    step_out, step_grads = _scan_and_grads(_repeated_cell_steps, arrays, probe, reverse)
+    for a, b in zip([scan_out] + scan_grads, [step_out] + step_grads):
+        assert np.all(np.isfinite(a))
+        assert_allclose(a, b, rtol=0, atol=1e-10)
+
+
+def test_scan_backward_never_holds_a_jacobian():
+    batch, t_len, d_in, hidden = 1, 1000, 4, 64
+    rng = np.random.default_rng(15)
+    cell = GRUCellParams.init(d_in, hidden, rng)
+    x = Tensor(rng.normal(size=(batch, t_len, d_in)), requires_grad=True)
+    probe = Tensor(rng.normal(size=(batch, t_len, hidden)))
+    with Tape():
+        loss = ad.reduce_sum(ad.mul(gru_scan(x, cell), probe))
+        tracemalloc.start()
+        try:
+            backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # one float64 (T, B, H, H) array of every step's state Jacobian
+    assert peak < 8 * t_len * batch * hidden * hidden
+    assert x.grad.shape == x.data.shape
 
 
 def test_scan_leaves_its_inputs_and_shared_cells_intact():
@@ -197,6 +236,17 @@ def test_bigru_dropout_determinism_and_zero_p():
     d = bigru_forward(x, plain, training=True, seed=7)
     e = bigru_forward(x, plain, training=True, seed=123)
     assert np.array_equal(d.data, e.data)
+
+
+def test_network_int_dropout_seed_seeds_one_generator_per_pass():
+    cfg = ModelConfig(frontend=FrontEndConfig(levels=6), conv_channels=4,
+                      gru_layers=2, gru_hidden=4, dropout=0.4)
+    clip = generate_synthetic(default_synthetic_spec(levels=6, seed=1,
+                                                     length_range=(1300, 1700)), 1)[0]
+    net = Network(cfg, seed=3)
+    by_int = net.forward(clip.samples, training=True, dropout_seed=5)
+    by_rng = net.forward(clip.samples, training=True, dropout_seed=np.random.default_rng(5))
+    assert np.array_equal(by_int.data, by_rng.data)
 
 
 def test_bigru_empty_sequence():
