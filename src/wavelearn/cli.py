@@ -62,21 +62,16 @@ def _build_parser():
 
     def run_config(p):
         p.add_argument("--config", default=None, help="YAML run configuration")
-        p.add_argument("--ablation", default=None, choices=ABLATION_TAGS)
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY.PATH=VALUE", help="dotted config override")
 
-    def common(p):
-        run_config(p)
-        p.add_argument("--seed", type=int, default=None, help="overrides training.seed")
-        p.add_argument("--epochs", type=int, default=None, help="overrides training.epochs")
-        p.add_argument("--out-dir", default="out", help="artifact directory")
-
     p_train = sub.add_parser("train", help="train on the configured dataset")
-    common(p_train)
+    run_config(p_train)
+    p_train.add_argument("--seed", type=int, default=None, help="overrides training.seed")
+    p_train.add_argument("--epochs", type=int, default=None, help="overrides training.epochs")
 
     p_eval = sub.add_parser("evaluate", help="evaluate a checkpoint on the configured dataset")
-    common(p_eval)
+    run_config(p_eval)
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--split", choices=("all", "test"), default="test")
 
@@ -85,16 +80,20 @@ def _build_parser():
     p_pred.add_argument("--checkpoint", required=True)
     p_pred.add_argument("wavs", nargs="+", help="wav files to classify")
 
+    # decompose and synth-data read neither the seed, the epochs nor an ablation
     p_dec = sub.add_parser("decompose", help="dump wavelet band coefficients (filters only)")
-    common(p_dec)
+    run_config(p_dec)
     p_dec.add_argument("wav", help="input wav file")
 
     p_synth = sub.add_parser("synth-data", help="write the synthetic dataset as wav + manifest")
-    common(p_synth)
+    run_config(p_synth)
     p_synth.add_argument("--per-class", type=int, default=None,
                          help="overrides data.synthetic_n_per_class")
 
+    for p in (p_train, p_eval, p_dec, p_synth):
+        p.add_argument("--out-dir", default="out", help="artifact directory")
     for p in (p_train, p_eval, p_pred):
+        p.add_argument("--ablation", default=None, choices=ABLATION_TAGS)
         p.add_argument("--workers", type=int, default=1, help="evaluation thread count")
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference check of every operation")
@@ -104,12 +103,10 @@ def _build_parser():
 
 def _load_run_config(args):
     overrides = list(args.overrides)
-    if getattr(args, "seed", None) is not None:  # predict has no --seed or --epochs
-        overrides.append(f"training.seed={args.seed}")
-    if getattr(args, "epochs", None) is not None:
-        overrides.append(f"training.epochs={args.epochs}")
-    if args.ablation is not None:
-        overrides.append(f"ablation={args.ablation}")
+    flags = {"seed": "training.seed", "epochs": "training.epochs", "ablation": "ablation"}
+    for flag, key in flags.items():
+        if getattr(args, flag, None) is not None:  # not every subcommand has the flag
+            overrides.append(f"{key}={getattr(args, flag)}")
     return cfgmod.load_config(args.config, overrides)
 
 
@@ -159,10 +156,8 @@ def cmd_train(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     clips, labels, names = _load_dataset(cfg)
     n_classes = len(names)
-    plan = stratified_split(labels, cfg.training.seed,
-                            test_frac=cfg.training.test_frac,
-                            n_folds=cfg.training.folds)
-    train_idx, val_idx = plan.folds[0]
+    train_idx, val_idx, test_idx = stratified_split(labels, cfg.training.seed,
+                                                    test_frac=cfg.training.test_frac)
     labels_arr = np.asarray(labels)
     train_clips = [clips[i] for i in train_idx]
     train_labels = labels_arr[train_idx].tolist()
@@ -186,8 +181,8 @@ def cmd_train(args):
     _write_epochs(out_dir, cfg, records)
     ckpt.save_checkpoint(out_dir / "checkpoint.bin", net.state(),
                          {"run": cfg.to_dict(), "classes": names})
-    test_clips = [clips[i] for i in plan.test_indices]
-    test_labels = labels_arr[plan.test_indices].tolist()
+    test_clips = [clips[i] for i in test_idx]
+    test_labels = labels_arr[test_idx].tolist()
     report = evaluate(net, test_clips, test_labels, n_classes, workers=args.workers)
     _write_metrics(out_dir, cfg, report, extra={"classes": names, "split": "test"})
     print(f"train done: test accuracy {report.accuracy:.4f}; artifacts in {out_dir}")
@@ -233,10 +228,9 @@ def cmd_evaluate(args):
             f"checkpoint classes {names} do not match dataset classes {data_names}"
         )
     if args.split == "test":
-        # the split the checkpoint was trained under, whatever --seed says now
+        # the split the checkpoint was trained under, whatever training.seed says now
         ts = run_cfg.training
-        plan = stratified_split(labels, ts.seed, test_frac=ts.test_frac, n_folds=ts.folds)
-        keep = plan.test_indices
+        *_, keep = stratified_split(labels, ts.seed, test_frac=ts.test_frac)
         clips = [clips[i] for i in keep]
         labels = np.asarray(labels)[keep].tolist()
     out_dir = Path(args.out_dir)

@@ -22,8 +22,7 @@ class TrainingSection:
     epochs: int = 30
     batch_size: int = 16
     seed: int = 0
-    folds: int = 10
-    test_frac: float = 0.1
+    test_frac: float = 0.1  # the test share, then the validation share of the rest
     gamma: float = 2.0
     lam: float = 1e-4
 

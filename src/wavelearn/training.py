@@ -1,13 +1,12 @@
 """Optimization and evaluation pipeline.
 
 Focal loss with L2 regularization minimized by Adam, per-utterance passes
-with gradient accumulation over a logical batch, a stratified test split
-plus k-fold plan, and confusion-matrix metrics.
+with gradient accumulation over a logical batch, a stratified
+train/validation/test split, and confusion-matrix metrics.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,8 +14,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
 from .errors import ContractError, DatasetError, LabelError, NumericalError
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -119,19 +116,23 @@ def zero_grads(params):
         p.grad = None
 
 
-@dataclass
-class SplitPlan:
-    test_indices: np.ndarray
-    folds: list  # (train_indices, validation_indices) pairs
-    seed: int
+def _quota(counts, frac):
+    """Per-class shares of round(frac * total), by largest remainder."""
+    n = int(round(frac * counts.sum()))
+    quota = np.floor(counts * frac).astype(np.int64)
+    remainders = counts * frac - quota
+    for c in np.argsort(-remainders)[: n - quota.sum()]:
+        quota[c] += 1
+    return quota
 
 
-def stratified_split(labels, seed, test_frac=0.1, n_folds=10):
-    """Stratified held-out test split plus k disjoint validation folds.
+def stratified_split(labels, seed, test_frac=0.1):
+    """Sorted (train, validation, test) index arrays, stratified by class.
 
-    Every subset preserves per-class proportions to within one sample.  When
-    the smallest class cannot fill ``n_folds`` validation slices the fold
-    count is reduced with a warning.
+    The test split takes ``test_frac`` of every class, then validation takes
+    ``test_frac`` of what is left; each is within one sample of its
+    proportional share per class.  A class left without a training clip is a
+    dataset error.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size == 0:
@@ -143,39 +144,17 @@ def stratified_split(labels, seed, test_frac=0.1, n_folds=10):
         raise DatasetError(f"class {missing} has no samples")
     rng = np.random.default_rng(seed)
     per_class = [rng.permutation(np.flatnonzero(labels == c)) for c in range(n_classes)]
-
-    n_test = int(round(test_frac * labels.size))
-    quota = np.floor(counts * test_frac).astype(np.int64)
-    remainders = counts * test_frac - quota
-    for c in np.argsort(-remainders)[: n_test - quota.sum()]:
-        quota[c] += 1
-
-    test_parts, rest_parts = [], []
-    for c in range(n_classes):
-        test_parts.append(per_class[c][: quota[c]])
-        rest_parts.append(per_class[c][quota[c] :])
-    test_indices = np.sort(np.concatenate(test_parts))
-
-    min_rest = min(len(r) for r in rest_parts)
-    folds_used = min(n_folds, max(1, min_rest))
-    if folds_used < n_folds:
-        log.warning(
-            "reducing folds from %d to %d: smallest class has %d train/val samples",
-            n_folds, folds_used, min_rest,
+    n_test = _quota(counts, test_frac)
+    n_val = _quota(counts - n_test, test_frac)
+    no_train = np.flatnonzero(n_test + n_val == counts)
+    if no_train.size:
+        raise DatasetError(
+            f"class {no_train[0]} has no sample left for training after the test "
+            "and validation splits"
         )
-    slices = [[] for _ in range(folds_used)]
-    for rest in rest_parts:
-        chunks = np.array_split(rest, folds_used)
-        for k in range(folds_used):
-            slices[k].append(chunks[k])
-    folds = []
-    for k in range(folds_used):
-        val = np.sort(np.concatenate(slices[k]))
-        train = np.sort(
-            np.concatenate([np.concatenate(slices[j]) for j in range(folds_used) if j != k])
-        ) if folds_used > 1 else np.array([], dtype=np.int64)
-        folds.append((train, val))
-    return SplitPlan(test_indices=test_indices, folds=folds, seed=seed)
+    cuts = [np.split(idx, [t, t + v]) for idx, t, v in zip(per_class, n_test, n_val)]
+    test, val, train = (np.sort(np.concatenate(part)) for part in zip(*cuts))
+    return train, val, test
 
 
 @dataclass

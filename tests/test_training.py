@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -138,34 +140,29 @@ def test_adam_determinism():
 
 
 def test_split_example_counts():
-    labels = [0] * 25 + [1] * 25 + [2] * 25 + [3] * 25
-    plan = stratified_split(labels, seed=1)
-    assert len(plan.test_indices) == 10
-    test_labels = np.asarray(labels)[plan.test_indices]
-    counts = sorted(np.bincount(test_labels, minlength=4).tolist())
-    assert counts == [2, 2, 3, 3]
-    assert len(plan.folds) == 10
-    for train_idx, val_idx in plan.folds:
-        val_counts = np.bincount(np.asarray(labels)[val_idx], minlength=4)
-        assert val_counts.max() - val_counts.min() <= 1
-        assert set(train_idx) | set(val_idx) == (
-            set(range(100)) - set(plan.test_indices.tolist())
-        )
-        assert not set(train_idx) & set(val_idx)
+    labels = np.asarray([0] * 25 + [1] * 25 + [2] * 25 + [3] * 25)
+    train, val, test = stratified_split(labels, seed=1)
+    # the clips every earlier checkpoint was tested on; they must not move
+    assert test.tolist() == [1, 7, 20, 38, 40, 44, 68, 72, 83, 95]
+    assert sorted(np.bincount(labels[test], minlength=4).tolist()) == [2, 2, 3, 3]
+    assert len(val) == 9
+    val_counts = np.bincount(labels[val], minlength=4)
+    assert val_counts.max() - val_counts.min() <= 1
+    assert sorted(np.concatenate([train, val, test]).tolist()) == list(range(100))
 
 
 def test_split_single_class():
-    plan = stratified_split([0] * 40, seed=2)
-    assert len(plan.test_indices) == 4
+    train, val, test = stratified_split([0] * 40, seed=2)
+    assert (len(train), len(val), len(test)) == (32, 4, 4)
 
 
 def test_split_determinism():
     labels = ([0] * 30 + [1] * 20 + [2] * 17)
     a = stratified_split(labels, seed=9)
     b = stratified_split(labels, seed=9)
-    assert np.array_equal(a.test_indices, b.test_indices)
-    for (ta, va), (tb, vb) in zip(a.folds, b.folds):
-        assert np.array_equal(ta, tb) and np.array_equal(va, vb)
+    assert a[2].tolist() == [9, 14, 18, 30, 45, 54, 64]
+    for x, y in zip(a, b):
+        assert np.array_equal(x, y)
 
 
 def test_split_empty_class():
@@ -173,10 +170,16 @@ def test_split_empty_class():
         stratified_split([0, 0, 2, 2], seed=0)
 
 
-def test_split_reduces_folds_for_small_classes(caplog):
-    labels = [0] * 40 + [1] * 5
-    plan = stratified_split(labels, seed=0)
-    assert len(plan.folds) < 10
+def test_split_keeps_a_lone_clip_for_training():
+    # the 10-fold plan left this with no training clip at all
+    train, val, test = stratified_split([0] * 40 + [1], seed=0)
+    assert 40 in train
+    assert (len(train), len(val), len(test)) == (33, 4, 4)
+
+
+def test_split_names_a_class_left_without_training_clips():
+    with pytest.raises(DatasetError, match="class 1 has no sample left for training"):
+        stratified_split([0, 0, 1], seed=0, test_frac=0.5)
 
 
 @settings(max_examples=25, deadline=None)
@@ -184,27 +187,30 @@ def test_split_reduces_folds_for_small_classes(caplog):
     st.integers(min_value=40, max_value=400),
     st.integers(min_value=2, max_value=7),
     st.integers(min_value=0, max_value=2**31),
+    st.sampled_from([0.1, 0.2, 0.25]),
 )
-def test_split_invariants_property(n, classes, seed):
+def test_split_invariants_property(n, classes, seed, frac):
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, classes, size=n)
-    if np.bincount(labels, minlength=classes).min() == 0:
+    counts = np.bincount(labels, minlength=classes)
+    if counts.min() == 0:
         return
-    plan = stratified_split(labels.tolist(), seed=seed)
-    test = set(plan.test_indices.tolist())
-    rest = set(range(n)) - test
-    assert len(plan.test_indices) == int(round(0.1 * n))
-    global_frac = np.bincount(labels, minlength=classes) / n
-    test_counts = np.bincount(labels[plan.test_indices], minlength=classes)
+    try:
+        train, val, test = stratified_split(labels.tolist(), seed=seed, test_frac=frac)
+    except DatasetError as exc:
+        # with frac <= 1/4 only a class of one or two clips can lose them all
+        assert counts[int(re.search(r"class (\d+)", str(exc)).group(1))] <= 2
+        return
+    every = np.concatenate([train, val, test])
+    assert sorted(every.tolist()) == list(range(n))  # disjoint and covering
+    assert len(test) == int(round(frac * n))
+    assert len(val) == int(round(frac * (n - len(test))))
+    test_counts = np.bincount(labels[test], minlength=classes)
+    val_counts = np.bincount(labels[val], minlength=classes)
     # within one sample of the proportional share
-    assert np.all(np.abs(test_counts - global_frac * len(test)) <= 1 + 1e-9)
-    union = set()
-    for train_idx, val_idx in plan.folds:
-        fold_all = set(train_idx) | set(val_idx)
-        assert fold_all == rest
-        assert not set(train_idx) & set(val_idx)
-        union |= set(val_idx)
-    assert union == rest  # validation slices cover the train/val portion
+    assert np.all(np.abs(test_counts - frac * counts) <= 1 + 1e-9)
+    assert np.all(np.abs(val_counts - frac * (counts - test_counts)) <= 1 + 1e-9)
+    assert np.all(np.bincount(labels[train], minlength=classes) > 0)
 
 
 def test_metrics_hand_example():
