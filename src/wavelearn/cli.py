@@ -2,8 +2,9 @@
 
 Subcommands: train, evaluate, predict, decompose, synth-data, gradcheck.
 Every artifact lands under --out-dir with fixed names and carries the
-effective config in its header.  Exit codes: 0 ok, 2 config error, 3 data
-error, 4 numerical failure.
+effective config in its header.  A checkpoint is self-describing: evaluate
+and predict read its run config and class names and take no config flags.
+Exit codes: 0 ok, 2 config error, 3 data error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -69,14 +70,13 @@ def _build_parser():
     run_config(p_train)
     p_train.add_argument("--seed", type=int, default=None, help="overrides training.seed")
     p_train.add_argument("--epochs", type=int, default=None, help="overrides training.epochs")
+    p_train.add_argument("--ablation", default=None, choices=ABLATION_TAGS)
 
-    p_eval = sub.add_parser("evaluate", help="evaluate a checkpoint on the configured dataset")
-    run_config(p_eval)
+    p_eval = sub.add_parser(
+        "evaluate", help="score a checkpoint on the test split of the dataset it was trained on")
     p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--split", choices=("all", "test"), default="test")
 
     p_pred = sub.add_parser("predict", help="classify wav files, CSV on stdout")
-    run_config(p_pred)  # only for a checkpoint without a run config
     p_pred.add_argument("--checkpoint", required=True)
     p_pred.add_argument("wavs", nargs="+", help="wav files to classify")
 
@@ -93,7 +93,6 @@ def _build_parser():
     for p in (p_train, p_eval, p_dec, p_synth):
         p.add_argument("--out-dir", default="out", help="artifact directory")
     for p in (p_train, p_eval, p_pred):
-        p.add_argument("--ablation", default=None, choices=ABLATION_TAGS)
         p.add_argument("--workers", type=int, default=1, help="evaluation thread count")
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference check of every operation")
@@ -103,7 +102,8 @@ def _build_parser():
 
 def _load_run_config(args):
     overrides = list(args.overrides)
-    flags = {"seed": "training.seed", "epochs": "training.epochs", "ablation": "ablation"}
+    flags = {"seed": "training.seed", "epochs": "training.epochs", "ablation": "ablation",
+             "per_class": "data.synthetic_n_per_class"}
     for flag, key in flags.items():
         if getattr(args, flag, None) is not None:  # not every subcommand has the flag
             overrides.append(f"{key}={getattr(args, flag)}")
@@ -189,79 +189,51 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def _restore(checkpoint_path, cfg_fallback):
-    """(network, the checkpoint's run config or None, class names)."""
+def _restore(checkpoint_path):
+    """(network, run config, class names), all from the checkpoint alone."""
     state, meta = ckpt.load_checkpoint(checkpoint_path)
-    run, names = meta.get("run", {}), meta.get("classes", [])
+    run, names = meta.get("run"), meta.get("classes")
     if not isinstance(run, dict):
         raise ParseError(f"{checkpoint_path}: checkpoint key 'run' is not an object")
-    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-        raise ParseError(f"{checkpoint_path}: checkpoint key 'classes' is not a list of strings")
-    run_cfg = cfgmod.from_mapping(run) if run else None
-    cfg = run_cfg or cfg_fallback
-    net = _make_network(cfg, len(names) or cfg.model.classes)
+    if not (isinstance(names, list) and names and all(isinstance(n, str) for n in names)):
+        raise ParseError(
+            f"{checkpoint_path}: checkpoint key 'classes' is not a non-empty list of strings")
+    try:
+        run_cfg = cfgmod.from_mapping(run)
+    except ConfigError as exc:
+        raise ParseError(
+            f"{checkpoint_path}: checkpoint key 'run' is not a run config: {exc}") from exc
+    net = _make_network(run_cfg, len(names))
     net.load_state(state)
     return net, run_cfg, names
 
 
-def _check_same_data(file_cfg, run_cfg, checkpoint):
-    """The checkpoint's test indices only mean something on its own dataset."""
-    if run_cfg is None:
-        raise ConfigError(f"{checkpoint} has no run config, so its test split is unknown")
-    given, trained = asdict(file_cfg.data), asdict(run_cfg.data)
-    for key, value in trained.items():
-        if given[key] != value:
-            raise ConfigError(
-                f"data.{key} is {given[key]!r} but {checkpoint} was trained with "
-                f"{value!r}, so its test split would pick other clips"
-            )
-
-
 def cmd_evaluate(args):
-    file_cfg = _load_run_config(args)
-    net, run_cfg, names = _restore(args.checkpoint, file_cfg)
-    if args.split == "test":
-        _check_same_data(file_cfg, run_cfg, args.checkpoint)
-    clips, labels, data_names = _load_dataset(file_cfg)
-    if names and data_names != names:
+    net, cfg, names = _restore(args.checkpoint)
+    clips, labels, data_names = _load_dataset(cfg)
+    if data_names != names:
         raise LabelError(
             f"checkpoint classes {names} do not match dataset classes {data_names}"
         )
-    if args.split == "test":
-        # the split the checkpoint was trained under, whatever training.seed says now
-        ts = run_cfg.training
-        *_, keep = stratified_split(labels, ts.seed, test_frac=ts.test_frac)
-        clips = [clips[i] for i in keep]
-        labels = np.asarray(labels)[keep].tolist()
+    *_, keep = stratified_split(labels, cfg.training.seed, test_frac=cfg.training.test_frac)
+    clips = [clips[i] for i in keep]
+    labels = np.asarray(labels)[keep].tolist()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = evaluate(net, clips, labels, len(names) or max(labels) + 1,
-                      workers=args.workers)
-    _write_metrics(out_dir, file_cfg, report,
-                   extra={"classes": names, "split": args.split})
+    report = evaluate(net, clips, labels, len(names), workers=args.workers)
+    _write_metrics(out_dir, cfg, report, extra={"classes": names, "split": "test"})
     print(f"evaluate done: accuracy {report.accuracy:.4f}; artifacts in {out_dir}")
     return EXIT_OK
 
 
 def cmd_predict(args):
-    file_cfg = _load_run_config(args)
-    net, run_cfg, names = _restore(args.checkpoint, file_cfg)
-    flags = {"--config": args.config, "--ablation": args.ablation, "--set": args.overrides}
-    given = [flag for flag, value in flags.items() if value]
-    if run_cfg is not None and given:
-        raise ConfigError(
-            f"{args.checkpoint} carries its run config, which {', '.join(given)} cannot change"
-        )
-    clips = []
-    for wav in args.wavs:
-        clip = resample_to_16k(load_wav(wav))
-        clips.append(clip.samples)
+    net, _, names = _restore(args.checkpoint)
+    clips = [resample_to_16k(load_wav(wav)).samples for wav in args.wavs]
     predicted, log_probs = predict(net, clips, workers=args.workers)
     header = ["path", "predicted"] + [f"logp_{i}" for i in range(log_probs.shape[1])]
     print(",".join(header))
     for wav, cls, row in zip(args.wavs, predicted, log_probs):
-        label = names[cls] if names else str(int(cls))
-        print(",".join([wav, label] + [f"{v:.10g}" for v in row]))
+        print(",".join([wav, names[cls]] + [f"{v:.10g}" for v in row]))
     return EXIT_OK
 
 
@@ -289,9 +261,8 @@ def cmd_decompose(args):
 
 def cmd_synth_data(args):
     cfg = _load_run_config(args)
-    n = args.per_class or cfg.data.synthetic_n_per_class
     spec = cfg.synthetic_spec()
-    clips = generate_synthetic(spec, n)
+    clips = generate_synthetic(spec, cfg.data.synthetic_n_per_class)
     out_dir = Path(args.out_dir)
     (out_dir / "wav").mkdir(parents=True, exist_ok=True)
     rows = []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import reduce
 from pathlib import Path
 
 import yaml
@@ -107,9 +108,11 @@ def load_config(path=None, overrides=()):
     cfg = RunConfig()
     if path is not None:
         try:
-            raw = yaml.safe_load(Path(path).read_text())
+            raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}")
         except yaml.YAMLError as exc:
             raise ConfigError(f"cannot parse {path}: {exc}")
         if raw is None:
@@ -156,7 +159,29 @@ def _validate(cfg):
             f"synthetic_min_len {cfg.data.synthetic_min_len} below the "
             f"front-end minimum {fe.min_input_length}"
         )
-    if not 0 < cfg.training.test_frac < 1:
-        raise ConfigError("test_frac must lie in (0, 1)")
-    if cfg.training.epochs < 1 or cfg.training.batch_size < 1:
-        raise ConfigError("epochs and batch_size must be positive")
+    m, t = cfg.model, cfg.training
+    if not len(m.dilations) == len(m.conv_strides) == len(m.conv_paddings) >= 1:
+        raise ConfigError("model.dilations, model.conv_strides and model.conv_paddings "
+                          "need one entry each per conv block")
+    rules = {  # each rule's first word is the key it checks
+        "model.dilations entries >= 1": min(m.dilations) >= 1,
+        "model.conv_strides entries >= 1": min(m.conv_strides) >= 1,
+        "model.conv_paddings entries >= 0": min(m.conv_paddings) >= 0,
+        "model.dropout in [0, 1)": 0 <= m.dropout < 1,
+        "training.test_frac in (0, 1)": 0 < t.test_frac < 1,
+        "training.lr > 0": t.lr > 0,
+        "training.beta1 in [0, 1)": 0 <= t.beta1 < 1,
+        "training.beta2 in [0, 1)": 0 <= t.beta2 < 1,
+        "training.eps > 0": t.eps > 0,
+        "training.gamma >= 0": t.gamma >= 0,
+        "training.lam >= 0": t.lam >= 0,
+    }
+    for key in ("conv_channels", "conv_kernel", "gru_layers", "gru_hidden", "head_kernel"):
+        rules[f"model.{key} >= 1"] = getattr(m, key) >= 1
+    rules["training.epochs >= 1"] = t.epochs >= 1
+    rules["training.batch_size >= 1"] = t.batch_size >= 1
+    rules["data.synthetic_n_per_class >= 1"] = cfg.data.synthetic_n_per_class >= 1
+    for rule, ok in rules.items():
+        if not ok:
+            key = rule.split()[0]
+            raise ConfigError(f"{key} is {reduce(getattr, key.split('.'), cfg)!r}; need {rule}")

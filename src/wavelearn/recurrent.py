@@ -144,16 +144,17 @@ def gru_scan(x, cell, reverse=False):
     o = np.empty((B, 4 * H))
     q, n, u_n = o[:, : 2 * H], o[:, 2 * H : 3 * H], o[:, 3 * H :]
     q_r, q_z = q[:, :H], q[:, H:]
-    for row, h_prev, h in zip(work[:-1], work[:-1, :, :H], work[1:, :, :H]):
-        np.dot(row, w_work, o)
-        np.exp(q, q)
-        q += 1.0  # q = 1 / [r, z]
-        np.divide(n, q_r, n)  # v_n r
-        n += u_n
-        np.tanh(n, n)
-        np.subtract(h_prev, n, h)  # h = n + z (h_prev - n)
-        np.divide(h, q_z, h)
-        h += n
+    with np.errstate(over="ignore"):  # a saturated gate's exp is inf, so r or z is 0
+        for row, h_prev, h in zip(work[:-1], work[:-1, :, :H], work[1:, :, :H]):
+            np.dot(row, w_work, o)
+            np.exp(q, q)
+            q += 1.0  # q = 1 / [r, z]
+            np.divide(n, q_r, n)  # v_n r
+            n += u_n
+            np.tanh(n, n)
+            np.subtract(h_prev, n, h)  # h = n + z (h_prev - n)
+            np.divide(h, q_z, h)
+            h += n
     hs = work[:, :, : H + 1].copy()
     out = hs[1:, :, :H].transpose(1, 0, 2)[:, ::step]
 
@@ -163,7 +164,8 @@ def gru_scan(x, cell, reverse=False):
         # the forward's gates, recomputed in bulk from the stored states
         u, w_aug = operands()
         v = (h_aug @ w_aug).reshape(T, B, 3 * H)
-        rz = 1.0 / (1.0 + np.exp(u[..., : 2 * H] + v[..., : 2 * H]))
+        with np.errstate(over="ignore"):
+            rz = 1.0 / (1.0 + np.exp(u[..., : 2 * H] + v[..., : 2 * H]))
         r, z, vn = rz[..., :H], rz[..., H:], v[..., 2 * H :]
         n = np.tanh(vn * r + u[..., 2 * H :])
         k_n = (1.0 - z) * (1.0 - n * n)

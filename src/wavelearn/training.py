@@ -19,7 +19,7 @@ from .errors import ContractError, DatasetError, LabelError, NumericalError
 @dataclass
 class LossConfig:
     gamma: float = 2.0
-    class_alpha: np.ndarray | None = None  # None: inverse frequency, mean 1
+    class_alpha: np.ndarray | None = None  # None: every class weighs 1
     lam: float = 1e-4
 
     def alphas(self, n_classes):

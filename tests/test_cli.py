@@ -21,8 +21,8 @@ TINY = [
 ]
 
 
-def _checkpoint(path, meta_of):
-    cfg = load_config(None, TINY)
+def _checkpoint(path, meta_of, changes=()):
+    cfg = load_config(None, TINY + list(changes))
     spec = cfg.synthetic_spec()
     clips = generate_synthetic(spec, cfg.data.synthetic_n_per_class)
     names = spec.label_names()
@@ -31,58 +31,74 @@ def _checkpoint(path, meta_of):
     return cfg, clips
 
 
-def _evaluate(tmp_path, checkpoint, monkeypatch, seen, extra=()):
+def _with_run(cfg, names):
+    return {"run": cfg.to_dict(), "classes": names}
+
+
+def _evaluate(tmp_path, checkpoint, monkeypatch, seen):
     def fake_evaluate(model, clips, labels, n_classes, workers=1):
         seen.extend(clips)
         return metrics_from_pairs(labels, labels, n_classes)
 
     monkeypatch.setattr(cli, "evaluate", fake_evaluate)
-    argv = ["evaluate", "--checkpoint", str(checkpoint), "--set", "training.seed=1",
-            "--out-dir", str(tmp_path / "out")]
-    for item in TINY + list(extra):
-        argv += ["--set", item]
-    return cli.main(argv)
+    return cli.main(["evaluate", "--checkpoint", str(checkpoint),
+                     "--out-dir", str(tmp_path / "out")])
+
+
+def _assert_scored_the_test_split(seen, cfg, clips):
+    ts = cfg.training
+    *_, test_idx = stratified_split([c.label for c in clips], ts.seed, test_frac=ts.test_frac)
+    assert len(seen) == len(test_idx)
+    assert all(np.array_equal(got, clips[i].samples) for got, i in zip(seen, test_idx))
 
 
 def test_evaluate_scores_the_split_the_checkpoint_was_trained_under(tmp_path, monkeypatch):
     path = tmp_path / "model.bin"
-    cfg, clips = _checkpoint(path, lambda c, names: {"run": c.to_dict(), "classes": names})
-    assert cfg.training.seed == 0
+    cfg, clips = _checkpoint(path, _with_run, ["training.seed=1"])
     labels = [c.label for c in clips]
-    *_, test_idx = stratified_split(labels, 0, test_frac=cfg.training.test_frac)
-    *_, other = stratified_split(labels, 1, test_frac=cfg.training.test_frac)
-    assert not np.array_equal(test_idx, other)
+    *_, default_split = stratified_split(labels, 0, test_frac=cfg.training.test_frac)
+    *_, trained_split = stratified_split(labels, 1, test_frac=cfg.training.test_frac)
+    assert not np.array_equal(default_split, trained_split)
 
     seen = []
     assert _evaluate(tmp_path, path, monkeypatch, seen) == cli.EXIT_OK
-    assert len(seen) == len(test_idx)
-    assert all(np.array_equal(got, clips[i].samples) for got, i in zip(seen, test_idx))
+    _assert_scored_the_test_split(seen, cfg, clips)
+    echo = json.loads((tmp_path / "out" / "metrics.json").read_text())["config"]
+    assert echo == cfg.to_dict()
 
 
 def test_evaluate_test_split_needs_the_run_config(tmp_path, monkeypatch, capsys):
     path = tmp_path / "model.bin"
     _checkpoint(path, lambda c, names: {"classes": names})
     seen = []
-    assert _evaluate(tmp_path, path, monkeypatch, seen) == cli.EXIT_CONFIG
+    assert _evaluate(tmp_path, path, monkeypatch, seen) == cli.EXIT_DATA
     assert seen == []
-    assert "no run config" in capsys.readouterr().err
+    assert "checkpoint key 'run' is not an object" in capsys.readouterr().err
 
 
-def test_evaluate_test_split_needs_the_training_dataset(tmp_path, monkeypatch, capsys):
+def test_evaluate_needs_the_class_names(tmp_path, monkeypatch, capsys):
     path = tmp_path / "model.bin"
-    _checkpoint(path, lambda c, names: {"run": c.to_dict(), "classes": names})
+    _checkpoint(path, lambda c, names: {"run": c.to_dict()})
     seen = []
-    extra = ["data.synthetic_seed=1"]
-    assert _evaluate(tmp_path, path, monkeypatch, seen, extra) == cli.EXIT_CONFIG
+    assert _evaluate(tmp_path, path, monkeypatch, seen) == cli.EXIT_DATA
     assert seen == []
-    assert "data.synthetic_seed is 1" in capsys.readouterr().err
+    assert "checkpoint key 'classes' is not" in capsys.readouterr().err
+
+
+def test_evaluate_test_split_needs_the_training_dataset(tmp_path, monkeypatch):
+    path = tmp_path / "model.bin"
+    cfg, clips = _checkpoint(path, _with_run, ["data.synthetic_seed=1"])
+    default = generate_synthetic(load_config(None, TINY).synthetic_spec(), 10)
+    assert not np.array_equal(default[0].samples, clips[0].samples)
+    seen = []
+    assert _evaluate(tmp_path, path, monkeypatch, seen) == cli.EXIT_OK
+    _assert_scored_the_test_split(seen, cfg, clips)
 
 
 OPTIONS = {
     "train": ["--ablation", "--config", "--epochs", "--out-dir", "--seed", "--set", "--workers"],
-    "evaluate": ["--ablation", "--checkpoint", "--config", "--out-dir", "--set", "--split",
-                 "--workers"],
-    "predict": ["--ablation", "--checkpoint", "--config", "--set", "--workers"],
+    "evaluate": ["--checkpoint", "--out-dir", "--workers"],
+    "predict": ["--checkpoint", "--workers"],
     "decompose": ["--config", "--out-dir", "--set"],
     "synth-data": ["--config", "--out-dir", "--per-class", "--set"],
     "gradcheck": ["--tolerance"],
@@ -98,7 +114,7 @@ def test_cli_options_per_subcommand():
         for name, parser in sub.choices.items()
     }
     assert got == OPTIONS
-    assert sum(map(len, got.values())) == 27
+    assert sum(map(len, got.values())) == 20
 
 
 @pytest.mark.parametrize("argv", [
@@ -110,6 +126,13 @@ def test_cli_options_per_subcommand():
     ["synth-data", "--seed", "1"],
     ["synth-data", "--epochs", "1"],
     ["synth-data", "--ablation", "db10"],
+    ["evaluate", "--checkpoint", "m.bin", "--config", "run.yaml"],
+    ["evaluate", "--checkpoint", "m.bin", "--set", "training.seed=1"],
+    ["evaluate", "--checkpoint", "m.bin", "--ablation", "db10"],
+    ["evaluate", "--checkpoint", "m.bin", "--split", "all"],
+    ["predict", "--checkpoint", "m.bin", "x.wav", "--config", "run.yaml"],
+    ["predict", "--checkpoint", "m.bin", "x.wav", "--set", "training.seed=0"],
+    ["predict", "--checkpoint", "m.bin", "x.wav", "--ablation", "allkernel+laht"],
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
 def test_removed_options_are_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -136,7 +159,7 @@ def test_end_to_end_on_the_tiny_config(tmp_path, capsys, caplog):
     assert len(rows) == 40
     assert cli.main(["train", "--epochs", "1", "--out-dir", str(run), *on_disk]) == cli.EXIT_OK
     assert cli.main(["evaluate", "--checkpoint", str(run / "checkpoint.bin"),
-                     "--split", "test", "--out-dir", str(scored), *on_disk]) == cli.EXIT_OK
+                     "--out-dir", str(scored)]) == cli.EXIT_OK
     wav = data / rows[0].split(",")[0]
     capsys.readouterr()
     assert cli.main(["predict", "--checkpoint", str(run / "checkpoint.bin"),
@@ -146,11 +169,10 @@ def test_end_to_end_on_the_tiny_config(tmp_path, capsys, caplog):
 
     epochs = _artifact(run / "epochs.csv", "epoch,split,loss,accuracy")
     assert [line.split(",")[:2] for line in epochs[2:]] == [["1", "train"], ["1", "val"]]
-    for out_dir in (run, scored):
-        _artifact(out_dir / "confusion.csv", "true\\predicted,0,1,2,3")
+    _artifact(run / "confusion.csv", "true\\predicted,0,1,2,3")
+    for name in ("metrics.json", "confusion.csv"):
+        assert (scored / name).read_bytes() == (run / name).read_bytes()
     trained = json.loads((run / "metrics.json").read_text())
-    evaluated = json.loads((scored / "metrics.json").read_text())
-    assert evaluated["metrics"] == trained["metrics"]
     assert sum(trained["metrics"]["per_class"]["support"]) == 4
     assert predicted[0] == "path,predicted,logp_0,logp_1,logp_2,logp_3"
     assert predicted[1].startswith(f"{wav},")
@@ -172,15 +194,6 @@ def _predict(checkpoint, wav, *options):
     return cli.main(["predict", "--checkpoint", str(checkpoint), *options, str(wav)])
 
 
-def _checkpoints_and_wav(tmp_path):
-    with_run, without_run = tmp_path / "run.bin", tmp_path / "bare.bin"
-    _checkpoint(with_run, lambda c, names: {"run": c.to_dict(), "classes": names})
-    _, clips = _checkpoint(without_run, lambda c, names: {"classes": names})
-    wav = tmp_path / "clip.wav"
-    write_wav_pcm16(wav, clips[0].samples, clips[0].sample_rate)
-    return with_run, without_run, wav
-
-
 @pytest.mark.parametrize("option", [["--seed", "1"], ["--epochs", "1"], ["--out-dir", "d"]],
                          ids=lambda option: option[0])
 def test_predict_takes_no_training_options(tmp_path, option):
@@ -189,31 +202,9 @@ def test_predict_takes_no_training_options(tmp_path, option):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("flag", ["--config", "--ablation", "--set"])
-def test_predict_rejects_options_the_run_config_overrides(tmp_path, capsys, flag):
-    with_run, _, wav = _checkpoints_and_wav(tmp_path)
-    (tmp_path / "run.yaml").write_text("training:\n  seed: 0\n")
-    value = {"--config": str(tmp_path / "run.yaml"), "--ablation": "allkernel+laht",
-             "--set": "training.seed=0"}[flag]
-    assert _predict(with_run, wav, flag, value) == cli.EXIT_CONFIG
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"which {flag} cannot change" in captured.err
-
-
-def test_predict_builds_a_bare_checkpoint_from_the_options(tmp_path, capsys):
-    with_run, without_run, wav = _checkpoints_and_wav(tmp_path)
-    assert _predict(with_run, wav) == cli.EXIT_OK
-    expected = capsys.readouterr().out
-    options = [arg for item in TINY for arg in ("--set", item)]
-    assert _predict(without_run, wav, *options) == cli.EXIT_OK
-    assert capsys.readouterr().out == expected
-    assert expected.splitlines()[0] == "path,predicted,logp_0,logp_1,logp_2,logp_3"
-
-
 def test_predict_rejects_a_version_3_checkpoint_by_its_version(tmp_path, capsys):
     path = tmp_path / "model.bin"
-    _checkpoint(path, lambda c, names: {"run": c.to_dict(), "classes": names})
+    _checkpoint(path, _with_run)
     raw = path.read_bytes()
     (size,) = struct.unpack_from("<Q", raw)
     header = json.loads(raw[8:8 + size])
@@ -232,11 +223,37 @@ def test_predict_with_a_missing_checkpoint_exits_3(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, meta", [
     ("run", {"run": [1]}),
-    ("classes", {"classes": 7}),
-    ("classes", {"classes": ["calm", 2]}),
-], ids=["run-list", "classes-int", "classes-mixed"])
+    ("classes", {"run": {}, "classes": 7}),
+    ("classes", {"run": {}, "classes": ["calm", 2]}),
+    ("run", {}),
+    ("classes", {"run": {}}),
+    ("classes", {"run": {}, "classes": []}),
+    ("run", {"run": {"training": {"lam": -1}}, "classes": ["a", "b", "c", "d"]}),
+], ids=["run-list", "classes-int", "classes-mixed", "run-missing", "classes-missing",
+        "classes-empty", "run-invalid"])
 def test_restore_rejects_mistyped_metadata(tmp_path, capsys, key, meta):
     path = tmp_path / "model.bin"
     _checkpoint(path, lambda c, names: meta)
     assert _predict(path, tmp_path / "x.wav") == cli.EXIT_DATA
     assert f"checkpoint key '{key}' is not" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("make", [
+    lambda path: path.mkdir(),
+    lambda path: path.write_bytes(b"training:\n  seed: \xff\n"),
+], ids=["directory", "not-utf8"])
+def test_an_unreadable_config_file_exits_2(tmp_path, capsys, make):
+    path = tmp_path / "run.yaml"
+    make(path)
+    argv = ["train", "--config", str(path), "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert f"cannot read config file {path}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("per_class", ["0", "-1"])
+def test_synth_data_rejects_a_per_class_count_below_one(tmp_path, capsys, per_class):
+    argv = ["synth-data", "--per-class", per_class, "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "data.synthetic_n_per_class" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
