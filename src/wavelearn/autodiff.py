@@ -36,9 +36,6 @@ class Tape:
         self.leaves = []  # (node_id, Tensor) pairs for gradient write-back
         self._leaf_ids = {}
 
-    def __len__(self):
-        return len(self.kinds)
-
     def __enter__(self):
         self._outer = _active_tape()
         _STATE.tape = self
@@ -80,45 +77,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    def zero_grad(self):
-        self.grad = None
-
-    def backward(self):
-        backward(self)
-
-    def item(self):
-        return float(self.data)
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
 
     def __getitem__(self, index):
         return take(self, index)

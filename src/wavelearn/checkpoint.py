@@ -19,7 +19,8 @@ from .errors import ParseError
 # 2: each GRU direction is stored as fused (w_ih, w_hh, b_ih, b_hh) tensors
 # 3: the run-config echo lost four model keys that had only one value in use
 # 4: the run-config echo lost training.folds; one validation split replaced the folds
-FORMAT_VERSION = 4
+# 5: the run-config echo lost ablation; its model fields state the network built
+FORMAT_VERSION = 5
 
 
 def save_checkpoint(path, state, config):

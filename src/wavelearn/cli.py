@@ -1,9 +1,11 @@
 """Command line entry point.
 
 Subcommands: train, evaluate, predict, decompose, synth-data, gradcheck.
-Every artifact lands under --out-dir with fixed names and carries the
-effective config in its header.  A checkpoint is self-describing: evaluate
-and predict read its run config and class names and take no config flags.
+A run config is the defaults, then --config, then train's --ablation tag,
+then each --set override; a later source wins.  Every artifact lands under
+--out-dir with fixed names and carries the config of the network it used in
+its header.  A checkpoint is self-describing: evaluate and predict read its
+run config and class names and take no config flags.
 Exit codes: 0 ok, 2 config error, 3 data error, 4 numerical failure.
 """
 
@@ -12,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -102,12 +103,22 @@ def _build_parser():
 
 def _load_run_config(args):
     overrides = list(args.overrides)
-    flags = {"seed": "training.seed", "epochs": "training.epochs", "ablation": "ablation",
+    flags = {"seed": "training.seed", "epochs": "training.epochs",
              "per_class": "data.synthetic_n_per_class"}
     for flag, key in flags.items():
         if getattr(args, flag, None) is not None:  # not every subcommand has the flag
             overrides.append(f"{key}={getattr(args, flag)}")
-    return cfgmod.load_config(args.config, overrides)
+    return cfgmod.load_config(args.config, overrides, getattr(args, "ablation", None))
+
+
+def _samples(clips, fe):
+    """Each clip's samples; a clip shorter than the front end's minimum is a DatasetError."""
+    for clip in clips:
+        if len(clip) < fe.min_input_length:
+            raise DatasetError(
+                f"{clip.source_id}: {len(clip)} samples at 16 kHz, below the "
+                f"{fe.levels}-level front end's minimum {fe.min_input_length}")
+    return [clip.samples for clip in clips]
 
 
 def _load_dataset(cfg):
@@ -115,7 +126,7 @@ def _load_dataset(cfg):
     if cfg.data.manifest:
         manifest = load_manifest(cfg.data.manifest, cfg.data.root)
         clips = manifest.load_all()
-        return ([c.samples for c in clips], [c.label for c in clips],
+        return (_samples(clips, cfg.model.frontend), [c.label for c in clips],
                 list(manifest.vocabulary))
     spec = cfg.synthetic_spec()
     clips = generate_synthetic(spec, cfg.data.synthetic_n_per_class)
@@ -145,17 +156,12 @@ def _write_epochs(out_dir, cfg, records):
     (out_dir / "epochs.csv").write_text("\n".join(lines) + "\n")
 
 
-def _make_network(cfg, n_classes):
-    model_cfg = replace(cfg.resolved_model(), classes=n_classes)
-    return Network(model_cfg, seed=cfg.training.seed)
-
-
 def cmd_train(args):
     cfg = _load_run_config(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     clips, labels, names = _load_dataset(cfg)
-    n_classes = len(names)
+    n_classes = cfg.model.classes = len(names)
     train_idx, val_idx, test_idx = stratified_split(labels, cfg.training.seed,
                                                     test_frac=cfg.training.test_frac)
     labels_arr = np.asarray(labels)
@@ -164,7 +170,7 @@ def cmd_train(args):
     val_clips = [clips[i] for i in val_idx]
     val_labels = labels_arr[val_idx].tolist()
 
-    net = _make_network(cfg, n_classes)
+    net = Network(cfg.model, seed=cfg.training.seed)
     loss_cfg = LossConfig(
         gamma=cfg.training.gamma,
         class_alpha=inverse_frequency_alphas(train_labels, n_classes),
@@ -203,8 +209,14 @@ def _restore(checkpoint_path):
     except ConfigError as exc:
         raise ParseError(
             f"{checkpoint_path}: checkpoint key 'run' is not a run config: {exc}") from exc
-    net = _make_network(run_cfg, len(names))
-    net.load_state(state)
+    if run_cfg.model.classes != len(names):
+        raise ParseError(f"{checkpoint_path}: checkpoint key 'classes' is not one name per "
+                         f"class: {len(names)} names for model.classes {run_cfg.model.classes}")
+    net = Network(run_cfg.model, seed=run_cfg.training.seed)
+    try:
+        net.load_state(state)
+    except ParseError as exc:
+        raise ParseError(f"{checkpoint_path}: {exc}") from exc
     return net, run_cfg, names
 
 
@@ -228,7 +240,7 @@ def cmd_evaluate(args):
 
 def cmd_predict(args):
     net, _, names = _restore(args.checkpoint)
-    clips = [resample_to_16k(load_wav(wav)).samples for wav in args.wavs]
+    clips = _samples([resample_to_16k(load_wav(wav)) for wav in args.wavs], net.cfg.frontend)
     predicted, log_probs = predict(net, clips, workers=args.workers)
     header = ["path", "predicted"] + [f"logp_{i}" for i in range(log_probs.shape[1])]
     print(",".join(header))
@@ -239,12 +251,12 @@ def cmd_predict(args):
 
 def cmd_decompose(args):
     cfg = _load_run_config(args)
-    fe = cfg.resolved_model().frontend
+    fe = cfg.model.frontend
     analysis = FrontEndConfig(levels=fe.levels, kernel_size=fe.kernel_size,
                               sharing=fe.sharing, laht_enabled=False)
     filters = FrontEndFilters(analysis)
-    clip = resample_to_16k(load_wav(args.wav))
-    out = frontend_forward(Tensor(clip.samples.reshape(1, 1, -1)), analysis, filters)
+    [samples] = _samples([resample_to_16k(load_wav(args.wav))], fe)
+    out = frontend_forward(Tensor(samples.reshape(1, 1, -1)), analysis, filters)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = [_config_comment(cfg), "band,index,value"]

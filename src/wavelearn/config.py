@@ -1,4 +1,9 @@
-"""Run configuration: YAML files, dotted-path overrides, ablation tags."""
+"""Run configuration: defaults < YAML file < ablation tag < dotted overrides.
+
+``RunConfig.model`` is exactly the network a run builds: an ablation tag is
+resolved into the model fields when the config is loaded, and ``train``
+writes its dataset's class count into ``model.classes``.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +15,7 @@ import yaml
 
 from .data import default_synthetic_spec
 from .errors import ConfigError
-from .model import ABLATION_TAGS, ModelConfig, apply_ablation
+from .model import ModelConfig, apply_ablation
 from .wavelet import FrontEndConfig
 
 
@@ -43,10 +48,6 @@ class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     training: TrainingSection = field(default_factory=TrainingSection)
     data: DataSection = field(default_factory=DataSection)
-    ablation: str | None = None
-
-    def resolved_model(self):
-        return apply_ablation(self.model, self.ablation)
 
     def synthetic_spec(self):
         return default_synthetic_spec(
@@ -100,10 +101,12 @@ def _apply_mapping(obj, mapping, path=""):
                 raise ConfigError(f"bad value for {where!r}: {exc}") from exc
 
 
-def load_config(path=None, overrides=()):
-    """Build a RunConfig from an optional YAML file plus dotted overrides.
+def load_config(path=None, overrides=(), ablation=None):
+    """Build a RunConfig from an optional YAML file, ablation tag and dotted overrides.
 
-    Overrides look like ``model.frontend.levels=4`` and win over the file.
+    Later sources win: the file over the defaults, the tag (one of
+    ``model.ABLATION_TAGS``) over the file's model fields, and overrides
+    such as ``model.frontend.levels=4`` over both.
     """
     cfg = RunConfig()
     if path is not None:
@@ -120,6 +123,8 @@ def load_config(path=None, overrides=()):
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: top level must be a mapping")
         _apply_mapping(cfg, raw)
+    if ablation is not None:
+        cfg.model = apply_ablation(cfg.model, ablation)
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} must look like key.path=value")
@@ -150,8 +155,6 @@ def from_mapping(mapping):
 
 
 def _validate(cfg):
-    if cfg.ablation is not None and cfg.ablation not in ABLATION_TAGS:
-        raise ConfigError(f"unknown ablation {cfg.ablation!r}; known: {ABLATION_TAGS}")
     fe = cfg.model.frontend
     FrontEndConfig(**asdict(fe))  # re-run its checks on the coerced values
     if cfg.data.synthetic_min_len < fe.min_input_length:
@@ -185,3 +188,18 @@ def _validate(cfg):
         if not ok:
             key = rule.split()[0]
             raise ConfigError(f"{key} is {reduce(getattr, key.split('.'), cfg)!r}; need {rule}")
+    # an admissible clip's shortest band has kernel_size samples, and a conv's
+    # output only widens with its input, so checking that width is exact
+    width = fe.kernel_size
+    for block, (d, s, p) in enumerate(zip(m.dilations, m.conv_strides, m.conv_paddings)):
+        width = (width + 2 * p - d * (m.conv_kernel - 1) - 1) // s + 1
+        if width < 1:
+            raise ConfigError(
+                f"model.conv_kernel, model.dilations, model.conv_strides and "
+                f"model.conv_paddings leave a {fe.kernel_size}-sample band "
+                f"(model.frontend.kernel_size) no output at conv block {block}")
+    vector = 2 * m.gru_hidden if m.bigru_enabled else m.conv_channels
+    if m.head_kernel > vector:
+        raise ConfigError(f"model.head_kernel is {m.head_kernel}; need <= the band-vector "
+                          f"width {vector} (2 * model.gru_hidden, or model.conv_channels "
+                          f"when model.bigru_enabled is false)")

@@ -14,22 +14,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
 from .features import BandPipelineParams, band_features
 from .fusion import ChannelWeights, HeadParams, channel_weighting, classify, fuse_bands
 from .recurrent import BiGRUStack, TemporalAttentionParams, bigru_forward, temporal_attention
 from .wavelet import FrontEndConfig, FrontEndFilters, LAHTParams, frontend_forward
-
-ABLATION_TAGS = (
-    "db10",
-    "db10+laht",
-    "1kernel",
-    "1kernel-layerwise",
-    "1kernel+laht",
-    "1kernel-layerwise+laht",
-    "allkernel+laht",
-    "allkernel+laht-nogru",
-)
 
 _ABLATION_SHARING = {
     "db10": "db10_fixed",
@@ -41,6 +30,7 @@ _ABLATION_SHARING = {
     "allkernel+laht": "all_kernel",
     "allkernel+laht-nogru": "all_kernel",
 }
+ABLATION_TAGS = tuple(_ABLATION_SHARING)
 
 
 @dataclass
@@ -62,9 +52,7 @@ class ModelConfig:
 
 
 def apply_ablation(cfg, tag):
-    """Resolve an ablation tag into sharing / thresholding / encoder flags."""
-    if tag is None:
-        return cfg
+    """``cfg`` with the sharing / thresholding / encoder flags of an ablation tag."""
     if tag not in ABLATION_TAGS:
         raise ConfigError(f"unknown ablation tag {tag!r}; known: {ABLATION_TAGS}")
     frontend = replace(
@@ -130,12 +118,13 @@ class Network:
         return sum(p.data.size for p in self._params.values())
 
     def load_state(self, state):
+        """Copy saved parameters in; a state this network cannot hold is a ParseError."""
         for name, p in self._params.items():
             if name not in state:
-                raise ConfigError(f"checkpoint is missing parameter {name!r}")
+                raise ParseError(f"checkpoint is missing parameter {name!r}")
             value = np.asarray(state[name], dtype=np.float64)
             if value.shape != p.data.shape:
-                raise ConfigError(
+                raise ParseError(
                     f"checkpoint shape {value.shape} != {p.data.shape} for {name!r}"
                 )
             p.data = value.copy()

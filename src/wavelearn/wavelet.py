@@ -187,8 +187,7 @@ class FrontEndFilters:
     propagate immediately.
     """
 
-    def __init__(self, cfg, rng=None):
-        self.cfg = cfg
+    def __init__(self, cfg):
         base = daubechies_lowpass(cfg.kernel_size // 2)
         self.mode = cfg.sharing
         self._h = []

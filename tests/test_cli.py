@@ -2,16 +2,15 @@ import argparse
 import json
 import logging
 import struct
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from wavelearn import cli
 from wavelearn.checkpoint import load_checkpoint, save_checkpoint
-from wavelearn.config import load_config
+from wavelearn.config import from_mapping, load_config
 from wavelearn.data import generate_synthetic, write_wav_pcm16
-from wavelearn.model import Network
+from wavelearn.model import ABLATION_TAGS, Network, apply_ablation
 from wavelearn.training import metrics_from_pairs, stratified_split
 
 TINY = [
@@ -19,6 +18,7 @@ TINY = [
     "model.gru_layers=1", "model.gru_hidden=2",
     "data.synthetic_n_per_class=10", "data.synthetic_min_len=300", "data.synthetic_max_len=320",
 ]
+TINY_ARGS = [arg for item in TINY for arg in ("--set", item)]
 
 
 def _checkpoint(path, meta_of, changes=()):
@@ -26,7 +26,7 @@ def _checkpoint(path, meta_of, changes=()):
     spec = cfg.synthetic_spec()
     clips = generate_synthetic(spec, cfg.data.synthetic_n_per_class)
     names = spec.label_names()
-    net = Network(replace(cfg.resolved_model(), classes=len(names)), seed=cfg.training.seed)
+    net = Network(cfg.model, seed=cfg.training.seed)
     save_checkpoint(path, net.state(), meta_of(cfg, names))
     return cfg, clips
 
@@ -151,10 +151,9 @@ def _artifact(path, header):
 def test_end_to_end_on_the_tiny_config(tmp_path, capsys, caplog):
     caplog.set_level(logging.INFO)
     data, run, scored = tmp_path / "data", tmp_path / "run", tmp_path / "scored"
-    tiny = [arg for item in TINY for arg in ("--set", item)]
-    on_disk = tiny + ["--set", f"data.manifest={data / 'manifest.csv'}"]
+    on_disk = TINY_ARGS + ["--set", f"data.manifest={data / 'manifest.csv'}"]
 
-    assert cli.main(["synth-data", "--out-dir", str(data), *tiny]) == cli.EXIT_OK
+    assert cli.main(["synth-data", "--out-dir", str(data), *TINY_ARGS]) == cli.EXIT_OK
     rows = _artifact(data / "manifest.csv", "path,label")[2:]
     assert len(rows) == 40
     assert cli.main(["train", "--epochs", "1", "--out-dir", str(run), *on_disk]) == cli.EXIT_OK
@@ -165,7 +164,7 @@ def test_end_to_end_on_the_tiny_config(tmp_path, capsys, caplog):
     assert cli.main(["predict", "--checkpoint", str(run / "checkpoint.bin"),
                      str(wav)]) == cli.EXIT_OK
     predicted = capsys.readouterr().out.splitlines()
-    assert cli.main(["decompose", "--out-dir", str(tmp_path), *tiny, str(wav)]) == cli.EXIT_OK
+    assert cli.main(["decompose", "--out-dir", str(tmp_path), *TINY_ARGS, str(wav)]) == cli.EXIT_OK
 
     epochs = _artifact(run / "epochs.csv", "epoch,split,loss,accuracy")
     assert [line.split(",")[:2] for line in epochs[2:]] == [["1", "train"], ["1", "val"]]
@@ -202,18 +201,30 @@ def test_predict_takes_no_training_options(tmp_path, option):
     assert exc.value.code == 2
 
 
-def test_predict_rejects_a_version_3_checkpoint_by_its_version(tmp_path, capsys):
-    path = tmp_path / "model.bin"
+def _old_checkpoint(path, version, edit_run):
     _checkpoint(path, _with_run)
     raw = path.read_bytes()
     (size,) = struct.unpack_from("<Q", raw)
     header = json.loads(raw[8:8 + size])
-    header["format_version"] = 3
-    header["config"]["run"]["training"]["folds"] = 10  # the key version 4 dropped
+    header["format_version"] = version
+    edit_run(header["config"]["run"])
     blob = json.dumps(header).encode()
     path.write_bytes(struct.pack("<Q", len(blob)) + blob + raw[8 + size:])
+
+
+def test_predict_rejects_a_version_3_checkpoint_by_its_version(tmp_path, capsys):
+    path = tmp_path / "model.bin"
+    # the key version 4 dropped
+    _old_checkpoint(path, 3, lambda run: run["training"].update(folds=10))
     assert _predict(path, tmp_path / "x.wav") == cli.EXIT_DATA
     assert "unsupported format version 3 at byte 8" in capsys.readouterr().err
+
+
+def test_predict_rejects_a_version_4_checkpoint_by_its_version(tmp_path, capsys):
+    path = tmp_path / "model.bin"
+    _old_checkpoint(path, 4, lambda run: run.update(ablation="db10"))  # dropped by version 5
+    assert _predict(path, tmp_path / "x.wav") == cli.EXIT_DATA
+    assert "unsupported format version 4 at byte 8" in capsys.readouterr().err
 
 
 def test_predict_with_a_missing_checkpoint_exits_3(tmp_path, capsys):
@@ -229,8 +240,9 @@ def test_predict_with_a_missing_checkpoint_exits_3(tmp_path, capsys):
     ("classes", {"run": {}}),
     ("classes", {"run": {}, "classes": []}),
     ("run", {"run": {"training": {"lam": -1}}, "classes": ["a", "b", "c", "d"]}),
+    ("classes", {"run": {}, "classes": ["a", "b"]}),  # model.classes is 4
 ], ids=["run-list", "classes-int", "classes-mixed", "run-missing", "classes-missing",
-        "classes-empty", "run-invalid"])
+        "classes-empty", "run-invalid", "classes-count"])
 def test_restore_rejects_mistyped_metadata(tmp_path, capsys, key, meta):
     path = tmp_path / "model.bin"
     _checkpoint(path, lambda c, names: meta)
@@ -257,3 +269,93 @@ def test_synth_data_rejects_a_per_class_count_below_one(tmp_path, capsys, per_cl
     assert cli.main(argv) == cli.EXIT_CONFIG
     assert "data.synthetic_n_per_class" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def _shapes(state):
+    return [(name, np.shape(value)) for name, value in state.items()]
+
+
+@pytest.mark.parametrize("tag", ABLATION_TAGS)
+def test_the_run_echo_of_an_ablation_tag_builds_its_network(tag):
+    tiny = TINY + (["model.head_kernel=1"] if "nogru" in tag else [])  # a 2-wide band vector
+    echo = load_config(None, tiny, ablation=tag).to_dict()
+    built = Network(apply_ablation(load_config(None, tiny).model, tag))
+    assert _shapes(Network(from_mapping(echo).model).state()) == _shapes(built.state())
+
+
+def _train(tmp_path, *options):
+    run = tmp_path / "run"
+    argv = ["train", "--epochs", "1", "--out-dir", str(run), *TINY_ARGS,
+            "--set", "data.synthetic_n_per_class=4", *options]
+    assert cli.main(argv) == cli.EXIT_OK
+    state, meta = load_checkpoint(run / "checkpoint.bin")
+    echo = json.loads((run / "metrics.json").read_text())["config"]
+    assert echo == meta["run"]
+    assert _shapes(Network(from_mapping(echo).model).state()) == _shapes(state)
+    return echo["model"], state
+
+
+def test_a_set_override_wins_over_the_ablation_tag_and_is_echoed(tmp_path):
+    model, state = _train(tmp_path, "--ablation", "db10",
+                          "--set", "model.frontend.laht_enabled=true")
+    assert model["frontend"]["sharing"] == "db10_fixed"
+    assert model["frontend"]["laht_enabled"]
+    assert "frontend.laht.0.0" in state
+
+
+def test_the_echo_states_the_class_count_of_the_data(tmp_path):
+    model, state = _train(tmp_path, "--set", "model.classes=9")
+    assert model["classes"] == 4
+    assert state["head.0"].shape[0] == 4
+
+
+@pytest.mark.parametrize("source", ["yaml", "set"])
+def test_ablation_is_not_a_config_key_on_the_command_line(tmp_path, capsys, source):
+    path = tmp_path / "run.yaml"
+    path.write_text("ablation: db10\n")
+    config = ["--config", str(path)] if source == "yaml" else ["--set", "ablation=db10"]
+    argv = ["train", *config, "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "unknown config key 'ablation'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_checkpoint_whose_parameters_do_not_fit_its_run_exits_3(tmp_path, capsys):
+    path = tmp_path / "model.bin"
+    wider = load_config(None, TINY + ["model.gru_hidden=3"]).to_dict()
+    _checkpoint(path, lambda c, names: {"run": wider, "classes": names})  # gru_hidden=2 state
+    assert _predict(path, tmp_path / "x.wav") == cli.EXIT_DATA
+    assert f"{path}: checkpoint shape (6, 2) != (9, 2) for 'gru.0.0'" in capsys.readouterr().err
+
+
+def _short_wav(tmp_path):
+    wav = tmp_path / "short.wav"
+    write_wav_pcm16(wav, np.zeros(100), 16000)
+    return wav
+
+
+def test_predict_rejects_a_clip_shorter_than_the_front_end_minimum(tmp_path, capsys):
+    path = tmp_path / "model.bin"
+    _checkpoint(path, _with_run)
+    wav = _short_wav(tmp_path)
+    assert _predict(path, wav) == cli.EXIT_DATA
+    assert f"data: {wav}: 100 samples at 16 kHz, below the 6-level front end's minimum 256" \
+        in capsys.readouterr().err
+
+
+def test_decompose_rejects_a_clip_shorter_than_the_front_end_minimum(tmp_path, capsys):
+    wav = _short_wav(tmp_path)
+    argv = ["decompose", "--out-dir", str(tmp_path / "out"), *TINY_ARGS, str(wav)]
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert f"{wav}: 100 samples at 16 kHz" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_rejects_a_manifest_clip_shorter_than_the_front_end_minimum(tmp_path, capsys):
+    _short_wav(tmp_path)
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("path,label\nshort.wav,calm\n")
+    argv = ["train", "--out-dir", str(tmp_path / "out"), *TINY_ARGS,
+            "--set", f"data.manifest={manifest}"]
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert "short.wav: 100 samples at 16 kHz" in capsys.readouterr().err
