@@ -508,28 +508,3 @@ def conv1d(x, w, b=None, stride=1, dilation=1, padding=0):
     parents = (x, w) if b is None else (x, w, b)
     return record("conv1d", out, parents, bwd)
 
-
-def instance_norm(x, gamma, beta, eps=1e-5):
-    """Standardize each (batch, channel) row over the width axis, then affine."""
-    if x.data.ndim != 3:
-        raise DimensionError("instance_norm expects (batch, C, W)")
-    if gamma.data.shape != (x.data.shape[1],) or beta.data.shape != (x.data.shape[1],):
-        raise DimensionError("instance_norm affine parameters must have shape (C,)")
-    mu = x.data.mean(axis=2, keepdims=True)
-    var = x.data.var(axis=2, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out = gamma.data[None, :, None] * xhat + beta.data[None, :, None]
-
-    def bwd(g):
-        ggamma = (g * xhat).sum(axis=(0, 2))
-        gbeta = g.sum(axis=(0, 2))
-        gxhat = g * gamma.data[None, :, None]
-        gx = inv * (
-            gxhat
-            - gxhat.mean(axis=2, keepdims=True)
-            - xhat * (gxhat * xhat).mean(axis=2, keepdims=True)
-        )
-        return (gx, ggamma, gbeta)
-
-    return record("instance_norm", out, (x, gamma, beta), bwd)

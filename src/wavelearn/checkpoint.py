@@ -20,7 +20,8 @@ from .errors import ParseError
 # 3: the run-config echo lost four model keys that had only one value in use
 # 4: the run-config echo lost training.folds; one validation split replaced the folds
 # 5: the run-config echo lost ablation; its model fields state the network built
-FORMAT_VERSION = 5
+# 6: no instance norm, spatial score bias or temporal fc1 bias; names shift
+FORMAT_VERSION = 6
 
 
 def save_checkpoint(path, state, config):

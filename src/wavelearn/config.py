@@ -80,6 +80,8 @@ def _coerce(value, template):
     if isinstance(template, tuple):
         if isinstance(value, str):
             value = [v for v in value.replace(",", " ").split() if v]
+        elif not isinstance(value, (list, tuple)):
+            value = [value]  # YAML reads a bare `1` as an int
         return tuple(int(v) for v in value)
     return value if value is None or not isinstance(template, str) else str(value)
 

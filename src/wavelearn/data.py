@@ -329,35 +329,3 @@ def load_manifest(path, root=None, vocabulary=None):
                 vocab.append(label)
     return DatasetManifest(rows=rows, vocabulary=vocab, root=root)
 
-
-# Berlin emotional speech corpus filename coding: the letter at index 5
-# encodes the emotion (German initials).
-EMODB_CODES = {
-    "W": "anger",
-    "L": "boredom",
-    "E": "disgust",
-    "A": "anxiety/fear",
-    "F": "happiness",
-    "T": "sadness",
-    "N": "neutral",
-}
-EMODB_VOCABULARY = [
-    "anger", "boredom", "disgust", "anxiety/fear", "happiness", "sadness", "neutral",
-]
-
-
-def build_emodb_manifest(directory):
-    """Manifest for a directory of Berlin-corpus recordings (535 wav files)."""
-    directory = Path(directory)
-    wavs = sorted(p.name for p in directory.glob("*.wav"))
-    if not wavs:
-        raise DatasetError(f"{directory}: no wav files found")
-    rows = []
-    for name in wavs:
-        if len(name) < 7:
-            raise DatasetError(f"{directory}: unexpected filename {name!r}")
-        code = name[5]
-        if code not in EMODB_CODES:
-            raise LabelError(f"{directory}: unknown emotion code {code!r} in {name!r}")
-        rows.append((name, EMODB_CODES[code]))
-    return DatasetManifest(rows=rows, vocabulary=list(EMODB_VOCABULARY), root=directory)

@@ -1,8 +1,8 @@
 """Per-band local feature extraction.
 
-A short stack of dilated convolution blocks (conv, instance norm with eps
-1e-5, leaky activation with slope 0.01) followed by width-wise attention that scores every position with
-a kernel-size-1 convolution over the feature map blended with its global
+A short stack of dilated convolution blocks (conv, then a leaky activation
+with slope 0.01) followed by width-wise attention that scores every position
+with a kernel-size-1 convolution over the feature map blended with its global
 mean context.  No pooling anywhere: for stride-1 blocks the output width is
 W minus the total dilated kernel span.
 """
@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -23,8 +21,6 @@ from .errors import DimensionError
 class ConvBlockParams:
     weight: Tensor
     bias: Tensor
-    in_gamma: Tensor
-    in_beta: Tensor
     stride: int = 1
     dilation: int = 1
     padding: int = 0
@@ -35,39 +31,34 @@ class ConvBlockParams:
         return cls(
             weight=ad.parameter(rng.normal(0.0, scale, size=(out_channels, in_channels, kernel))),
             bias=ad.parameter(rng.normal(0.0, 0.01, size=(out_channels,))),
-            in_gamma=ad.parameter(np.ones(out_channels)),
-            in_beta=ad.parameter(np.zeros(out_channels)),
             stride=stride,
             dilation=dilation,
             padding=padding,
         )
 
     def tensors(self):
-        return [self.weight, self.bias, self.in_gamma, self.in_beta]
+        return [self.weight, self.bias]
 
 
 def conv_block(x, p):
-    """leaky_relu(instance_norm(conv1d(x))) with the block's parameters."""
-    y = ad.conv1d(x, p.weight, p.bias, stride=p.stride, dilation=p.dilation,
-                  padding=p.padding)
-    return ad.leaky_relu(ad.instance_norm(y, p.in_gamma, p.in_beta))
+    """leaky_relu(conv1d(x)) with the block's parameters."""
+    return ad.leaky_relu(ad.conv1d(x, p.weight, p.bias, stride=p.stride,
+                                   dilation=p.dilation, padding=p.padding))
 
 
 @dataclass
 class SpatialAttentionParams:
-    score_weight: Tensor  # (1, C, 1) kernel-size-1 convolution
-    score_bias: Tensor
+    # (1, C, 1) kernel-size-1 convolution; a softmax over width ignores a
+    # constant shift, so the score has no bias
+    score_weight: Tensor
 
     @classmethod
     def init(cls, channels, rng):
         scale = (1.0 / channels) ** 0.5
-        return cls(
-            score_weight=ad.parameter(rng.normal(0.0, scale, size=(1, channels, 1))),
-            score_bias=ad.parameter(rng.normal(0.0, 0.01, size=(1,))),
-        )
+        return cls(score_weight=ad.parameter(rng.normal(0.0, scale, size=(1, channels, 1))))
 
     def tensors(self):
-        return [self.score_weight, self.score_bias]
+        return [self.score_weight]
 
 
 class AttentionResult(NamedTuple):
@@ -87,7 +78,7 @@ def spatial_attention(l, p):
         raise DimensionError("spatial attention kernel width must be 1")
     context = ad.reduce_mean(l, axis=2, keepdims=True)
     combined = ad.add(l, context)
-    scores = ad.conv1d(combined, p.score_weight, p.score_bias)
+    scores = ad.conv1d(combined, p.score_weight)
     weights = ad.softmax(scores, axis=2)
     weighted = ad.mul(weights, l)
     summary = ad.reduce_sum(weighted, axis=2)

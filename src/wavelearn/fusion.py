@@ -1,9 +1,9 @@
 """Band fusion and classification head.
 
 Per-band vectors are stacked channel-wise (high frequency first, then the
-approximation), scaled by one learnable weight per band, pushed through a
-final conv block whose output channels match the class count, averaged over
-width, and log-softmax normalized.
+approximation), scaled by one learnable weight per band, pushed through one
+convolution whose output channels are the classes, averaged over width, and
+log-softmax normalized.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DimensionError
-from .features import ConvBlockParams, conv_block
 
 
 @dataclass
@@ -32,14 +31,19 @@ class ChannelWeights:
 
 @dataclass
 class HeadParams:
-    class_conv: ConvBlockParams
+    weight: Tensor  # (classes, bands, kernel)
+    bias: Tensor
 
     @classmethod
     def init(cls, bands, classes, kernel, rng):
-        return cls(class_conv=ConvBlockParams.init(bands, classes, kernel, rng))
+        scale = (2.0 / (bands * kernel)) ** 0.5
+        return cls(
+            weight=ad.parameter(rng.normal(0.0, scale, size=(classes, bands, kernel))),
+            bias=ad.parameter(rng.normal(0.0, 0.01, size=(classes,))),
+        )
 
     def tensors(self):
-        return self.class_conv.tensors()
+        return [self.weight, self.bias]
 
 
 def fuse_bands(vectors):
@@ -67,6 +71,5 @@ def channel_weighting(x, cw):
 
 def classify(x, head):
     """Log class probabilities for a fused (batch, bands, D) representation."""
-    maps = conv_block(x, head.class_conv)
-    pooled = ad.reduce_mean(maps, axis=2)
-    return ad.log_softmax(pooled, axis=1)
+    logits = ad.reduce_mean(ad.conv1d(x, head.weight, head.bias), axis=2)
+    return ad.log_softmax(logits, axis=1)

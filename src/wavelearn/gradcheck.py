@@ -115,12 +115,6 @@ def core_cases():
             ),
             [x],
         ),
-        "instance_norm": (
-            lambda t: ad.reduce_sum(
-                ad.mul(ad.instance_norm(t[0], t[1], t[2], eps=1e-5), Tensor(_rng(5).normal(size=(2, 3, 5))))
-            ),
-            [r.normal(size=(2, 3, 5)), r.normal(size=(3,)), r.normal(size=(3,))],
-        ),
     }
     weight = r.normal(size=(4, 3, 3))
     conv_input = r.normal(size=(2, 3, 7))
@@ -187,28 +181,24 @@ def model_cases():
     block_probe = r.normal(size=(1, 3, 6))
 
     def conv_block_case(t):
-        p = features.ConvBlockParams(
-            weight=t[1], bias=t[2], in_gamma=t[3], in_beta=t[4],
-            stride=1, dilation=2,
-        )
+        p = features.ConvBlockParams(weight=t[1], bias=t[2], stride=1, dilation=2)
         return ad.reduce_sum(ad.mul(features.conv_block(t[0], p), Tensor(block_probe)))
 
     cases["conv_block"] = (
         conv_block_case,
-        [r.normal(size=(1, 2, 10)), r.normal(size=(3, 2, 3)), r.normal(size=(3,)),
-         r.normal(size=(3,)) * 0.3 + 1.0, r.normal(size=(3,))],
+        [r.normal(size=(1, 2, 10)), r.normal(size=(3, 2, 3)), r.normal(size=(3,))],
     )
 
     spatial_probe = r.normal(size=(2, 3))
 
     def spatial_case(t):
-        p = features.SpatialAttentionParams(score_weight=t[1], score_bias=t[2])
+        p = features.SpatialAttentionParams(score_weight=t[1])
         result = features.spatial_attention(t[0], p)
         return ad.reduce_sum(ad.mul(result.summary, Tensor(spatial_probe)))
 
     cases["spatial_attention"] = (
         spatial_case,
-        [r.normal(size=(2, 3, 5)), r.normal(size=(1, 3, 1)), r.normal(size=(1,))],
+        [r.normal(size=(2, 3, 5)), r.normal(size=(1, 3, 1))],
     )
 
     d_in, d_h = 2, 3
@@ -249,14 +239,12 @@ def model_cases():
     temporal_probe = r.normal(size=(2, d_att))
 
     def temporal_case(t):
-        p = recurrent.TemporalAttentionParams(
-            fc1_weight=t[1], fc1_bias=t[2], fc2_weight=t[3], fc2_bias=t[4]
-        )
+        p = recurrent.TemporalAttentionParams(fc1_weight=t[1], fc2_weight=t[2], fc2_bias=t[3])
         return ad.reduce_sum(ad.mul(recurrent.temporal_attention(t[0], p), Tensor(temporal_probe)))
 
     cases["temporal_attention"] = (
         temporal_case,
-        [r.normal(size=(2, 3, d_att)), r.normal(size=(d_att, d_att)) * 0.5, r.normal(size=(d_att,)),
+        [r.normal(size=(2, 3, d_att)), r.normal(size=(d_att, d_att)) * 0.5,
          r.normal(size=(d_att, 2 * d_att)) * 0.5, r.normal(size=(d_att,))],
     )
 

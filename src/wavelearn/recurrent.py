@@ -266,8 +266,8 @@ def bigru_forward(seq, stack, training=False, seed=None):
 
 @dataclass
 class TemporalAttentionParams:
-    fc1_weight: Tensor  # (D, D)
-    fc1_bias: Tensor
+    # (D, D); a bias b would add the same b.h_last to every step's score
+    fc1_weight: Tensor
     fc2_weight: Tensor  # (D, 2D), applied to [context; final state]
     fc2_bias: Tensor
 
@@ -277,13 +277,12 @@ class TemporalAttentionParams:
         k2 = 1.0 / np.sqrt(2 * dim)
         return cls(
             fc1_weight=ad.parameter(rng.uniform(-k1, k1, size=(dim, dim))),
-            fc1_bias=ad.parameter(rng.uniform(-k1, k1, size=(dim,))),
             fc2_weight=ad.parameter(rng.uniform(-k2, k2, size=(dim, 2 * dim))),
             fc2_bias=ad.parameter(rng.uniform(-k2, k2, size=(dim,))),
         )
 
     def tensors(self):
-        return [self.fc1_weight, self.fc1_bias, self.fc2_weight, self.fc2_bias]
+        return [self.fc1_weight, self.fc2_weight, self.fc2_bias]
 
 
 def temporal_attention(states, p):
@@ -299,10 +298,7 @@ def temporal_attention(states, p):
         raise DimensionError("fc2 input extent must be 2 * D")
     h_last = states[:, t_len - 1, :]
     flat = ad.reshape(states, (batch * t_len, dim))
-    mapped = ad.reshape(
-        ad.add(ad.matmul(flat, ad.transpose(p.fc1_weight)), p.fc1_bias),
-        (batch, t_len, dim),
-    )
+    mapped = ad.reshape(ad.matmul(flat, ad.transpose(p.fc1_weight)), (batch, t_len, dim))
     scores = ad.matmul(mapped, ad.reshape(h_last, (batch, dim, 1)))
     weights = ad.softmax(scores, axis=1)
     context = ad.reshape(ad.matmul(ad.transpose(weights, (0, 2, 1)), states), (batch, dim))

@@ -139,19 +139,6 @@ def test_softmax_family():
     )
 
 
-def test_instance_norm_examples():
-    x = Tensor(np.array([[[1.0, 2.0, 3.0]]]))
-    one, zero = Tensor(np.ones(1)), Tensor(np.zeros(1))
-    out = ad.instance_norm(x, one, zero, eps=1e-5)
-    assert_allclose(out.data, [[[-1.2247, 0.0, 1.2247]]], atol=1e-4)
-    const = ad.instance_norm(Tensor(np.full((1, 1, 4), 7.0)), one, zero)
-    assert_allclose(const.data, np.zeros((1, 1, 4)))
-    shifted = ad.instance_norm(x, Tensor(np.zeros(1)), Tensor(np.full(1, 5.0)))
-    assert_allclose(shifted.data, np.full((1, 1, 3), 5.0))
-    mean = ad.instance_norm(x, one, zero).data.mean(axis=2)
-    assert_allclose(mean, np.zeros((1, 1)), atol=1e-6)
-
-
 def test_backward_examples():
     x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
     with Tape():

@@ -36,7 +36,7 @@ def test_round_trip_reproduces_the_forward_pass(tmp_path):
     assert np.array_equal(restored.forward(samples).data, net.forward(samples).data)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
 def test_old_versions_are_rejected_by_name(tmp_path, version):
     header = {"format_version": version, "config": {}, "params": []}
     with pytest.raises(ParseError, match=f"version {version} at byte 8"):

@@ -51,6 +51,11 @@ def test_the_ablation_tag_overrides_the_file_and_set_overrides_the_tag(tmp_path)
 BLOCK = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2))  # dilation, stride, pad
 
 
+def _spelled(values):
+    """A one-entry tuple as the bare number `--set model.dilations=1`, else a list."""
+    return values[0] if len(values) == 1 else list(values)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(levels=st.integers(1, 3), kernel_size=st.sampled_from([2, 4]),
        channels=st.integers(1, 3), conv_kernel=st.integers(1, 5),
@@ -65,8 +70,8 @@ def test_a_model_is_accepted_exactly_when_it_runs_on_the_shortest_clip(
                         gru_hidden=hidden, bigru_enabled=bigru, head_kernel=head_kernel)
     fields = {"frontend.levels": levels, "frontend.kernel_size": kernel_size,
               "conv_channels": channels, "conv_kernel": conv_kernel,
-              "dilations": list(dilations), "conv_strides": list(strides),
-              "conv_paddings": list(paddings), "gru_layers": 1, "gru_hidden": hidden,
+              "dilations": _spelled(dilations), "conv_strides": _spelled(strides),
+              "conv_paddings": _spelled(paddings), "gru_layers": 1, "gru_hidden": hidden,
               "bigru_enabled": bigru, "head_kernel": head_kernel}
     try:
         accepted = load_config(None, [f"model.{k}={v}" for k, v in fields.items()]).model

@@ -6,9 +6,7 @@ from numpy.testing import assert_allclose
 
 from wavelearn.data import (
     AudioClip,
-    EMODB_CODES,
     SUPPORTED_RATES,
-    build_emodb_manifest,
     default_synthetic_spec,
     generate_synthetic,
     load_manifest,
@@ -257,22 +255,3 @@ def test_manifest_fixed_vocabulary(tmp_path):
     with pytest.raises(LabelError, match="surprise"):
         load_manifest(manifest_path, vocabulary=["calm", "tense"])
 
-
-def test_emodb_code_mapping(tmp_path):
-    assert EMODB_CODES["W"] == "anger"
-    names = ["03a01Wa.wav", "08b02Lc.wav", "16a05Fb.wav", "10a07Na.wav"]
-    for name in names:
-        write_wav_pcm16(tmp_path / name, np.zeros(50), 16000)
-    manifest = build_emodb_manifest(tmp_path)
-    mapping = dict(manifest.rows)
-    assert mapping["03a01Wa.wav"] == "anger"
-    assert mapping["08b02Lc.wav"] == "boredom"
-    assert mapping["16a05Fb.wav"] == "happiness"
-    assert mapping["10a07Na.wav"] == "neutral"
-    assert len(manifest.vocabulary) == 7
-
-
-def test_emodb_unknown_code(tmp_path):
-    write_wav_pcm16(tmp_path / "03a01Xa.wav", np.zeros(50), 16000)
-    with pytest.raises(LabelError):
-        build_emodb_manifest(tmp_path)

@@ -70,10 +70,10 @@ def test_classify_log_probabilities_normalize():
 
 
 def test_classify_uniform_when_logits_equal():
-    # gamma 0 collapses the head to its bias; equal biases give -ln(classes)
+    # a zero kernel collapses the head to its bias; equal biases give -ln(classes)
     head = _head(2, 4)
-    head.class_conv.in_gamma.data = np.zeros(4)
-    head.class_conv.in_beta.data = np.zeros(4)
+    head.weight.data = np.zeros_like(head.weight.data)
+    head.bias.data = np.full(4, 0.3)
     out = classify(Tensor(np.random.default_rng(3).normal(size=(2, 2, 8))), head)
     assert_allclose(out.data, np.full((2, 4), -np.log(4.0)), atol=1e-12)
 
@@ -89,8 +89,8 @@ def test_classify_argmax_invariant_to_shared_bias_shift():
     head = _head(3, 4, rng)
     x = Tensor(rng.normal(size=(2, 3, 12)))
     base = classify(x, head)
-    # a shared conv-bias shift is absorbed by the instance normalization
-    head.class_conv.bias.data = head.class_conv.bias.data + 2.5
+    # a conv-bias shift shared by every class shifts every logit alike
+    head.bias.data = head.bias.data + 2.5
     shifted = classify(x, head)
     assert np.array_equal(np.argmax(base.data, 1), np.argmax(shifted.data, 1))
     assert_allclose(base.data, shifted.data, atol=1e-9)

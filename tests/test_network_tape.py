@@ -5,11 +5,11 @@ from wavelearn.data import default_synthetic_spec, generate_synthetic
 from wavelearn.model import ModelConfig, Network
 from wavelearn.wavelet import FrontEndConfig
 
-# The 514 nodes of one recorded forward of the tiny network: each GRU
+# The 474 nodes of one recorded forward of the tiny network: each GRU
 # direction is one `gru_scan` node and each LAHT level reparameterizes once.
 TINY_FORWARD_KINDS = {
-    "add": 45, "concat": 25, "conv1d": 41, "exp": 12, "gru_scan": 28,
-    "instance_norm": 22, "leaf": 75, "leaky_relu": 22, "log_softmax": 1,
+    "add": 38, "concat": 25, "conv1d": 41, "exp": 12, "gru_scan": 28,
+    "leaf": 65, "leaky_relu": 21, "log_softmax": 1,
     "matmul": 28, "mean": 8, "mul": 44, "neg": 6, "reshape": 41, "sigmoid": 24,
     "softmax": 14, "softplus": 12, "stack": 1, "sub": 12, "sum": 7, "take": 11,
     "tanh": 7, "transpose": 28,

@@ -296,9 +296,7 @@ def test_temporal_attention_weights_sum_to_one():
     p = TemporalAttentionParams.init(4, rng)
     states = Tensor(rng.normal(size=(3, 5, 4)))
     flat = ad.reshape(states, (15, 4))
-    mapped = ad.reshape(
-        ad.add(ad.matmul(flat, ad.transpose(p.fc1_weight)), p.fc1_bias), (3, 5, 4)
-    )
+    mapped = ad.reshape(ad.matmul(flat, ad.transpose(p.fc1_weight)), (3, 5, 4))
     h_last = states[:, 4, :]
     scores = ad.matmul(mapped, ad.reshape(h_last, (3, 4, 1)))
     weights = ad.softmax(scores, axis=1)
