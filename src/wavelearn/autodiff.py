@@ -226,13 +226,14 @@ def exp(a):
     return record("exp", out, (a,), lambda g: (g * out,))
 
 
+def _logistic(x):
+    # e = exp(-|x|) keeping a NaN's sign; each sign's form cannot overflow
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a):
-    x = a.data
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    out = _logistic(a.data)
     return record("sigmoid", out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
@@ -242,8 +243,9 @@ def tanh(a):
 
 
 def leaky_relu(a, slope=0.01):
-    factor = np.where(a.data >= 0, 1.0, slope)
-    return record("leaky_relu", a.data * factor, (a,), lambda g: (g * factor,))
+    mask = a.data >= 0
+    out = np.where(mask, a.data, a.data * slope)
+    return record("leaky_relu", out, (a,), lambda g: (np.where(mask, g, g * slope),))
 
 
 def dropout(a, p, rng):
@@ -261,16 +263,7 @@ def softplus(a):
     # log(1 + e^x) in an overflow-safe form; derivative is the sigmoid.
     x = a.data
     out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-
-    def bwd(g):
-        s = np.empty_like(x)
-        pos = x >= 0
-        s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        s[~pos] = ex / (1.0 + ex)
-        return (g * s,)
-
-    return record("softplus", out, (a,), bwd)
+    return record("softplus", out, (a,), lambda g: (g * _logistic(x),))
 
 
 def pow_const(a, exponent):
@@ -444,9 +437,7 @@ def _conv_geometry(width, taps, stride, dilation, padding):
             raise InputTooShortError(
                 f"circular conv needs width >= {span}, got {width}"
             )
-        out_w = -(-width // stride)
-        idx = (np.arange(out_w)[:, None] * stride + np.arange(taps)[None, :] * dilation) % width
-        return out_w, idx, 0
+        return -(-width // stride), 0
     pad = int(padding)
     padded = width + 2 * pad
     out_w = (padded - span) // stride + 1
@@ -454,8 +445,7 @@ def _conv_geometry(width, taps, stride, dilation, padding):
         raise InputTooShortError(
             f"conv input too short: padded width {padded} < kernel span {span}"
         )
-    idx = np.arange(out_w)[:, None] * stride + np.arange(taps)[None, :] * dilation
-    return out_w, idx, pad
+    return out_w, pad
 
 
 def conv1d(x, w, b=None, stride=1, dilation=1, padding=0):
@@ -463,7 +453,9 @@ def conv1d(x, w, b=None, stride=1, dilation=1, padding=0):
 
     ``x``: (batch, C, W), ``w``: (K, C, S), optional ``b``: (K,).  ``padding``
     is an integer count of zeros added to both ends, or ``"circular"`` for
-    periodic indexing (output width ceil(W / stride)).
+    periodic indexing (output width ceil(W / stride)).  The im2col matrix, one
+    copy of a window view of the padded or circularly extended input, stays on
+    the tape for backward.  The output is a C-contiguous (batch, K, out_w).
     """
     if x.data.ndim != 3 or w.data.ndim != 3:
         raise DimensionError("conv1d expects x (batch, C, W) and w (K, C, S)")
@@ -475,32 +467,35 @@ def conv1d(x, w, b=None, stride=1, dilation=1, padding=0):
         raise DimensionError("conv1d stride and dilation must be positive")
     batch, chans, width = x.data.shape
     k_out, _, taps = w.data.shape
-    out_w, idx, pad = _conv_geometry(width, taps, stride, dilation, padding)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad))) if pad else x.data
-    cols = xp[:, :, idx]  # (batch, C, out_w, S)
-    mat = cols.transpose(0, 2, 1, 3).reshape(batch * out_w, chans * taps)
-    wmat = w.data.reshape(k_out, chans * taps)
-    out = (mat @ wmat.T).reshape(batch, out_w, k_out).transpose(0, 2, 1)
-    if b is not None:
-        out = out + b.data[None, :, None]
+    out_w, pad = _conv_geometry(width, taps, stride, dilation, padding)
     span = dilation * (taps - 1) + 1
     # every tap's reads, unwrapped: circular indices run past the width by
-    # less than one span, and width >= span, so one fold puts them back
+    # less than one span, and width >= span, so one wrapped copy covers them
     full = max((out_w - 1) * stride + span, width + 2 * pad)
+    xp = np.zeros((batch, chans, full))
+    xp[:, :, pad : pad + width] = x.data
+    if padding == "circular":
+        xp[:, :, width:] = x.data[:, :, : full - width]
+    sb, sc, sw = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp, (batch, out_w, chans, taps), (sb, sw * stride, sc, sw * dilation), writeable=False
+    )
+    mat = np.ascontiguousarray(windows).reshape(batch, out_w, chans * taps)
+    wmat = w.data.reshape(k_out, chans * taps)
+    out = wmat @ mat.transpose(0, 2, 1)
+    if b is not None:
+        out += b.data[:, None]
 
     def bwd(g):
-        gmat = g.transpose(0, 2, 1).reshape(batch * out_w, k_out)
-        gw = (gmat.T @ mat).reshape(k_out, chans, taps)
-        gcols = (gmat @ wmat).reshape(batch, out_w, chans, taps).transpose(0, 2, 1, 3)
+        gw = (g @ mat).sum(axis=0).reshape(k_out, chans, taps)
+        gcols = (wmat.T @ g).reshape(batch, chans, taps, out_w)
         gxp = np.zeros((batch, chans, full))
         for s in range(taps):
             start = dilation * s
-            gxp[:, :, start : start + (out_w - 1) * stride + 1 : stride] += gcols[:, :, :, s]
+            gxp[:, :, start : start + (out_w - 1) * stride + 1 : stride] += gcols[:, :, s]
+        gx = gxp[:, :, pad : pad + width]
         if padding == "circular":
-            gx = gxp[:, :, :width]
             gx[:, :, : full - width] += gxp[:, :, width:]
-        else:
-            gx = gxp[:, :, pad : pad + width]
         if b is None:
             return (gx, gw)
         return (gx, gw, g.sum(axis=(0, 2)))

@@ -149,12 +149,18 @@ def model_cases():
     sig = r.normal(size=(1, 1, 12))
     band_probe = r.normal(size=(1, 1, 12))
 
-    def cqf_case(t):
-        a_next, d_next = wavelet.decompose_level(t[1], t[0], wavelet.derive_cqf(t[0]))
-        both = ad.concat([a_next, d_next], axis=2)
-        return ad.reduce_sum(ad.mul(both, Tensor(band_probe)))
+    def bank_case(t, probe):
+        # g tied to h by the alternating flip, or free as a third input
+        g = t[2] if len(t) > 2 else wavelet.derive_cqf(t[0])
+        both = ad.concat(list(wavelet.decompose_level(t[1], t[0], g)), axis=1)
+        return ad.reduce_sum(ad.mul(both, Tensor(probe)))
 
-    cases["cqf_decompose"] = (cqf_case, [h, sig])
+    cases["cqf_decompose"] = (lambda t: bank_case(t, band_probe.reshape(1, 2, 6)), [h, sig])
+    # 4 taps on a batch of odd widths, which the level extends by one
+    rb = _rng(12)
+    bank_h, bank_sig, bank_g, bank_probe = (rb.normal(size=s) for s in [(4,), (2, 1, 9), (4,), (2, 2, 5)])
+    cases["filter_bank_tied"] = (lambda t: bank_case(t, bank_probe), [bank_h, bank_sig])
+    cases["filter_bank_free"] = (lambda t: bank_case(t, bank_probe), [bank_h, bank_sig, bank_g])
 
     laht_probe = r.normal(size=(5,))
 

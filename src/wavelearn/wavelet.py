@@ -1,11 +1,12 @@
 """Learnable multilevel wavelet decomposition front-end.
 
 Each level cross-correlates the running approximation with a low-pass and a
-high-pass filter at stride 2 under circular boundary extension, optionally
-squashing both outputs through a learnable soft thresholding activation
-before they are used further.  The high-pass filter can be tied to the
-low-pass one through the alternating-flip (quadrature mirror) construction,
-which keeps the two-channel bank orthogonal for any low-pass filter.
+high-pass filter at stride 2 under circular boundary extension, as one
+convolution over the two-filter bank, optionally squashing both outputs
+through a learnable soft thresholding activation before they are used
+further.  The high-pass filter can be tied to the low-pass one through the
+alternating-flip (quadrature mirror) construction, which keeps the
+two-channel bank orthogonal for any low-pass filter.
 """
 
 from __future__ import annotations
@@ -85,10 +86,6 @@ def derive_cqf(h):
     return ad.mul(ad.flip(h, 0), signs)
 
 
-def _as_filter_weight(f):
-    return ad.reshape(f, (1, 1, f.data.shape[-1]))
-
-
 def _extend_odd(a):
     if a.data.shape[2] % 2 == 0:
         return a
@@ -99,16 +96,17 @@ def decompose_level(a, h, g):
     """One analysis level: stride-2 circular cross-correlation with h and g.
 
     ``a`` is (batch, 1, W) with W >= 2; odd widths are first extended by one
-    circularly.  Both outputs have width ceil(W / 2).
+    circularly.  One ``conv1d`` over the (2, 1, K) bank [h; g] gives both
+    outputs, each of width ceil(W / 2).
     """
     if a.data.ndim != 3 or a.data.shape[1] != 1:
         raise DimensionError("decompose_level expects (batch, 1, W)")
     if a.data.shape[2] < 2:
         raise InputTooShortError("decompose_level needs at least 2 samples")
     a = _extend_odd(a)
-    a_next = ad.conv1d(a, _as_filter_weight(h), stride=2, padding="circular")
-    d_next = ad.conv1d(a, _as_filter_weight(g), stride=2, padding="circular")
-    return a_next, d_next
+    bank = ad.reshape(ad.stack([h, g], axis=0), (2, 1, h.data.shape[-1]))
+    both = ad.conv1d(a, bank, stride=2, padding="circular")
+    return both[:, :1], both[:, 1:]
 
 
 @dataclass

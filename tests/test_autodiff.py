@@ -63,17 +63,25 @@ def _naive_conv(x, w, b, stride, dilation, padding, g):
     return out, gx, gw, gb
 
 
-@pytest.mark.parametrize("seed", range(24))
+@pytest.mark.parametrize("seed", range(32))
 def test_conv1d_matches_naive_loop(seed):
     r = np.random.default_rng(seed)
-    batch, chans, width = r.integers(1, 4), r.integers(1, 4), r.integers(4, 9)
-    k_out, taps = r.integers(1, 4), r.integers(1, 4)
-    stride = int(r.integers(1, 4))
-    dilation = int(r.integers(1, 4))
-    padding = [0, 1, 2, 4, "circular"][seed % 5]
-    span = dilation * (taps - 1) + 1
-    pad_w = width if padding == "circular" else width + 2 * padding
-    width = max(width, width + span - pad_w)
+    if seed < 24:
+        batch, chans, width = r.integers(1, 4), r.integers(1, 4), r.integers(4, 9)
+        k_out, taps = r.integers(1, 4), r.integers(1, 4)
+        stride = int(r.integers(1, 4))
+        dilation = int(r.integers(1, 4))
+        padding = [0, 1, 2, 4, "circular"][seed % 5]
+        span = dilation * (taps - 1) + 1
+        pad_w = width if padding == "circular" else width + 2 * padding
+        width = max(width, width + span - pad_w)
+    else:
+        # the wavelet front end's shape: an (h, g) bank of even length at
+        # stride 2, circular, here on odd widths and batches of 2 or 3
+        batch, chans, k_out = r.integers(2, 4), 1, 2
+        taps = 2 * r.integers(1, 4)
+        width = taps + 1 + 2 * r.integers(0, 4)
+        stride, dilation, padding = 2, 1, "circular"
     x = r.normal(size=(batch, chans, int(width)))
     w = r.normal(size=(int(k_out), int(chans), int(taps)))
     b = r.normal(size=(int(k_out),))
@@ -85,6 +93,27 @@ def test_conv1d_matches_naive_loop(seed):
     expected = _naive_conv(x, w, b, stride, dilation, padding, g)
     for got, want in zip([out.data] + [t.grad for t in leaves], expected):
         assert_allclose(got, want, atol=1e-12)
+
+
+def test_conv1d_leaves_its_inputs_intact_and_returns_a_contiguous_output():
+    r = np.random.default_rng(5)
+    base = r.normal(size=(3, 9, 2))
+    w = r.normal(size=(4, 2, 3))
+    g = r.normal(size=(3, 4, 9))
+    for padding in (0, 1, "circular"):
+        x = base.transpose(0, 2, 1)  # a strided view, not a contiguous array
+        leaves = [Tensor(x, requires_grad=True), Tensor(w.copy(), requires_grad=True)]
+        b = Tensor(np.zeros(4))
+        with Tape():
+            out = ad.conv1d(*leaves, b, padding=padding)
+            probe = Tensor(g[:, :, : out.shape[2]].copy())
+            backward(ad.reduce_sum(ad.mul(out, probe)))
+        assert np.array_equal(leaves[0].data, base.transpose(0, 2, 1))
+        assert np.array_equal(leaves[1].data, w)
+        assert out.data.flags.c_contiguous
+        expected = _naive_conv(x, w, b.data, 1, 1, padding, probe.data)
+        for got, want in zip([out.data] + [t.grad for t in leaves], expected):
+            assert_allclose(got, want, atol=1e-12)
 
 
 def test_conv1d_shape_errors():
@@ -100,6 +129,30 @@ def test_pointwise_examples():
     assert float(ad.sigmoid(Tensor(0.0)).data) == 0.5
     assert float(ad.tanh(Tensor(0.0)).data) == 0.0
     assert float(ad.leaky_relu(Tensor(-1.0), 0.01).data) == pytest.approx(-0.01)
+
+
+def test_branchless_pointwise_ops_match_their_per_sign_forms():
+    x = np.array([-np.inf, -800.0, -30.0, -1.0, -1e-300, -0.0, 0.0, 1e-300, 2.0, 40.0,
+                  800.0, np.inf, np.nan])
+    g = np.linspace(-2.0, 2.0, x.size)
+    pos = x >= 0
+    logistic = np.empty_like(x)
+    logistic[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    logistic[~pos] = np.exp(x[~pos]) / (1.0 + np.exp(x[~pos]))
+    factor = np.where(pos, 1.0, 0.01)
+    cases = [
+        (ad.sigmoid, logistic, g * logistic * (1.0 - logistic)),
+        (ad.softplus, np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))), g * logistic),
+        (lambda t: ad.leaky_relu(t, 0.01), x * factor, g * factor),
+    ]
+    for op, want_out, want_grad in cases:
+        leaf = Tensor(x.copy(), requires_grad=True)
+        with np.errstate(invalid="ignore"), Tape():
+            out = op(leaf)
+            backward(ad.reduce_sum(ad.mul(out, Tensor(g))))
+        for got, want in ((out.data, want_out), (leaf.grad, want_grad)):
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_matmul_examples():

@@ -9,6 +9,7 @@ from wavelearn.autodiff import Tape, Tensor, backward
 from wavelearn.errors import ConfigError, InputTooShortError
 from wavelearn.gradcheck import check_gradients
 from wavelearn.wavelet import (
+    SHARING_MODES,
     FrontEndConfig,
     FrontEndFilters,
     LAHTParams,
@@ -152,6 +153,37 @@ def test_decompose_odd_width_extends_circularly():
     a_next, _ = decompose_level(a, h, g)
     assert a_next.data.shape == (1, 1, 2)
     assert_allclose(a_next.data[0, 0], [(1 + 2) / np.sqrt(2), (3 + 1) / np.sqrt(2)])
+
+
+@pytest.mark.parametrize("mode", SHARING_MODES)
+def test_decompose_level_equals_one_conv_per_filter(mode):
+    rng = np.random.default_rng(8)
+    cfg = FrontEndConfig(levels=1, kernel_size=6, sharing=mode, laht_enabled=False)
+    filters = FrontEndFilters(cfg)
+    for p in filters.parameters():
+        p.data = rng.normal(size=p.data.shape) * 0.5
+    x = rng.normal(size=(2, 1, 15))
+    probes = [Tensor(rng.normal(size=(2, 1, 8))) for _ in range(2)]
+
+    def one_conv_per_filter(a, h, g):
+        even = ad.concat([a, a[:, :, :1]], axis=2)  # the circular odd-width extension
+        return [ad.conv1d(even, ad.reshape(f, (1, 1, 6)), stride=2, padding="circular")
+                for f in (h, g)]
+
+    results = []
+    for level_fn in (decompose_level, one_conv_per_filter):
+        a = Tensor(x, requires_grad=True)
+        for p in filters.parameters():
+            p.grad = None
+        with Tape():
+            outs = level_fn(a, *filters.level_pair(0))
+            backward(ad.add(*[ad.reduce_sum(ad.mul(o, q)) for o, q in zip(outs, probes)]))
+        grads = [a.grad] + [p.grad for p in filters.parameters()]
+        results.append(([o.data for o in outs], grads))
+    (outs, grads), (want_outs, want_grads) = results
+    assert all(grad is not None for grad in grads)
+    for got, want in zip(outs + grads, want_outs + want_grads):
+        assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_laht_zero_fixed_point():
