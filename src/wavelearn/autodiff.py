@@ -94,8 +94,10 @@ def record(kind, out_data, parents, backward_fn):
     """Create the output tensor of an operation, recording it when needed.
 
     ``backward_fn(grad) -> tuple`` must return one gradient array (or None)
-    per parent, in order.  Custom fused primitives in other modules use this
-    hook too.
+    per parent, in order.  It must not write into ``grad``, which other
+    nodes may hold too, and it may return views of ``grad`` or of its own
+    arrays: ``backward`` never writes into a returned gradient.  Custom fused
+    primitives in other modules use this hook too.
     """
     tape = _active_tape()
     out = Tensor(out_data)
@@ -144,10 +146,7 @@ def backward(root):
         for pid, pg in zip(tape.parent_ids[nid], parent_grads):
             if pid < 0 or pg is None:
                 continue
-            if grads[pid] is None:
-                grads[pid] = np.array(pg, dtype=np.float64, copy=True)
-            else:
-                grads[pid] += pg
+            grads[pid] = pg if grads[pid] is None else grads[pid] + pg
         grads[nid] = None
     for nid, tensor in tape.leaves:
         if nid <= root.node_id and grads[nid] is not None:
@@ -382,7 +381,7 @@ def reduce_sum(a, axis=None, keepdims=False):
     def bwd(g):
         if axes is not None and not keepdims:
             g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, a.data.shape).copy(),)
+        return (np.broadcast_to(g, a.data.shape),)
 
     return record("sum", out, (a,), bwd)
 
@@ -398,7 +397,7 @@ def reduce_mean(a, axis=None, keepdims=False):
     def bwd(g):
         if axes is not None and not keepdims:
             g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, a.data.shape).copy() / count,)
+        return (np.broadcast_to(g, a.data.shape) / count,)
 
     return record("mean", out, (a,), bwd)
 

@@ -2,9 +2,11 @@
 
 A short stack of dilated convolution blocks (conv, then a leaky activation
 with slope 0.01) followed by width-wise attention that scores every position
-with a kernel-size-1 convolution over the feature map blended with its global
-mean context.  No pooling anywhere: for stride-1 blocks the output width is
-W minus the total dilated kernel span.
+with a kernel-size-1 convolution over the feature map.  The map's global
+(width-mean) context is not added to it: its score term is the same at every
+position, a constant shift that the softmax over width cancels.  No pooling
+anywhere: for stride-1 blocks the output width is W minus the total dilated
+kernel span.
 """
 
 from __future__ import annotations
@@ -70,15 +72,14 @@ class AttentionResult(NamedTuple):
 def spatial_attention(l, p):
     """Width attention over a feature map.
 
-    The global context is the width-wise mean of the map; the score map comes
-    from a width-1 convolution of map + context, softmax-normalized over
-    width.  Returns the weighted map, the weights, and their width sum.
+    The score map is a width-1 convolution of the map, softmax-normalized over
+    width.  Scoring map + width-mean context would give the same weights: the
+    context adds one constant to every position's score, which the softmax
+    cancels.  Returns the weighted map, the weights, and their width sum.
     """
     if p.score_weight.data.shape[2] != 1:
         raise DimensionError("spatial attention kernel width must be 1")
-    context = ad.reduce_mean(l, axis=2, keepdims=True)
-    combined = ad.add(l, context)
-    scores = ad.conv1d(combined, p.score_weight)
+    scores = ad.conv1d(l, p.score_weight)
     weights = ad.softmax(scores, axis=2)
     weighted = ad.mul(weights, l)
     summary = ad.reduce_sum(weighted, axis=2)

@@ -152,8 +152,7 @@ def model_cases():
     def bank_case(t, probe):
         # g tied to h by the alternating flip, or free as a third input
         g = t[2] if len(t) > 2 else wavelet.derive_cqf(t[0])
-        both = ad.concat(list(wavelet.decompose_level(t[1], t[0], g)), axis=1)
-        return ad.reduce_sum(ad.mul(both, Tensor(probe)))
+        return ad.reduce_sum(ad.mul(wavelet.decompose_level(t[1], t[0], g), Tensor(probe)))
 
     cases["cqf_decompose"] = (lambda t: bank_case(t, band_probe.reshape(1, 2, 6)), [h, sig])
     # 4 taps on a batch of odd widths, which the level extends by one

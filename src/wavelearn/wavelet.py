@@ -2,11 +2,12 @@
 
 Each level cross-correlates the running approximation with a low-pass and a
 high-pass filter at stride 2 under circular boundary extension, as one
-convolution over the two-filter bank, optionally squashing both outputs
-through a learnable soft thresholding activation before they are used
-further.  The high-pass filter can be tied to the low-pass one through the
-alternating-flip (quadrature mirror) construction, which keeps the
-two-channel bank orthogonal for any low-pass filter.
+convolution over the two-filter bank whose two output channels are the
+approximation and the detail.  When thresholding is enabled, the level's one
+learnable soft thresholding activation squashes both channels at once before
+they are split and used further.  The high-pass filter can be tied to the
+low-pass one through the alternating-flip (quadrature mirror) construction,
+which keeps the two-channel bank orthogonal for any low-pass filter.
 """
 
 from __future__ import annotations
@@ -96,8 +97,9 @@ def decompose_level(a, h, g):
     """One analysis level: stride-2 circular cross-correlation with h and g.
 
     ``a`` is (batch, 1, W) with W >= 2; odd widths are first extended by one
-    circularly.  One ``conv1d`` over the (2, 1, K) bank [h; g] gives both
-    outputs, each of width ceil(W / 2).
+    circularly.  Returns the (batch, 2, ceil(W / 2)) output of one ``conv1d``
+    over the (2, 1, K) bank [h; g]: channel 0 is the approximation and
+    channel 1 the detail.
     """
     if a.data.ndim != 3 or a.data.shape[1] != 1:
         raise DimensionError("decompose_level expects (batch, 1, W)")
@@ -105,8 +107,7 @@ def decompose_level(a, h, g):
         raise InputTooShortError("decompose_level needs at least 2 samples")
     a = _extend_odd(a)
     bank = ad.reshape(ad.stack([h, g], axis=0), (2, 1, h.data.shape[-1]))
-    both = ad.conv1d(a, bank, stride=2, padding="circular")
-    return both[:, :1], both[:, 1:]
+    return ad.conv1d(a, bank, stride=2, padding="circular")
 
 
 @dataclass
@@ -228,8 +229,9 @@ def frontend_forward(signal, cfg, filters, lahts=None):
     """Run the full analysis cascade on (batch, 1, W) input.
 
     Recursion always continues on the approximation.  When thresholding is
-    enabled, each level's activation is applied to both of its outputs before
-    further use, so the final approximation is thresholded too.
+    enabled, each level's one activation is applied to the level's
+    two-channel output before it is split, so the details and the final
+    approximation are all thresholded.
     """
     if signal.data.ndim != 3 or signal.data.shape[1] != 1:
         raise DimensionError("frontend_forward expects (batch, 1, W)")
@@ -245,10 +247,9 @@ def frontend_forward(signal, cfg, filters, lahts=None):
     details = []
     for level in range(cfg.levels):
         h, g = filters.level_pair(level)
-        a, d = decompose_level(a, h, g)
+        both = decompose_level(a, h, g)
         if cfg.laht_enabled:
-            effective = lahts[level].effective()
-            d = laht_apply(d, *effective)
-            a = laht_apply(a, *effective)
-        details.append(d)
+            both = laht_apply(both, *lahts[level].effective())
+        a = both[:, :1]
+        details.append(both[:, 1:])
     return DecompositionOutput(details=details, approximation=a)

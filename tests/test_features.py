@@ -79,6 +79,23 @@ def test_attention_single_position():
     assert_allclose(result.summary.data, x[:, :, 0])
 
 
+@pytest.mark.parametrize("width", [1, 7])
+def test_attention_equals_the_paper_form_with_width_mean_context(width):
+    # the paper scores map + width-mean context; the context only shifts every
+    # position's score by one constant, which the width softmax cancels
+    rng = np.random.default_rng(width)
+    x = rng.normal(size=(3, 5, width))
+    params = _attention(5, rng)
+    w = params.score_weight.data[0, :, 0]
+    scores = np.einsum("c,bct->bt", w, x + x.mean(axis=2, keepdims=True))[:, None]
+    e = np.exp(scores - scores.max(axis=2, keepdims=True))
+    weights = e / e.sum(axis=2, keepdims=True)
+    result = spatial_attention(Tensor(x), params)
+    assert_allclose(result.weights.data, weights, rtol=0, atol=1e-12)
+    assert_allclose(result.weighted.data, weights * x, rtol=0, atol=1e-12)
+    assert_allclose(result.summary.data, (weights * x).sum(axis=2), rtol=0, atol=1e-12)
+
+
 def _pipeline(channels=4, rng=None):
     rng = rng or np.random.default_rng(3)
     return BandPipelineParams.init(channels, 3, (1, 2, 4), rng)

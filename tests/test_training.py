@@ -19,6 +19,7 @@ from wavelearn.training import (
     metrics_from_pairs,
     regularized_objective,
     stratified_split,
+    train_model,
     zero_grads,
 )
 
@@ -137,6 +138,43 @@ def test_adam_determinism():
         return p.data.copy()
 
     assert np.array_equal(run(), run())
+
+
+class _SoftmaxRegression:
+    """A linear classifier with the ``Network`` interface ``train_model`` uses."""
+
+    def __init__(self):
+        w = np.random.default_rng(0).normal(size=(4, 3))
+        self.w = Tensor(w, requires_grad=True)
+
+    def parameters(self):
+        return {"w": self.w}
+
+    def forward(self, samples, training=False, dropout_seed=None):
+        x = Tensor(np.asarray(samples, dtype=np.float64).reshape(1, -1))
+        return ad.log_softmax(ad.matmul(x, self.w), axis=1)
+
+
+def test_train_model_steps_once_per_logical_batch():
+    clips = list(np.random.default_rng(3).normal(size=(5, 4)))
+    adam = AdamState()
+    train_model(_SoftmaxRegression(), clips, [0, 1, 2, 0, 1], LossConfig(), adam,
+                epochs=2, seed=0, batch_size=2)
+    assert adam.t == 2 * 3  # batches of 2, 2 and 1 in each epoch
+
+
+def test_train_model_weight_decay_equals_the_regularized_objective_gradient():
+    clip, label, lam = np.random.default_rng(4).normal(size=4), 2, 0.3
+    model, reference = _SoftmaxRegression(), _SoftmaxRegression()
+    train_model(model, [clip], [label], LossConfig(lam=lam), AdamState(lr=0.1),
+                epochs=1, seed=0)
+    params = reference.parameters()
+    with Tape():
+        backward(focal_loss(reference.forward(clip), [label], LossConfig(lam=lam)))
+    with Tape():
+        backward(regularized_objective(Tensor(0.0), list(params.values()), lam))
+    adam_step(params, AdamState(lr=0.1))
+    assert np.array_equal(model.w.data, reference.w.data)
 
 
 def test_split_example_counts():

@@ -33,6 +33,11 @@ DB10_REFERENCE = np.array([
 HAAR = np.array([1.0, 1.0]) / np.sqrt(2.0)
 
 
+def _channels(both):
+    """The approximation and detail channels of a ``decompose_level`` output."""
+    return both[:, :1], both[:, 1:]
+
+
 def _reconstruct(bands, pairs):
     """Inverse cascade for orthonormal filters, circular boundaries, even widths.
 
@@ -118,7 +123,7 @@ def test_cqf_orthogonality_random_filters(half, seed):
 def test_decompose_constant_signal():
     a = Tensor(np.ones((1, 1, 4)))
     h, g = Tensor(HAAR), derive_cqf(Tensor(HAAR))
-    a_next, d_next = decompose_level(a, h, g)
+    a_next, d_next = _channels(decompose_level(a, h, g))
     assert_allclose(a_next.data, np.full((1, 1, 2), np.sqrt(2)), atol=1e-12)
     assert_allclose(d_next.data, np.zeros((1, 1, 2)), atol=1e-12)
 
@@ -126,7 +131,7 @@ def test_decompose_constant_signal():
 def test_decompose_alternating_signal():
     a = Tensor(np.array([[[1.0, -1.0, 1.0, -1.0]]]))
     h, g = Tensor(HAAR), derive_cqf(Tensor(HAAR))
-    a_next, d_next = decompose_level(a, h, g)
+    a_next, d_next = _channels(decompose_level(a, h, g))
     assert_allclose(a_next.data, np.zeros((1, 1, 2)), atol=1e-12)
     assert_allclose(np.abs(d_next.data), np.full((1, 1, 2), np.sqrt(2)), atol=1e-12)
 
@@ -136,7 +141,7 @@ def test_decompose_energy_partition_random_orthonormal():
     h = daubechies_lowpass(3)  # any orthonormal pair works
     g = derive_cqf(Tensor(h))
     x = rng.normal(size=(1, 1, 64))
-    a_next, d_next = decompose_level(Tensor(x), Tensor(h), g)
+    a_next, d_next = _channels(decompose_level(Tensor(x), Tensor(h), g))
     lhs = (x**2).sum()
     rhs = (a_next.data**2).sum() + (d_next.data**2).sum()
     assert abs(lhs - rhs) < 1e-8
@@ -150,7 +155,7 @@ def test_decompose_too_short():
 def test_decompose_odd_width_extends_circularly():
     a = Tensor(np.array([[[1.0, 2.0, 3.0]]]))
     h, g = Tensor(HAAR), derive_cqf(Tensor(HAAR))
-    a_next, _ = decompose_level(a, h, g)
+    a_next, _ = _channels(decompose_level(a, h, g))
     assert a_next.data.shape == (1, 1, 2)
     assert_allclose(a_next.data[0, 0], [(1 + 2) / np.sqrt(2), (3 + 1) / np.sqrt(2)])
 
@@ -170,8 +175,11 @@ def test_decompose_level_equals_one_conv_per_filter(mode):
         return [ad.conv1d(even, ad.reshape(f, (1, 1, 6)), stride=2, padding="circular")
                 for f in (h, g)]
 
+    def two_channel_level(a, h, g):
+        return _channels(decompose_level(a, h, g))
+
     results = []
-    for level_fn in (decompose_level, one_conv_per_filter):
+    for level_fn in (two_channel_level, one_conv_per_filter):
         a = Tensor(x, requires_grad=True)
         for p in filters.parameters():
             p.grad = None
@@ -285,13 +293,23 @@ def test_frontend_too_short_names_minimum():
         frontend_forward(Tensor(np.zeros((1, 1, 64))), cfg, filters)
 
 
-@pytest.mark.parametrize("levels", [1, 3])
-def test_frontend_reparameterizes_each_laht_level_once(levels):
+def _laht_frontend_tape_kinds(levels):
     cfg = FrontEndConfig(levels=levels, kernel_size=2, sharing="db10_fixed")
     lahts = [LAHTParams.init() for _ in range(levels)]
     with Tape() as tape:
         frontend_forward(Tensor(np.ones((1, 1, 64))), cfg, FrontEndFilters(cfg), lahts)
-    assert tape.kinds.count("softplus") == 2 * levels
+    return tape.kinds
+
+
+@pytest.mark.parametrize("levels", [1, 3])
+def test_frontend_reparameterizes_each_laht_level_once(levels):
+    assert _laht_frontend_tape_kinds(levels).count("softplus") == 2 * levels
+
+
+@pytest.mark.parametrize("levels", [1, 3])
+def test_frontend_applies_one_laht_per_level(levels):
+    # one laht_apply, with its two sigmoid gates, covers both channels of a level
+    assert _laht_frontend_tape_kinds(levels).count("sigmoid") == 2 * levels
 
 
 def test_roundtrip_haar():
@@ -301,7 +319,7 @@ def test_roundtrip_haar():
     a = x.copy().reshape(1, 1, -1)
     bands = []
     for h, g in pairs:
-        a_t, d_t = decompose_level(Tensor(a), Tensor(h), Tensor(g))
+        a_t, d_t = _channels(decompose_level(Tensor(a), Tensor(h), Tensor(g)))
         bands.append(d_t.data)
         a = a_t.data
     rebuilt = _reconstruct(bands + [a], pairs)
@@ -344,7 +362,7 @@ def test_energy_partition_per_level_db10():
     a = Tensor(x)
     for level in range(4):
         h, g = filters.level_pair(level)
-        a_next, d_next = decompose_level(a, h, g)
+        a_next, d_next = _channels(decompose_level(a, h, g))
         before = (a.data**2).sum()
         after = (a_next.data**2).sum() + (d_next.data**2).sum()
         assert abs(before - after) < 1e-8
@@ -357,9 +375,9 @@ def test_cqf_gradient_flow_perturbation():
                          laht_enabled=False)
     filters = FrontEndFilters(cfg)
     x = Tensor(np.random.default_rng(1).normal(size=(1, 1, 16)))
-    _, d0 = decompose_level(x, *filters.level_pair(0))
+    _, d0 = _channels(decompose_level(x, *filters.level_pair(0)))
     filters._h[0].data = filters._h[0].data + 1e-3
-    _, d1 = decompose_level(x, *filters.level_pair(0))
+    _, d1 = _channels(decompose_level(x, *filters.level_pair(0)))
     assert np.abs(d1.data - d0.data).max() > 1e-6
 
 
