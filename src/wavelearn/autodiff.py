@@ -96,7 +96,9 @@ def record(kind, out_data, parents, backward_fn):
     ``backward_fn(grad) -> tuple`` must return one gradient array (or None)
     per parent, in order.  It must not write into ``grad``, which other
     nodes may hold too, and it may return views of ``grad`` or of its own
-    arrays: ``backward`` never writes into a returned gradient.  Custom fused
+    arrays: ``backward`` never writes into a returned gradient.  It should
+    close over the arrays and shapes it reads, not over input tensors, which
+    the tape would then keep alive after the forward pass.  Custom fused
     primitives in other modules use this hook too.
     """
     tape = _active_tape()
@@ -183,22 +185,18 @@ def _check_broadcast(a, b, op):
 def add(a, b):
     a, b = _wrap(a), _wrap(b)
     _check_broadcast(a.data, b.data, "add")
+    sa, sb = a.data.shape, b.data.shape
     return record(
-        "add",
-        a.data + b.data,
-        (a, b),
-        lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)),
+        "add", a.data + b.data, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb))
     )
 
 
 def sub(a, b):
     a, b = _wrap(a), _wrap(b)
     _check_broadcast(a.data, b.data, "sub")
+    sa, sb = a.data.shape, b.data.shape
     return record(
-        "sub",
-        a.data - b.data,
-        (a, b),
-        lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)),
+        "sub", a.data - b.data, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb))
     )
 
 
@@ -322,9 +320,10 @@ def flip(a, axis):
 def take(a, index):
     """Basic (non-repeating) indexing with ints and slices."""
     out = a.data[index]
+    shape, dtype = a.data.shape, a.data.dtype
 
     def bwd(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape, dtype)
         full[index] = g
         return (full,)
 
@@ -340,8 +339,8 @@ def concat(tensors, axis):
     def bwd(g):
         slicer = [slice(None)] * g.ndim
         grads = []
-        for i in range(len(tensors)):
-            slicer[axis] = slice(offsets[i], offsets[i + 1])
+        for start, stop in zip(offsets[:-1], offsets[1:]):
+            slicer[axis] = slice(start, stop)
             grads.append(g[tuple(slicer)])
         return tuple(grads)
 
@@ -355,9 +354,10 @@ def stack(tensors, axis):
         if t.data.shape != first:
             raise DimensionError(f"stack extents differ: {t.data.shape} vs {first}")
     out = np.stack([t.data for t in tensors], axis=axis)
+    n = len(tensors)
 
     def bwd(g):
-        return tuple(np.take(g, i, axis=axis) for i in range(len(tensors)))
+        return tuple(np.take(g, i, axis=axis) for i in range(n))
 
     return record("stack", out, tuple(tensors), bwd)
 
@@ -377,11 +377,12 @@ def _normalize_axis(axis, ndim):
 def reduce_sum(a, axis=None, keepdims=False):
     axes = _normalize_axis(axis, a.data.ndim)
     out = a.data.sum(axis=axes, keepdims=keepdims)
+    shape = a.data.shape
 
     def bwd(g):
         if axes is not None and not keepdims:
             g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, a.data.shape),)
+        return (np.broadcast_to(g, shape),)
 
     return record("sum", out, (a,), bwd)
 
@@ -389,15 +390,13 @@ def reduce_sum(a, axis=None, keepdims=False):
 def reduce_mean(a, axis=None, keepdims=False):
     axes = _normalize_axis(axis, a.data.ndim)
     out = a.data.mean(axis=axes, keepdims=keepdims)
-    if axes is None:
-        count = a.data.size
-    else:
-        count = int(np.prod([a.data.shape[ax] for ax in axes]))
+    shape = a.data.shape
+    count = a.data.size if axes is None else int(np.prod([shape[ax] for ax in axes]))
 
     def bwd(g):
         if axes is not None and not keepdims:
             g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, a.data.shape) / count,)
+        return (np.broadcast_to(g, shape) / count,)
 
     return record("mean", out, (a,), bwd)
 

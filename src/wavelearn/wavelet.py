@@ -12,10 +12,10 @@ which keeps the two-channel bank orthogonal for any low-pass filter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from mpmath import mp
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -23,52 +23,27 @@ from .errors import ConfigError, DimensionError, InputTooShortError
 
 SHARING_MODES = ("db10_fixed", "single_kernel", "layer_wise", "all_kernel")
 
-_DAUB_CACHE = {}
-
-
-def _poly_mul(a, b):
-    out = [mp.mpf(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
-
 
 def daubechies_lowpass(order):
     """Minimum-phase orthonormal low-pass filter with ``order`` vanishing moments.
 
-    Built by spectral factorization: the roots of the binomial half-band
-    polynomial are mapped to the unit disc and recombined with the maximal
-    root at z = -1.  Coefficients are computed at 60 decimal digits and
-    rounded once, so the orthonormality identities hold to near float64
-    precision.  Normalized so sum(h) = sqrt(2) and sum(h^2) = 1.
+    Built in float64 by spectral factorization: each root y of the binomial
+    half-band polynomial sum_k C(order - 1 + k, k) y^k is mapped into the unit
+    disc through c = 1 - 2y, z = c +- sqrt(c^2 - 1).  The monic polynomial
+    with those roots times (1 + x)^order, highest power first, gives the taps,
+    normalized so sum(h) = sqrt(2).  Then sum(h^2) = 1 and the double-shift
+    products vanish to within 5e-12 up to order 20, the longest filter
+    ``FrontEndConfig`` admits; float64 roots lose that accuracy beyond it.
     """
     if order < 1 or int(order) != order:
         raise ConfigError(f"unsupported wavelet order {order!r}")
     order = int(order)
-    cached = _DAUB_CACHE.get(order)
-    if cached is not None:
-        return cached.copy()
-    with mp.workdps(60):
-        binom = [mp.binomial(order - 1 + k, k) for k in range(order)]
-        poly = [mp.mpf(1)]
-        if order > 1:
-            roots = mp.polyroots(list(reversed(binom)), maxsteps=400, extraprec=300)
-            for y in roots:
-                c = 1 - 2 * y
-                disc = mp.sqrt(c * c - 1)
-                z = c + disc
-                if abs(z) > 1:
-                    z = c - disc
-                poly = _poly_mul(poly, [-z, mp.mpf(1)])
-        for _ in range(order):
-            poly = _poly_mul(poly, [mp.mpf(1), mp.mpf(1)])
-        real = [mp.re(c) for c in poly]
-        scale = mp.sqrt(2) / mp.fsum(real)
-        # reverse into the minimum-phase orientation used by published tables
-        h = np.array([float(c * scale) for c in reversed(real)])
-    _DAUB_CACHE[order] = h
-    return h.copy()
+    half_band = [math.comb(order - 1 + k, k) for k in reversed(range(order))]
+    c = 1 - 2 * np.roots(half_band).astype(complex)
+    disc = np.sqrt(c * c - 1)
+    z = np.where(np.abs(c + disc) > 1, c - disc, c + disc)
+    h = np.convolve(np.poly(z).real, [math.comb(order, k) for k in range(order + 1)])
+    return h * (math.sqrt(2) / h.sum())
 
 
 def derive_cqf(h):
@@ -165,8 +140,10 @@ class FrontEndConfig:
     def __post_init__(self):
         if self.sharing not in SHARING_MODES:
             raise ConfigError(f"unknown sharing mode {self.sharing!r}")
-        if self.kernel_size % 2 != 0 or self.kernel_size < 2:
-            raise ConfigError("kernel_size must be a positive even number")
+        # 40 taps is the longest Daubechies filter float64 derives orthonormal
+        if self.kernel_size % 2 != 0 or not 2 <= self.kernel_size <= 40:
+            raise ConfigError(f"model.frontend.kernel_size is {self.kernel_size}; "
+                              f"need an even number in [2, 40]")
         if self.levels < 1:
             raise ConfigError("levels must be >= 1")
 

@@ -263,6 +263,13 @@ def test_an_unreadable_config_file_exits_2(tmp_path, capsys, make):
     assert not (tmp_path / "out").exists()
 
 
+def test_train_with_a_kernel_longer_than_40_exits_2(tmp_path, capsys):
+    argv = ["train", "--set", "model.frontend.kernel_size=42", "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "model.frontend.kernel_size" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("per_class", ["0", "-1"])
 def test_synth_data_rejects_a_per_class_count_below_one(tmp_path, capsys, per_class):
     argv = ["synth-data", "--per-class", per_class, "--out-dir", str(tmp_path / "out")]

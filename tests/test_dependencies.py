@@ -1,5 +1,7 @@
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -50,3 +52,15 @@ def _unused_imports(source):
 @pytest.mark.parametrize("name", sorted(p.name for p in (ROOT / "src" / "wavelearn").glob("*.py")))
 def test_every_import_is_used(name):
     assert _unused_imports((ROOT / "src" / "wavelearn" / name).read_text()) == []
+
+
+def test_the_package_runs_without_mpmath():
+    # mpmath may be installed; a None entry in sys.modules makes any import of it fail
+    code = ("import sys; sys.modules['mpmath'] = None\n"
+            "import wavelearn.cli\n"
+            "from wavelearn.model import ModelConfig, Network\n"
+            "Network(ModelConfig())\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

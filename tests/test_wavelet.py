@@ -73,6 +73,27 @@ def test_db10_matches_published_table():
     assert np.abs(daubechies_lowpass(10) - DB10_REFERENCE).max() < 1e-8
 
 
+@pytest.mark.parametrize("order", range(1, 21))  # every order FrontEndConfig admits
+def test_daubechies_filter_is_orthonormal_with_order_vanishing_moments(order):
+    h = daubechies_lowpass(order)
+    k = 2 * order
+    assert h.shape == (k,)
+    assert abs(h.sum() - np.sqrt(2)) < 1e-10
+    assert abs(np.dot(h, h) - 1.0) < 1e-10
+    for shift in range(1, order):
+        assert abs(np.dot(h[: -2 * shift], h[2 * shift :])) < 1e-10
+    g = derive_cqf(Tensor(h)).data
+    n = np.arange(k) / k  # scaled so the moment terms stay below 1
+    for p in range(order):
+        assert abs(np.dot(g, n**p)) < 1e-10
+
+
+def test_db2_matches_its_closed_form():
+    r3 = np.sqrt(3.0)
+    closed = np.array([1 + r3, 3 + r3, 3 - r3, 1 - r3]) / (4 * np.sqrt(2.0))
+    assert np.abs(daubechies_lowpass(2) - closed).max() < 1e-15
+
+
 def test_unsupported_order_rejected():
     with pytest.raises(ConfigError):
         daubechies_lowpass(0)
