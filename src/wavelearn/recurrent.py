@@ -2,22 +2,20 @@
 
 Gated recurrent cells follow the standard reset/update/candidate form.  Each
 direction stores the four tensors its scan consumes: input weights ``w_ih``
-(3H, D), hidden weights ``w_hh`` (3H, H) and biases ``b_ih``, ``b_hh`` (3H,).
-Gate rows are stacked in r, z, n order: rows [0, H) belong to the reset gate,
-[H, 2H) to the update gate and [2H, 3H) to the candidate.  A scan is one tape
-node: it projects a direction's whole (batch, T, D) input in one matrix
-product into a work array that sits beside the state, and runs the recurrence
-from a zero state as one matmul and eight in-place ufuncs per step.  The tape
-keeps only the state sequence, and the returned states are a view of it.  The
-backward recomputes the projection and every gate from the states in bulk and
-never forms a state Jacobian: its only sequential work is one elementwise
-product and one vector-Jacobian matmul per step.  The stacked
-encoder runs one scan forward and one backward over time per layer,
-batch-major, and concatenates their states per step; dropout applies between
-layers only, during training, from a seeded generator, as one node that keeps
-a boolean mask.  The attention head scores hidden states against the final
-state, softmax-normalizes over time, and squashes a linear map of
-[context; final state] to produce one vector per sequence.
+(3H, D), hidden weights ``w_hh`` (3H, H) and biases ``b_ih``, ``b_hh`` (3H,),
+with gate rows stacked in r, z, n order.  A scan is one tape node: it
+projects a direction's whole (batch, T, D) input in one matrix product into a
+work array beside the state, and runs the recurrence from a zero state as one
+matmul and eight in-place ufuncs per step.  The tape keeps only the state
+sequence, and the returned states are a view of it.  The backward recomputes
+every gate from the states in place, in the call's own buffers, and never
+forms a state Jacobian: each step is one elementwise product and one
+vector-Jacobian matmul.  The stacked encoder runs one scan forward and one
+backward over time per layer and concatenates their states per step; dropout
+applies between layers only, during training, from a seeded generator, as one
+node that keeps a boolean mask.  The attention head scores hidden states
+against the final state, softmax-normalizes over time, and squashes a linear
+map of [context; final state] to produce one vector per sequence.
 """
 
 from __future__ import annotations
@@ -89,29 +87,25 @@ def gru_scan(x, cell, reverse=False):
     Returns the (batch, T, H) states, aligned with input time in either
     direction, as one tape node over ``x`` and the four tensors of ``cell``.
     The tape keeps only the (T + 1, B, H + 1) state array in scan order (from
-    the end when ``reverse``); the returned states are a view of it, so
-    neither direction copies them.  Its last column is a constant 1 that
-    carries ``b_hh``'s candidate rows through the hidden matmul, and the input
-    projection ``u`` folds in ``b_hh``'s r and z rows.  Both negate the r and z
-    rows, so those gates are ``1 / (1 + exp(u + v))``.
+    the end when ``reverse``); the returned states are a view of it.  Its last
+    column is a constant 1 that carries ``b_hh``'s candidate rows through the
+    hidden matmul ``v``, and the input projection ``u`` folds in ``b_hh``'s r
+    and z rows.  Both negate those rows, so r and z are ``1 / (1 + exp(u + v))``.
 
     The forward writes ``u`` into a transient (T + 1, B, 4H + 1) work array
     whose rows are ``[h | 1 | u_rz | u_n]``.  Each step is one matmul of a row
     against a (4H + 1, 4H) weight whose identity blocks add ``u_rz`` and pass
     ``u_n`` through, giving ``[u_rz + v_rz | v_n | u_n]``, then eight in-place
     ufuncs: ``q = 1 + exp(.)`` is ``1 / [r, z]``, ``n = tanh(v_n / q_r + u_n)``
-    and ``h = (h_prev - n) / q_z + n``, written into the next row.  The state
-    columns are copied out and the work array is freed on return.
+    and ``h = (h_prev - n) / q_z + n``, written into the next row.
 
-    The backward recomputes the projection from ``x`` and every gate from the
-    stored states in bulk, and stacks the (T, B, 4, H) coefficients
-    ``k = [k_r, k_z, k_n r, z]`` by which ``dh_s`` reaches the pre-activations
-    of r and z, ``w_hn h`` and, directly, ``h_(s-1)``.  Each step writes
-    ``k_s dh_s`` into a (B, 5H) row that already holds the output gradient
-    ``g_(s-1)``, and one matmul of that row against ``[w_hh; I; I]`` gives
-    ``dh_(s-1)``: one 2-D matmul for any batch, and no (T, B, H, H) Jacobian.
-    The input-side and weight gradients then follow from the rows' first
-    three blocks in a few bulk products.
+    The backward recomputes ``[v | u]`` into six contiguous (T, B, H) blocks
+    and turns them in place into ``k_n`` and ``k = [k_r, k_z, k_n r, z]``, the
+    factors by which ``dh_s`` reaches the pre-activations of r and z, ``w_hn h``
+    and ``h_(s-1)``.  Each step scales ``k_s`` by ``dh_s`` in a (B, 5H) row that
+    ends with ``g_(s-1)``, and one matmul of the row against ``[w_hh; I; I]``
+    gives ``dh_(s-1)``: there is no (T, B, H, H) Jacobian.  Each call allocates
+    its own work arrays, so threads can share a network.
     """
     xd, w_ih, w, b_ih, b_hh = (t.data for t in (x, *cell.tensors()))
     B, T, D = xd.shape
@@ -120,22 +114,22 @@ def gru_scan(x, cell, reverse=False):
         raise DimensionError(f"scan input extent {D} != {w_ih.shape[1]}")
     step = -1 if reverse else 1  # every (T, B, .) array below is in scan order
 
-    def operands():
-        """The (T, B, 3H) input projection and the (H + 1, 3H) weights of [h, 1]."""
+    def operands(u):
+        """Write the projection into (3, T B, H) blocks ``u``; return scan-order x and w_aug."""
         sign = np.repeat([-1.0, -1.0, 1.0], H)  # r and z rows negated
         bias = sign * (b_ih + np.concatenate([b_hh[: 2 * H], np.zeros(H)]))
         xt = np.ascontiguousarray(xd[:, ::step].transpose(1, 0, 2)).reshape(T * B, D)
-        u = (xt @ (sign[:, None] * w_ih).T + bias).reshape(T, B, 3 * H)
+        np.matmul(xt, (sign[:, None] * w_ih).T.reshape(D, 3, H).transpose(1, 0, 2), u)
+        u += bias.reshape(3, 1, H)
         w_aug = np.empty((H + 1, 3 * H))
         w_aug[:H] = (sign[:, None] * w).T
         w_aug[H] = np.concatenate([np.zeros(2 * H), b_hh[2 * H :]])
-        return u, w_aug
+        return xt, w_aug
 
-    u, w_aug = operands()
     work = np.empty((T + 1, B, 4 * H + 1))
+    w_aug = operands(work[:T, :, H + 1 :].reshape(T * B, 3, H).transpose(1, 0, 2))[1]
     work[0, :, :H] = 0.0
     work[:, :, H] = 1.0
-    work[:T, :, H + 1 :] = u
     # a row [h | 1 | u_rz | u_n] times w_work is [u_rz + v_rz | v_n | u_n]
     w_work = np.zeros((4 * H + 1, 4 * H))
     w_work[: H + 1, : 3 * H] = w_aug
@@ -144,57 +138,72 @@ def gru_scan(x, cell, reverse=False):
     o = np.empty((B, 4 * H))
     q, n, u_n = o[:, : 2 * H], o[:, 2 * H : 3 * H], o[:, 3 * H :]
     q_r, q_z = q[:, :H], q[:, H:]
+    ones = np.ones((B, 2 * H))  # an array operand adds faster than a Python float
+    dot, exp, add, divide, tanh, subtract = np.dot, np.exp, np.add, np.divide, np.tanh, np.subtract
     with np.errstate(over="ignore"):  # a saturated gate's exp is inf, so r or z is 0
         for row, h_prev, h in zip(work[:-1], work[:-1, :, :H], work[1:, :, :H]):
-            np.dot(row, w_work, o)
-            np.exp(q, q)
-            q += 1.0  # q = 1 / [r, z]
-            np.divide(n, q_r, n)  # v_n r
-            n += u_n
-            np.tanh(n, n)
-            np.subtract(h_prev, n, h)  # h = n + z (h_prev - n)
-            np.divide(h, q_z, h)
-            h += n
+            dot(row, w_work, o)
+            exp(q, q)
+            add(q, ones, q)  # q = 1 / [r, z]
+            divide(n, q_r, n)  # v_n r
+            add(n, u_n, n)
+            tanh(n, n)
+            subtract(h_prev, n, h)  # h = n + z (h_prev - n)
+            divide(h, q_z, h)
+            add(h, n, h)
     hs = work[:, :, : H + 1].copy()
     out = hs[1:, :, :H].transpose(1, 0, 2)[:, ::step]
 
     def bwd(g):
         h_aug = hs[:-1].reshape(T * B, H + 1)
         h_prev = hs[:-1, :, :H]
-        # the forward's gates, recomputed in bulk from the stored states
-        u, w_aug = operands()
-        v = (h_aug @ w_aug).reshape(T, B, 3 * H)
+        gates = np.empty((6, T, B, H))  # [v | u], then [k_r, k_z, k_n r, r, z, k_n]
+        xt, w_aug = operands(gates[3:].reshape(3, T * B, H))
+        v = gates[:3].reshape(3, T * B, H)
+        np.matmul(h_aug, w_aug.reshape(H + 1, 3, H).transpose(1, 0, 2), v)
+        k_r, k_z, vn_r, r, z, n = gates
+        rz = gates[3:5]
+        rz += gates[:2]
         with np.errstate(over="ignore"):
-            rz = 1.0 / (1.0 + np.exp(u[..., : 2 * H] + v[..., : 2 * H]))
-        r, z, vn = rz[..., :H], rz[..., H:], v[..., 2 * H :]
-        n = np.tanh(vn * r + u[..., 2 * H :])
-        k_n = (1.0 - z) * (1.0 - n * n)
-        k_r = k_n * vn * r * (1.0 - r)
-        k = np.stack([k_r, (h_prev - n) * z * (1.0 - z), k_n * r, z], axis=2)
-        # dk rows are [k_s dh_s | g_(s-1)], so one matmul against [w_hh; I; I]
-        # gives dh_(s-1); dh[0] only absorbs the first step's carry
-        w_vjp = np.concatenate([w, np.eye(H), np.eye(H)])  # (5H, H)
-        g_scan = g.transpose(1, 0, 2)[::step]
-        dh = np.empty((T + 1, B, 1, H))
-        dh[T, :, 0] = g_scan[T - 1]
+            np.exp(rz, rz)
+        rz += 1.0
+        np.reciprocal(rz, rz)
+        vn_r *= r
+        n += vn_r
+        np.tanh(n, n)
+        np.subtract(1.0, z, k_r)
+        np.multiply(np.subtract(h_prev, n, k_z), z, k_z)
+        k_z *= k_r
+        k_n = n  # (1 - z)(1 - n^2)
+        np.subtract(1.0, np.square(n, k_n), k_n)
+        k_n *= k_r
+        np.multiply(np.subtract(1.0, r, k_r), k_n, k_r)
+        k_r *= vn_r  # k_n v_n r (1 - r)
+        np.multiply(k_n, r, vn_r)
+        # rows [k_s dh_s | g_(s-1)]; dh[0] only absorbs the first step's carry
         dk = np.empty((T, B, 5, H))
+        dk[:, :, :3] = gates[:3].transpose(1, 2, 0, 3)
+        dk[:, :, 3] = z
+        g_scan = g.transpose(1, 0, 2)[::step]
         dk[0, :, 4] = 0.0
         dk[1:, :, 4] = g_scan[:-1]
+        w_vjp = np.concatenate([w, np.eye(H), np.eye(H)])  # (5H, H)
+        dh = np.empty((T + 1, B, 1, H))
+        dh[T, :, 0] = g_scan[T - 1]
         dk_rows = dk.reshape(T, B, 5 * H)
         dh_rows = dh.reshape(T + 1, B, H)
-        steps = zip(dh[:0:-1], k[::-1], dk[::-1, :, :4], dk_rows[::-1], dh_rows[-2::-1])
-        for dh_s, k_s, dk_s, dk_row, dh_prev in steps:
-            np.multiply(k_s, dh_s, dk_s)
-            np.dot(dk_row, w_vjp, dh_prev)
-        dh = dh_rows[1:]
-        dv = dk_rows[..., : 3 * H]  # gradients of the pre-activations r, z and w_hn h
-        dxp = dv.copy()
-        dxp[..., 2 * H :] = dh * k_n
-        dxm = dxp.transpose(1, 0, 2)[:, ::step].reshape(B * T, 3 * H)  # input order
-        dx = (dxm @ w_ih).reshape(B, T, D)
-        # the constant state column's weight gradient is b_hh's gradient
-        dw_aug = dv.reshape(T * B, 3 * H).T @ h_aug
-        return dx, dxm.T @ xd.reshape(B * T, D), dw_aug[:, :H], dxm.sum(axis=0), dw_aug[:, H]
+        multiply, dot = np.multiply, np.dot
+        steps = zip(dh[:0:-1], dk[::-1, :, :4], dk_rows[::-1], dh_rows[-2::-1])
+        for dh_s, dk_s, dk_row, dh_prev in steps:
+            multiply(dk_s, dh_s, dk_s)
+            dot(dk_row, w_vjp, dh_prev)
+        # gradients of the pre-activations r, z and w_hn h; the constant state
+        # column's weight gradient is b_hh's
+        dxp = dk_rows[..., : 3 * H].reshape(T * B, 3 * H)
+        dw_aug = dxp.T @ h_aug
+        np.multiply(dh_rows[1:], k_n, dk[:, :, 2])  # the input-side candidate gradient
+        dx = (dxp @ w_ih).reshape(T, B, D).transpose(1, 0, 2)[:, ::step]
+        return dx, dxp.T @ xt, dw_aug[:, :H], dxp.sum(axis=0), dw_aug[:, H]
 
     parents = (x, cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh)
     return ad.record("gru_scan", out, parents, bwd)

@@ -139,13 +139,14 @@ class FrontEndConfig:
 
     def __post_init__(self):
         if self.sharing not in SHARING_MODES:
-            raise ConfigError(f"unknown sharing mode {self.sharing!r}")
+            raise ConfigError(f"model.frontend.sharing is {self.sharing!r}; "
+                              f"need one of {', '.join(SHARING_MODES)}")
         # 40 taps is the longest Daubechies filter float64 derives orthonormal
         if self.kernel_size % 2 != 0 or not 2 <= self.kernel_size <= 40:
             raise ConfigError(f"model.frontend.kernel_size is {self.kernel_size}; "
                               f"need an even number in [2, 40]")
         if self.levels < 1:
-            raise ConfigError("levels must be >= 1")
+            raise ConfigError(f"model.frontend.levels is {self.levels}; need >= 1")
 
     @property
     def min_input_length(self):

@@ -33,6 +33,8 @@ BAD = [
     ("model.gru_hidden=1", "model.gru_hidden"),
     # float64 derives the Daubechies filter orthonormal only up to 40 taps
     ("model.frontend.kernel_size=42", "model.frontend.kernel_size"),
+    ("model.frontend.levels=0", "model.frontend.levels"),
+    ("model.frontend.sharing=foo", "model.frontend.sharing"),
 ]
 
 

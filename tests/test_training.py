@@ -8,8 +8,10 @@ from numpy.testing import assert_allclose
 
 from wavelearn import autodiff as ad
 from wavelearn.autodiff import Tape, Tensor, backward
+from wavelearn.data import default_synthetic_spec, generate_synthetic
 from wavelearn.errors import ContractError, DatasetError, LabelError
 from wavelearn.gradcheck import check_gradients
+from wavelearn.model import ModelConfig, Network
 from wavelearn.training import (
     AdamState,
     LossConfig,
@@ -17,11 +19,13 @@ from wavelearn.training import (
     focal_loss,
     inverse_frequency_alphas,
     metrics_from_pairs,
+    predict,
     regularized_objective,
     stratified_split,
     train_model,
     zero_grads,
 )
+from wavelearn.wavelet import FrontEndConfig
 
 
 def _logp(probs):
@@ -332,3 +336,16 @@ def test_inverse_frequency_alphas():
     assert abs(alphas.mean() - 1.0) < 1e-12
     with pytest.raises(DatasetError):
         inverse_frequency_alphas([0, 0], 2)
+
+
+def test_predict_with_two_workers_equals_one():
+    # the threads share one network, so nothing a forward pass writes may be shared
+    cfg = ModelConfig(frontend=FrontEndConfig(levels=6), conv_channels=4,
+                      gru_layers=2, gru_hidden=4)
+    spec = default_synthetic_spec(levels=6, seed=2, length_range=(1300, 1700))
+    clips = [c.samples for c in generate_synthetic(spec, 1)[:3]]
+    net = Network(cfg, seed=4)
+    labels_one, log_probs_one = predict(net, clips, workers=1)
+    labels_two, log_probs_two = predict(net, clips, workers=2)
+    assert np.array_equal(log_probs_two, log_probs_one)
+    assert np.array_equal(labels_two, labels_one)
