@@ -451,9 +451,11 @@ def conv1d(x, w, b=None, stride=1, dilation=1, padding=0):
 
     ``x``: (batch, C, W), ``w``: (K, C, S), optional ``b``: (K,).  ``padding``
     is an integer count of zeros added to both ends, or ``"circular"`` for
-    periodic indexing (output width ceil(W / stride)).  The im2col matrix, one
-    copy of a window view of the padded or circularly extended input, stays on
-    the tape for backward.  The output is a C-contiguous (batch, K, out_w).
+    periodic indexing (output width ceil(W / stride)).  The im2col matrix is
+    one copy of a (batch, C, S, out_w) window view of the padded or circularly
+    extended input into a contiguous (batch, C * S, out_w) array, so the copy's
+    inner loop runs along the output width; it stays on the tape for backward.
+    The output ``w @ mat`` is a C-contiguous (batch, K, out_w).
     """
     if x.data.ndim != 3 or w.data.ndim != 3:
         raise DimensionError("conv1d expects x (batch, C, W) and w (K, C, S)")
@@ -476,16 +478,16 @@ def conv1d(x, w, b=None, stride=1, dilation=1, padding=0):
         xp[:, :, width:] = x.data[:, :, : full - width]
     sb, sc, sw = xp.strides
     windows = np.lib.stride_tricks.as_strided(
-        xp, (batch, out_w, chans, taps), (sb, sw * stride, sc, sw * dilation), writeable=False
+        xp, (batch, chans, taps, out_w), (sb, sc, sw * dilation, sw * stride), writeable=False
     )
-    mat = np.ascontiguousarray(windows).reshape(batch, out_w, chans * taps)
+    mat = np.ascontiguousarray(windows).reshape(batch, chans * taps, out_w)
     wmat = w.data.reshape(k_out, chans * taps)
-    out = wmat @ mat.transpose(0, 2, 1)
+    out = wmat @ mat
     if b is not None:
         out += b.data[:, None]
 
     def bwd(g):
-        gw = (g @ mat).sum(axis=0).reshape(k_out, chans, taps)
+        gw = (g @ mat.transpose(0, 2, 1)).sum(axis=0).reshape(k_out, chans, taps)
         gcols = (wmat.T @ g).reshape(batch, chans, taps, out_w)
         gxp = np.zeros((batch, chans, full))
         for s in range(taps):

@@ -60,7 +60,7 @@ def load_checkpoint(path):
         raise ParseError(f"{path}: header 'config' at byte 8 is not a JSON object")
     state = {}
     offset = 8 + header_len
-    for name, shape in entries:
+    for name, shape in entries.items():
         end = offset + 8 * math.prod(shape)
         if end > len(raw):
             raise ParseError(f"{path}: truncated payload for {name!r} at byte {offset}")
@@ -69,11 +69,14 @@ def load_checkpoint(path):
         except ValueError as exc:  # an empty shape with too many or too large extents
             raise ParseError(f"{path}: bad shape for {name!r} at byte {offset}: {exc}")
         offset = end
+    if offset != len(raw):
+        raise ParseError(f"{path}: {len(raw) - offset} bytes after the last parameter "
+                         f"at byte {offset}")
     return state, config
 
 
 def _param_entries(path, header):
-    """Validated (name, shape) pairs of a decoded header, in payload order."""
+    """Validated {name: shape} of a decoded header, in payload order."""
     if not isinstance(header, dict):
         raise ParseError(f"{path}: header at byte 8 is not a JSON object")
     version = header.get("format_version")
@@ -85,7 +88,7 @@ def _param_entries(path, header):
     params = header.get("params")
     if not isinstance(params, list):
         raise ParseError(f"{path}: header 'params' at byte 8 is not a list")
-    entries = []
+    entries = {}
     for item in params:
         name = item.get("name") if isinstance(item, dict) else None
         shape = item.get("shape") if isinstance(item, dict) else None
@@ -93,5 +96,7 @@ def _param_entries(path, header):
             type(d) is int and d >= 0 for d in shape
         ):
             raise ParseError(f"{path}: bad parameter entry {item!r} in header at byte 8")
-        entries.append((name, tuple(shape)))
+        if name in entries:
+            raise ParseError(f"{path}: duplicate parameter {name!r} in header at byte 8")
+        entries[name] = tuple(shape)
     return entries

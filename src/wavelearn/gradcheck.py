@@ -171,6 +171,14 @@ def model_cases():
         [r.normal(size=(5,)), np.array(-4.0), np.array(4.0), np.array(0.3), np.array(0.2)],
     )
 
+    # one level's (batch, 2, W) output, as the front end thresholds it
+    rl = _rng(13)
+    level_x, level_probe = rl.normal(size=(1, 2, 7)), rl.normal(size=(1, 2, 7))
+    cases["laht_frontend_shape"] = (
+        lambda t: ad.reduce_sum(ad.mul(wavelet.laht_apply(*t), Tensor(level_probe))),
+        [level_x, np.array(-6.0), np.array(5.0), np.array(0.2), np.array(0.1)],
+    )
+
     def laht_reparam_case(t):
         params = wavelet.LAHTParams(
             raw_alpha=t[1], raw_beta=t[2], raw_bias_pos=t[3], raw_bias_neg=t[4]

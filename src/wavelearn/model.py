@@ -119,6 +119,9 @@ class Network:
 
     def load_state(self, state):
         """Copy saved parameters in; a state this network cannot hold is a ParseError."""
+        for name in state:
+            if name not in self._params:
+                raise ParseError(f"checkpoint parameter {name!r} is not in this network")
         for name, p in self._params.items():
             if name not in state:
                 raise ParseError(f"checkpoint is missing parameter {name!r}")

@@ -5,9 +5,11 @@ high-pass filter at stride 2 under circular boundary extension, as one
 convolution over the two-filter bank whose two output channels are the
 approximation and the detail.  When thresholding is enabled, the level's one
 learnable soft thresholding activation squashes both channels at once before
-they are split and used further.  The high-pass filter can be tied to the
-low-pass one through the alternating-flip (quadrature mirror) construction,
-which keeps the two-channel bank orthogonal for any low-pass filter.
+they are split and used further; it is one ``laht`` tape node with a
+hand-written backward, not a chain of elementwise nodes.  The high-pass
+filter can be tied to the low-pass one through the alternating-flip
+(quadrature mirror) construction, which keeps the two-channel bank
+orthogonal for any low-pass filter.
 """
 
 from __future__ import annotations
@@ -121,13 +123,27 @@ class LAHTParams:
 
 
 def laht_apply(x, alpha, beta, bias_pos, bias_neg):
-    """x * [S(alpha (x + bias_neg)) + S(beta (x - bias_pos))] elementwise."""
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    gate = ad.add(
-        ad.sigmoid(ad.mul(alpha, ad.add(x, bias_neg))),
-        ad.sigmoid(ad.mul(beta, ad.sub(x, bias_pos))),
-    )
-    return ad.mul(x, gate)
+    """x * [S(alpha (x + bias_neg)) + S(beta (x - bias_pos))] elementwise.
+
+    One ``laht`` tape node over (x, alpha, beta, bias_pos, bias_neg) that
+    keeps x and the two gates s1 and s2.  With d1 = g x s1 (1 - s1) and
+    d2 = g x s2 (1 - s2) its backward returns dx = g (s1 + s2) + alpha d1 +
+    beta d2, dalpha = sum d1 (x + bias_neg), dbeta = sum d2 (x - bias_pos),
+    dbias_pos = -beta sum d2 and dbias_neg = alpha sum d1, each summed down
+    to its parameter's shape.
+    """
+    x, *params = (t if isinstance(t, Tensor) else Tensor(t)
+                  for t in (x, alpha, beta, bias_pos, bias_neg))
+    xd, a, b, bp, bn = (t.data for t in (x, *params))
+    s1, s2 = ad._logistic(a * (xd + bn)), ad._logistic(b * (xd - bp))
+
+    def bwd(g):
+        d1, d2 = g * xd * s1 * (1.0 - s1), g * xd * s2 * (1.0 - s2)
+        grads = (d1 * (xd + bn), d2 * (xd - bp), -b * d2, a * d1)
+        return (g * (s1 + s2) + a * d1 + b * d2,) + tuple(
+            ad._unbroadcast(d, p.shape) for d, p in zip(grads, (a, b, bp, bn)))
+
+    return ad.record("laht", xd * (s1 + s2), (x, *params), bwd)
 
 
 @dataclass

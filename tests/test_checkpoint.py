@@ -98,3 +98,25 @@ def test_unreadable_file_is_a_parse_error_naming_it(tmp_path, name):
     path = tmp_path / name
     with pytest.raises(ParseError, match=re.escape(f"{path}: cannot read")):
         load_checkpoint(path)
+
+
+def test_a_duplicate_parameter_name_is_rejected_by_name(tmp_path):
+    header = _header([{"name": "w", "shape": [1]}, {"name": "w", "shape": [1]}])
+    with pytest.raises(ParseError, match="duplicate parameter 'w' in header at byte 8"):
+        load_checkpoint(_write(tmp_path / "c.bin", header, b"\0" * 16))
+
+
+def test_bytes_after_the_last_parameter_are_rejected_at_their_offset(tmp_path):
+    header = _header([{"name": "w", "shape": [2]}])
+    offset = 8 + len(json.dumps(header)) + 16
+    with pytest.raises(ParseError, match=f"3 bytes after the last parameter at byte {offset}"):
+        load_checkpoint(_write(tmp_path / "c.bin", header, b"\0" * 19))
+
+
+def test_load_state_rejects_a_parameter_the_network_does_not_hold():
+    net = Network(ModelConfig(frontend=FrontEndConfig(levels=4, kernel_size=4), conv_channels=3,
+                              gru_layers=1, gru_hidden=3))
+    state = net.state()
+    state["head.9"] = np.zeros(2)
+    with pytest.raises(ParseError, match="checkpoint parameter 'head.9' is not in this network"):
+        net.load_state(state)

@@ -335,6 +335,18 @@ def test_a_checkpoint_whose_parameters_do_not_fit_its_run_exits_3(tmp_path, caps
     assert f"{path}: checkpoint shape (6, 2) != (9, 2) for 'gru.0.0'" in capsys.readouterr().err
 
 
+def test_a_checkpoint_with_a_parameter_the_network_does_not_hold_exits_3(tmp_path, capsys):
+    path = tmp_path / "model.bin"
+    cfg = load_config(None, TINY)
+    state = Network(cfg.model, seed=cfg.training.seed).state()
+    state["gru.0.99"] = np.zeros(3)
+    save_checkpoint(path, state, _with_run(cfg, cfg.synthetic_spec().label_names()))
+    assert _predict(path, tmp_path / "x.wav") == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"data: {path}: checkpoint parameter 'gru.0.99' is not in this network" in err
+    assert "Traceback" not in err
+
+
 def _short_wav(tmp_path):
     wav = tmp_path / "short.wav"
     write_wav_pcm16(wav, np.zeros(100), 16000)

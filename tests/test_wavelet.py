@@ -239,6 +239,42 @@ def test_laht_hard_threshold_limit():
     assert -3.0 <= out.data[2] <= -2.99
 
 
+def _laht_eight_nodes(x, alpha, beta, bias_pos, bias_neg):
+    # the reference: the eight elementwise nodes the fused laht node replaced
+    gate = ad.add(
+        ad.sigmoid(ad.mul(alpha, ad.add(x, bias_neg))),
+        ad.sigmoid(ad.mul(beta, ad.sub(x, bias_pos))),
+    )
+    return ad.mul(x, gate)
+
+
+def _laht_output_and_grads(laht, arrays, probe):
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    with Tape():
+        out = laht(*leaves)
+        backward(ad.reduce_sum(ad.mul(out, Tensor(probe))))
+    return [out.data] + [t.grad for t in leaves]
+
+
+_SATURATED_X = np.r_[np.linspace(-0.5, 0.5, 62), -0.2, -0.2001, 0.3, 0.3002].reshape(1, 2, 33)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("x, alpha, beta", [
+    (np.array(0.7), -4.0, 4.0),
+    (np.random.default_rng(5).normal(size=5), -4.0, 4.0),
+    (np.random.default_rng(6).normal(size=(1, 2, 33)), -10.0, 7.0),
+    (_SATURATED_X, -1e3, 1e3),  # thresholds at -bias_neg = -0.2 and bias_pos = 0.3
+], ids=["0d", "vector", "frontend", "saturated"])
+def test_fused_laht_matches_the_eight_node_form(x, alpha, beta):
+    arrays = [x, np.array(alpha), np.array(beta), np.array(0.3), np.array(0.2)]
+    probe = np.random.default_rng(7).normal(size=x.shape)
+    got = _laht_output_and_grads(laht_apply, arrays, probe)
+    want = _laht_output_and_grads(_laht_eight_nodes, arrays, probe)
+    for g, w in zip(got, want):
+        assert_allclose(g, w, rtol=1e-12, atol=1e-12)
+
+
 def test_laht_constraints_from_reparameterization():
     rng = np.random.default_rng(2)
     for _ in range(20):
@@ -329,8 +365,9 @@ def test_frontend_reparameterizes_each_laht_level_once(levels):
 
 @pytest.mark.parametrize("levels", [1, 3])
 def test_frontend_applies_one_laht_per_level(levels):
-    # one laht_apply, with its two sigmoid gates, covers both channels of a level
-    assert _laht_frontend_tape_kinds(levels).count("sigmoid") == 2 * levels
+    # one fused laht node covers both channels of a level
+    kinds = _laht_frontend_tape_kinds(levels)
+    assert (kinds.count("laht"), kinds.count("sigmoid")) == (levels, 0)
 
 
 def test_roundtrip_haar():
