@@ -7,8 +7,11 @@ walks the records in reverse and accumulates gradients into the
 registered as leaves the first time the pass touches them.  ``backward`` runs
 inside the tape's ``with`` block: leaving the block drops the backward
 closures, which would otherwise keep the pass's tensors in a reference cycle
-until a full garbage collection.  Tapes are confined to a single thread;
-running with no active tape computes plain forward values and records nothing.
+until a full garbage collection.  The arrays freed at ``Tape.__exit__`` stay
+mapped under the package's allocator policy (see ``wavelearn/__init__.py``),
+so the next pass reuses them without page faults.  Tapes are confined to a
+single thread; running with no active tape computes plain forward values and
+records nothing.
 """
 
 from __future__ import annotations

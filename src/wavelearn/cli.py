@@ -292,11 +292,15 @@ def cmd_synth_data(args):
 def cmd_gradcheck(args):
     from .gradcheck import run_suite
 
-    results = run_suite(tol=args.tolerance)
-    worst = max(results.values())
+    tol = args.tolerance
+    if not 0 < tol < np.inf:
+        raise ConfigError(f"--tolerance must be a finite number > 0, got {tol}")
+    results = run_suite(tol=tol)
+    failed = sorted(name for name, err in results.items() if not err < tol)  # NaN fails too
+    worst = np.max(list(results.values()))
     print(f"gradcheck worst max_rel_err={worst:.3e} over {len(results)} ops")
-    if worst >= args.tolerance:
-        raise NumericalError(f"gradient check failed: {worst:.3e} >= {args.tolerance}")
+    if failed:
+        raise NumericalError(f"gradient check failed for {', '.join(failed)} (tolerance {tol})")
     return EXIT_OK
 
 

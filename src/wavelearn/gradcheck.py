@@ -40,7 +40,8 @@ def check_gradients(build, arrays, step=1e-5):
 
     ``build(tensors) -> Tensor`` must produce a scalar from a list of leaf
     tensors.  Returns the maximum relative error over all inputs, where the
-    relative error of one entry is |analytic - numeric| / max(1, |numeric|).
+    relative error of one entry is |analytic - numeric| / max(1, |numeric|);
+    a non-finite error returns inf, which fails every tolerance.
     """
     leaves = [Tensor(a, requires_grad=True) for a in arrays]
     with Tape():
@@ -56,8 +57,8 @@ def check_gradients(build, arrays, step=1e-5):
         numeric = numeric_grad(fn, arrays, i, step=step)
         analytic = leaf.grad if leaf.grad is not None else np.zeros_like(numeric)
         err = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric))
-        worst = max(worst, float(err.max()) if err.size else 0.0)
-    return worst
+        worst = np.max(err, initial=worst)  # unlike max(), keeps a NaN
+    return float(worst) if np.isfinite(worst) else np.inf
 
 
 def _rng(seed):

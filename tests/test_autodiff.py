@@ -319,3 +319,17 @@ CASES = all_cases()
 def test_gradients_match_finite_differences(name):
     build, arrays = CASES[name]
     assert check_gradients(build, arrays) < 1e-4
+
+
+def _identity_with_gradient(fill):
+    """A scalar build whose recorded backward returns ``fill`` everywhere."""
+    def build(t):
+        out = ad.record("fake", t[0].data * 1.0, (t[0],), lambda g: (np.full_like(g, fill),))
+        return ad.reduce_sum(out)
+    return build
+
+
+@pytest.mark.parametrize("fill", [np.nan, np.inf], ids=["nan", "inf"])
+def test_a_non_finite_gradient_fails_the_check(fill):
+    assert check_gradients(_identity_with_gradient(1.0), [np.ones((2, 3))]) < 1e-8
+    assert check_gradients(_identity_with_gradient(fill), [np.ones((2, 3))]) == np.inf

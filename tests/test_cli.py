@@ -6,7 +6,8 @@ import struct
 import numpy as np
 import pytest
 
-from wavelearn import cli
+from wavelearn import autodiff as ad
+from wavelearn import cli, gradcheck
 from wavelearn.checkpoint import load_checkpoint, save_checkpoint
 from wavelearn.config import from_mapping, load_config
 from wavelearn.data import generate_synthetic, write_wav_pcm16
@@ -187,6 +188,32 @@ def test_gradcheck_takes_no_run_options():
     with pytest.raises(SystemExit) as exc:
         cli.main(["gradcheck", "--workers", "2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1e-4"])
+def test_gradcheck_tolerance_must_be_finite_and_positive(tolerance, monkeypatch, capsys):
+    monkeypatch.setattr(gradcheck, "run_suite", lambda **kw: pytest.fail("suite ran"))
+    assert cli.main(["gradcheck", f"--tolerance={tolerance}"]) == cli.EXIT_CONFIG
+    assert "--tolerance" in capsys.readouterr().err
+
+
+def test_gradcheck_fails_on_a_nan_gradient(monkeypatch, capsys):
+    def nan_gradient(t):
+        out = ad.record("fake", t[0].data * 1.0, (t[0],), lambda g: (np.full_like(g, np.nan),))
+        return ad.reduce_sum(out)
+
+    cases = {"exp": gradcheck.core_cases()["exp"], "nan_gradient": (nan_gradient, [np.ones(3)])}
+    monkeypatch.setattr(gradcheck, "all_cases", lambda: cases)
+    assert cli.main(["gradcheck"]) == cli.EXIT_NUMERICAL
+    out, err = capsys.readouterr()
+    assert "nan_gradient" in out and "[FAIL]" in out
+    assert "failed for nan_gradient" in err
+
+
+def test_gradcheck_fails_when_any_error_is_nan(monkeypatch):
+    # max() over these keeps 1e-9 and drops the NaN
+    monkeypatch.setattr(gradcheck, "run_suite", lambda **kw: {"ok": 1e-9, "bad": float("nan")})
+    assert cli.main(["gradcheck"]) == cli.EXIT_NUMERICAL
 
 
 def _predict(checkpoint, wav, *options):
