@@ -259,11 +259,15 @@ def dropout(a, p, rng):
     return record("dropout", a.data * keep * scale, (a,), lambda g: (g * keep * scale,))
 
 
+def _softplus(x):
+    # log(1 + e^x) in an overflow-safe form
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
 def softplus(a):
-    # log(1 + e^x) in an overflow-safe form; derivative is the sigmoid.
+    # the derivative is the sigmoid
     x = a.data
-    out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-    return record("softplus", out, (a,), lambda g: (g * _logistic(x),))
+    return record("softplus", _softplus(x), (a,), lambda g: (g * _logistic(x),))
 
 
 def pow_const(a, exponent):
@@ -454,11 +458,21 @@ def conv1d(x, w, b=None, stride=1, dilation=1, padding=0):
 
     ``x``: (batch, C, W), ``w``: (K, C, S), optional ``b``: (K,).  ``padding``
     is an integer count of zeros added to both ends, or ``"circular"`` for
-    periodic indexing (output width ceil(W / stride)).  The im2col matrix is
-    one copy of a (batch, C, S, out_w) window view of the padded or circularly
-    extended input into a contiguous (batch, C * S, out_w) array, so the copy's
-    inner loop runs along the output width; it stays on the tape for backward.
-    The output ``w @ mat`` is a C-contiguous (batch, K, out_w).
+    periodic indexing (output width ceil(W / stride)).  The windows are a
+    (batch, C, S, out_w) strided view of the padded or circularly extended
+    input; when no tap reads past the input (no padding, no wrap) they view
+    the input itself and no padded copy is made.  The im2col matrix is one
+    copy of that view into a contiguous (batch, C * S, out_w) array, so the
+    copy's inner loop runs along the output width; it stays on the tape for
+    backward and may view ``x.data`` when the windows are already contiguous
+    (one tap at stride 1), which backward only reads.  The output
+    ``w @ mat`` is a C-contiguous (batch, K, out_w).
+
+    The backward's weight gradient is one 2-d matmul over (K, batch out_w).
+    Tap s adds its input gradient at padded positions dilation s + stride q,
+    which is a contiguous run of phase (dilation s) mod stride, so each tap
+    adds into a contiguous (batch, C, stride, n) phase array, and the phases
+    are interleaved into the padded width once.
     """
     if x.data.ndim != 3 or w.data.ndim != 3:
         raise DimensionError("conv1d expects x (batch, C, W) and w (K, C, S)")
@@ -475,14 +489,16 @@ def conv1d(x, w, b=None, stride=1, dilation=1, padding=0):
     # every tap's reads, unwrapped: circular indices run past the width by
     # less than one span, and width >= span, so one wrapped copy covers them
     full = max((out_w - 1) * stride + span, width + 2 * pad)
-    xp = np.zeros((batch, chans, full))
-    xp[:, :, pad : pad + width] = x.data
-    if padding == "circular":
-        xp[:, :, width:] = x.data[:, :, : full - width]
+    if full == width:
+        xp = np.ascontiguousarray(x.data)
+    else:
+        xp = np.empty((batch, chans, full))
+        xp[:, :, :pad] = 0.0
+        xp[:, :, pad : pad + width] = x.data
+        xp[:, :, pad + width :] = x.data[:, :, : full - width] if padding == "circular" else 0.0
     sb, sc, sw = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp, (batch, chans, taps, out_w), (sb, sc, sw * dilation, sw * stride), writeable=False
-    )
+    windows = np.ndarray((batch, chans, taps, out_w), xp.dtype, xp, 0,
+                         (sb, sc, sw * dilation, sw * stride))
     mat = np.ascontiguousarray(windows).reshape(batch, chans * taps, out_w)
     wmat = w.data.reshape(k_out, chans * taps)
     out = wmat @ mat
@@ -490,15 +506,23 @@ def conv1d(x, w, b=None, stride=1, dilation=1, padding=0):
         out += b.data[:, None]
 
     def bwd(g):
-        gw = (g @ mat.transpose(0, 2, 1)).sum(axis=0).reshape(k_out, chans, taps)
+        cols = batch * out_w
+        gw = g.transpose(1, 0, 2).reshape(k_out, cols) @ mat.transpose(1, 0, 2).reshape(-1, cols).T
         gcols = (wmat.T @ g).reshape(batch, chans, taps, out_w)
-        gxp = np.zeros((batch, chans, full))
+        phase_w = -(-full // stride)
+        phases = np.zeros((batch, chans, stride, phase_w))
         for s in range(taps):
-            start = dilation * s
-            gxp[:, :, start : start + (out_w - 1) * stride + 1 : stride] += gcols[:, :, s]
+            start, phase = divmod(dilation * s, stride)
+            phases[:, :, phase, start : start + out_w] += gcols[:, :, s]
+        gxp = phases[:, :, 0]  # at stride 1 the one phase is the padded order
+        if stride > 1:
+            gxp = np.empty((batch, chans, phase_w * stride))
+            for phase in range(stride):
+                gxp[:, :, phase::stride] = phases[:, :, phase]
         gx = gxp[:, :, pad : pad + width]
         if padding == "circular":
-            gx[:, :, : full - width] += gxp[:, :, width:]
+            gx[:, :, : full - width] += gxp[:, :, width:full]
+        gw = gw.reshape(k_out, chans, taps)
         if b is None:
             return (gx, gw)
         return (gx, gw, g.sum(axis=(0, 2)))

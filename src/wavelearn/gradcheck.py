@@ -164,31 +164,30 @@ def model_cases():
 
     laht_probe = r.normal(size=(5,))
 
-    def laht_case(t):
-        return ad.reduce_sum(ad.mul(wavelet.laht_apply(t[0], t[1], t[2], t[3], t[4]), Tensor(laht_probe)))
+    def laht_case(probe):
+        # x, then the four raw parameters the laht node differentiates
+        def build(t):
+            out = wavelet.laht_apply(t[0], wavelet.LAHTParams(*t[1:]))
+            return ad.reduce_sum(ad.mul(out, Tensor(probe)))
 
+        return build
+
+    # raw values of alpha = -4, beta = 4, bias_pos = 0.3 and bias_neg = 0.2
     cases["laht"] = (
-        laht_case,
-        [r.normal(size=(5,)), np.array(-4.0), np.array(4.0), np.array(0.3), np.array(0.2)],
+        laht_case(laht_probe),
+        [r.normal(size=(5,)), np.log(4.0), np.log(4.0), np.log(np.expm1(0.3)),
+         np.log(np.expm1(0.2))],
     )
 
     # one level's (batch, 2, W) output, as the front end thresholds it
     rl = _rng(13)
     level_x, level_probe = rl.normal(size=(1, 2, 7)), rl.normal(size=(1, 2, 7))
     cases["laht_frontend_shape"] = (
-        lambda t: ad.reduce_sum(ad.mul(wavelet.laht_apply(*t), Tensor(level_probe))),
-        [level_x, np.array(-6.0), np.array(5.0), np.array(0.2), np.array(0.1)],
+        laht_case(level_probe),
+        [level_x, np.log(6.0), np.log(5.0), np.log(np.expm1(0.2)), np.log(np.expm1(0.1))],
     )
-
-    def laht_reparam_case(t):
-        params = wavelet.LAHTParams(
-            raw_alpha=t[1], raw_beta=t[2], raw_bias_pos=t[3], raw_bias_neg=t[4]
-        )
-        out = wavelet.laht_apply(t[0], *params.effective())
-        return ad.reduce_sum(ad.mul(out, Tensor(laht_probe)))
-
     cases["laht_reparam"] = (
-        laht_reparam_case,
+        laht_case(laht_probe),
         [r.normal(size=(5,)), np.array(0.5), np.array(0.5), np.array(-1.0), np.array(-1.2)],
     )
 

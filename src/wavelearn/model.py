@@ -118,10 +118,15 @@ class Network:
         return sum(p.data.size for p in self._params.values())
 
     def load_state(self, state):
-        """Copy saved parameters in; a state this network cannot hold is a ParseError."""
+        """Copy saved parameters in; a state this network cannot hold is a ParseError.
+
+        Every value is checked before any is copied; finiteness is tested once
+        over all of them, since one test per parameter costs several times more.
+        """
         for name in state:
             if name not in self._params:
                 raise ParseError(f"checkpoint parameter {name!r} is not in this network")
+        values = {}
         for name, p in self._params.items():
             if name not in state:
                 raise ParseError(f"checkpoint is missing parameter {name!r}")
@@ -130,7 +135,12 @@ class Network:
                 raise ParseError(
                     f"checkpoint shape {value.shape} != {p.data.shape} for {name!r}"
                 )
-            p.data = value.copy()
+            values[name] = value
+        if not np.isfinite(np.concatenate(list(values.values()), axis=None)).all():
+            bad = next(name for name, v in values.items() if not np.isfinite(v).all())
+            raise ParseError(f"checkpoint parameter {bad!r} holds a non-finite value")
+        for name, value in values.items():
+            self._params[name].data = value.copy()
 
     def state(self):
         return {name: p.data.copy() for name, p in self._params.items()}

@@ -93,11 +93,14 @@ def gru_scan(x, cell, reverse=False):
     and z rows.  Both negate those rows, so r and z are ``1 / (1 + exp(u + v))``.
 
     The forward writes ``u`` into a transient (T + 1, B, 4H + 1) work array
-    whose rows are ``[h | 1 | u_rz | u_n]``.  Each step is one matmul of a row
-    against a (4H + 1, 4H) weight whose identity blocks add ``u_rz`` and pass
-    ``u_n`` through, giving ``[u_rz + v_rz | v_n | u_n]``, then eight in-place
-    ufuncs: ``q = 1 + exp(.)`` is ``1 / [r, z]``, ``n = tanh(v_n / q_r + u_n)``
-    and ``h = (h_prev - n) / q_z + n``, written into the next row.
+    whose rows are ``[h | 1 | u_rz | u_n]``.  Both directions write ``u`` the
+    same way: per gate, one matmul of the scan-order x against a (D, H) block
+    of a C-ordered ``w_ih^T``, then one bias add, so the backward's recompute
+    equals the forward's bitwise.  Each step is one matmul of a row against a
+    (4H + 1, 4H) weight whose identity blocks add ``u_rz`` and pass ``u_n``
+    through, giving ``[u_rz + v_rz | v_n | u_n]``, then eight in-place ufuncs:
+    ``q = 1 + exp(.)`` is ``1 / [r, z]``, ``n = tanh(v_n / q_r + u_n)`` and
+    ``h = (h_prev - n) / q_z + n``, written into the next row.
 
     The backward recomputes ``[v | u]`` into six contiguous (T, B, H) blocks
     and turns them in place into ``k_n`` and ``k = [k_r, k_z, k_n r, z]``, the
@@ -119,7 +122,10 @@ def gru_scan(x, cell, reverse=False):
         sign = np.repeat([-1.0, -1.0, 1.0], H)  # r and z rows negated
         bias = sign * (b_ih + np.concatenate([b_hh[: 2 * H], np.zeros(H)]))
         xt = np.ascontiguousarray(xd[:, ::step].transpose(1, 0, 2)).reshape(T * B, D)
-        np.matmul(xt, (sign[:, None] * w_ih).T.reshape(D, 3, H).transpose(1, 0, 2), u)
+        # a C-ordered w_ih^T, so each gate's (D, H) block has contiguous rows
+        w_in = np.empty((D, 3 * H))
+        np.multiply(w_ih.T, sign, w_in)
+        np.matmul(xt, w_in.reshape(D, 3, H).transpose(1, 0, 2), u)
         u += bias.reshape(3, 1, H)
         w_aug = np.empty((H + 1, 3 * H))
         w_aug[:H] = (sign[:, None] * w).T

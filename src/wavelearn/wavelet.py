@@ -4,12 +4,16 @@ Each level cross-correlates the running approximation with a low-pass and a
 high-pass filter at stride 2 under circular boundary extension, as one
 convolution over the two-filter bank whose two output channels are the
 approximation and the detail.  When thresholding is enabled, the level's one
-learnable soft thresholding activation squashes both channels at once before
-they are split and used further; it is one ``laht`` tape node with a
-hand-written backward, not a chain of elementwise nodes.  The high-pass
-filter can be tied to the low-pass one through the alternating-flip
-(quadrature mirror) construction, which keeps the two-channel bank
-orthogonal for any low-pass filter.
+learnable asymmetric hard thresholding activation (LAHT) squashes both
+channels at once before they are split and used further.  It is one ``laht``
+tape node whose parents are the level output and the four raw parameters:
+the effective alpha = -exp(r_alpha), beta = exp(r_beta) and softplus biases
+are computed inside the node, and its backward chains them by hand
+(d alpha / d r_alpha = alpha, d beta / d r_beta = beta, d softplus(r) / dr =
+S(r)), so no level records a chain of scalar nodes.  The high-pass filter can
+be tied to the low-pass one through the alternating-flip (quadrature mirror)
+construction, which keeps the two-channel bank orthogonal for any low-pass
+filter.
 """
 
 from __future__ import annotations
@@ -111,39 +115,80 @@ class LAHTParams:
             raw_bias_neg=ad.parameter(raw_bias),
         )
 
-    def effective(self):
-        alpha = ad.neg(ad.exp(self.raw_alpha))
-        beta = ad.exp(self.raw_beta)
-        bias_pos = ad.softplus(self.raw_bias_pos)
-        bias_neg = ad.softplus(self.raw_bias_neg)
-        return alpha, beta, bias_pos, bias_neg
+    def values(self):
+        """Effective (alpha, beta, bias_pos, bias_neg) arrays; records nothing.
+
+        The expressions the ``exp`` and ``softplus`` nodes compute, so an
+        overflowing raw value gives inf with a RuntimeWarning, never an
+        OverflowError.
+        """
+        r_alpha, r_beta, r_pos, r_neg = (t.data for t in self.tensors())
+        return -np.exp(r_alpha), np.exp(r_beta), ad._softplus(r_pos), ad._softplus(r_neg)
 
     def tensors(self):
         return [self.raw_alpha, self.raw_beta, self.raw_bias_pos, self.raw_bias_neg]
 
 
-def laht_apply(x, alpha, beta, bias_pos, bias_neg):
+def _half_tanh(x, shift, sharpness):
+    # t = tanh(sharpness (x + shift) / 2), so S(sharpness (x + shift)) = (1 + t) / 2
+    t = np.add(x, shift)
+    t *= 0.5 * sharpness
+    return np.tanh(t, t)
+
+
+def laht_apply(x, params):
     """x * [S(alpha (x + bias_neg)) + S(beta (x - bias_pos))] elementwise.
 
-    One ``laht`` tape node over (x, alpha, beta, bias_pos, bias_neg) that
-    keeps x and the two gates s1 and s2.  With d1 = g x s1 (1 - s1) and
-    d2 = g x s2 (1 - s2) its backward returns dx = g (s1 + s2) + alpha d1 +
-    beta d2, dalpha = sum d1 (x + bias_neg), dbeta = sum d2 (x - bias_pos),
-    dbias_pos = -beta sum d2 and dbias_neg = alpha sum d1, each summed down
-    to its parameter's shape.
+    ``params`` is the level's ``LAHTParams``, whose four raw values must be
+    scalars.  One ``laht`` tape node over x and the four raw tensors; it
+    keeps x and t1, t2.  Each gate is written as S(z) = (1 + t) / 2 with
+    t = tanh(z / 2), so S (1 - S) = (1 - t^2) / 4.  That is one ``tanh``
+    pass where the overflow-safe two-sided logistic takes nine, and since
+    the gates only scale x, tanh's absolute precision is all they need.
+
+    With d1 = g x S1 (1 - S1) and d2 = g x S2 (1 - S2) the backward returns
+    dx = g (S1 + S2) + alpha d1 + beta d2 and, through the reparameterization,
+    d r_alpha = alpha sum d1 (x + bias_neg), d r_beta = beta sum d2
+    (x - bias_pos), d r_pos = -beta S(r_pos) sum d2 and d r_neg = alpha
+    S(r_neg) sum d1.
     """
-    x, *params = (t if isinstance(t, Tensor) else Tensor(t)
-                  for t in (x, alpha, beta, bias_pos, bias_neg))
-    xd, a, b, bp, bn = (t.data for t in (x, *params))
-    s1, s2 = ad._logistic(a * (xd + bn)), ad._logistic(b * (xd - bp))
+    x = x if isinstance(x, Tensor) else Tensor(x)
+    raws = params.tensors()
+    if any(t.data.ndim for t in raws):
+        raise DimensionError("LAHT parameters must be scalars")
+    a, b, bp, bn = params.values()
+    r_pos, r_neg = raws[2].data, raws[3].data
+    shape = x.data.shape
+    xd = x.data.reshape(-1)  # 1-d, so a 0-d input still takes in-place passes
+    t1, t2 = _half_tanh(xd, bn, a), _half_tanh(xd, -bp, b)
+    out = t1 + t2
+    out *= 0.5
+    out += 1.0
+    out *= xd
 
     def bwd(g):
-        d1, d2 = g * xd * s1 * (1.0 - s1), g * xd * s2 * (1.0 - s2)
-        grads = (d1 * (xd + bn), d2 * (xd - bp), -b * d2, a * d1)
-        return (g * (s1 + s2) + a * d1 + b * d2,) + tuple(
-            ad._unbroadcast(d, p.shape) for d, p in zip(grads, (a, b, bp, bn)))
+        g = np.reshape(g, -1)
+        gx = g * xd
+        gx *= 0.25
+        d1, d2 = np.square(t1), np.square(t2)
+        for d in (d1, d2):
+            np.subtract(1.0, d, d)
+            d *= gx
+        dx = t1 + t2
+        dx *= 0.5
+        dx += 1.0
+        dx *= g
+        d_alpha = np.dot(d1, np.add(xd, bn, out=gx))
+        d_beta = np.dot(d2, np.subtract(xd, bp, out=gx))
+        sum1, sum2 = d1.sum(), d2.sum()
+        d1 *= a
+        d2 *= b
+        dx += d1
+        dx += d2
+        return (dx.reshape(shape), d_alpha * a, d_beta * b,
+                -b * sum2 * ad._logistic(r_pos), a * sum1 * ad._logistic(r_neg))
 
-    return ad.record("laht", xd * (s1 + s2), (x, *params), bwd)
+    return ad.record("laht", out.reshape(shape), (x, *raws), bwd)
 
 
 @dataclass
@@ -243,7 +288,7 @@ def frontend_forward(signal, cfg, filters, lahts=None):
         h, g = filters.level_pair(level)
         both = decompose_level(a, h, g)
         if cfg.laht_enabled:
-            both = laht_apply(both, *lahts[level].effective())
+            both = laht_apply(both, lahts[level])
         a = both[:, :1]
         details.append(both[:, 1:])
     return DecompositionOutput(details=details, approximation=a)

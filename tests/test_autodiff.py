@@ -63,10 +63,25 @@ def _naive_conv(x, w, b, stride, dilation, padding, g):
     return out, gx, gw, gb
 
 
-@pytest.mark.parametrize("seed", range(32))
+# (batch, chans, width, k_out, taps, stride, dilation, padding) at widths >= 64
+_CONV_GEOMETRIES = {
+    # the model's band conv blocks and its wavelet level's (h, g) bank
+    "block-stride2-dilation2": (1, 16, 67, 16, 3, 2, 2, 2),
+    "block-dilation4": (1, 16, 64, 16, 3, 1, 4, 4),
+    "wavelet-level": (1, 1, 65, 2, 20, 2, 1, "circular"),
+    # taps start at 0, 2, 4, 6: phases 0, 2, 1, 0 of stride 3
+    "stride3-dilation2": (2, 3, 70, 2, 4, 3, 2, 1),
+    # one tap, no padding: no padded copy, and the im2col matrix views x
+    "one-tap": (2, 3, 64, 4, 1, 1, 1, 0),
+}
+
+
+@pytest.mark.parametrize("seed", [*range(32), *_CONV_GEOMETRIES], ids=str)
 def test_conv1d_matches_naive_loop(seed):
-    r = np.random.default_rng(seed)
-    if seed < 24:
+    r = np.random.default_rng(seed if isinstance(seed, int) else 99)
+    if seed in _CONV_GEOMETRIES:
+        batch, chans, width, k_out, taps, stride, dilation, padding = _CONV_GEOMETRIES[seed]
+    elif seed < 24:
         batch, chans, width = r.integers(1, 4), r.integers(1, 4), r.integers(4, 9)
         k_out, taps = r.integers(1, 4), r.integers(1, 4)
         stride = int(r.integers(1, 4))
@@ -85,11 +100,12 @@ def test_conv1d_matches_naive_loop(seed):
     x = r.normal(size=(batch, chans, int(width)))
     w = r.normal(size=(int(k_out), int(chans), int(taps)))
     b = r.normal(size=(int(k_out),))
-    leaves = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in (x, w, b)]
     with Tape():
         out = ad.conv1d(*leaves, stride=stride, dilation=dilation, padding=padding)
         g = r.normal(size=out.shape)
         backward(ad.reduce_sum(ad.mul(out, Tensor(g))))
+    assert np.array_equal(leaves[0].data, x)
     expected = _naive_conv(x, w, b, stride, dilation, padding, g)
     for got, want in zip([out.data] + [t.grad for t in leaves], expected):
         assert_allclose(got, want, atol=1e-12)

@@ -374,6 +374,19 @@ def test_a_checkpoint_with_a_parameter_the_network_does_not_hold_exits_3(tmp_pat
     assert "Traceback" not in err
 
 
+def test_a_checkpoint_with_a_non_finite_parameter_exits_3(tmp_path, capsys):
+    path, wav = tmp_path / "model.bin", tmp_path / "clip.wav"
+    cfg = load_config(None, TINY)
+    state = Network(cfg.model, seed=cfg.training.seed).state()
+    state["head.0"].flat[3] = np.nan
+    save_checkpoint(path, state, _with_run(cfg, cfg.synthetic_spec().label_names()))
+    write_wav_pcm16(wav, np.random.default_rng(0).uniform(-0.5, 0.5, 400), 16000)
+    assert _predict(path, wav) == cli.EXIT_DATA
+    out, err = capsys.readouterr()
+    assert f"data: {path}: checkpoint parameter 'head.0' holds a non-finite value" in err
+    assert "nan" not in out
+
+
 def _short_wav(tmp_path):
     wav = tmp_path / "short.wav"
     write_wav_pcm16(wav, np.zeros(100), 16000)

@@ -6,16 +6,15 @@ from wavelearn.data import default_synthetic_spec, generate_synthetic
 from wavelearn.model import ModelConfig, Network
 from wavelearn.wavelet import FrontEndConfig
 
-# The 376 nodes of one recorded forward of the tiny network: each GRU
-# direction is one `gru_scan` node, each LAHT level reparameterizes once and
-# thresholds both channels of its level with one fused `laht` node, and each
+# The 346 nodes of one recorded forward of the tiny network: each GRU
+# direction is one `gru_scan` node, each LAHT level thresholds both channels
+# of its level with one `laht` node over its four raw parameters, and each
 # wavelet level is one `stack` of its (h, g) bank, one `conv1d` and two
 # `take`s of the approximation and detail channels.
 TINY_FORWARD_KINDS = {
-    "add": 7, "concat": 25, "conv1d": 35, "exp": 12, "gru_scan": 28,
-    "laht": 6, "leaf": 65, "leaky_relu": 21, "log_softmax": 1,
-    "matmul": 28, "mean": 1, "mul": 8, "neg": 6, "reshape": 35,
-    "softmax": 14, "softplus": 12, "stack": 7, "sum": 7, "take": 23,
+    "add": 7, "concat": 25, "conv1d": 35, "gru_scan": 28, "laht": 6,
+    "leaf": 65, "leaky_relu": 21, "log_softmax": 1, "matmul": 28, "mean": 1,
+    "mul": 8, "reshape": 35, "softmax": 14, "stack": 7, "sum": 7, "take": 23,
     "tanh": 7, "transpose": 28,
 }
 

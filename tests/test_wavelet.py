@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from wavelearn import autodiff as ad
 from wavelearn.autodiff import Tape, Tensor, backward
-from wavelearn.errors import ConfigError, InputTooShortError
+from wavelearn.errors import ConfigError, DimensionError, InputTooShortError
 from wavelearn.gradcheck import check_gradients
 from wavelearn.wavelet import (
     SHARING_MODES,
@@ -215,37 +215,52 @@ def test_decompose_level_equals_one_conv_per_filter(mode):
         assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+def _params(*raw):
+    """LAHTParams over constant raw (alpha, beta, bias_pos, bias_neg) values."""
+    return LAHTParams(*(Tensor(v) for v in raw))
+
+
+def _raw_of(alpha, beta, bias_pos, bias_neg):
+    """The raw values whose effective parameters are the given ones."""
+    return np.log(-alpha), np.log(beta), np.log(np.expm1(bias_pos)), np.log(np.expm1(bias_neg))
+
+
 def test_laht_zero_fixed_point():
     p = LAHTParams.init()
-    out = laht_apply(Tensor(np.zeros(4)), *p.effective())
+    out = laht_apply(Tensor(np.zeros(4)), p)
     assert_allclose(out.data, np.zeros(4))
 
 
 def test_laht_identity_under_zero_bias_and_mirrored_sharpness():
     x = np.linspace(-4, 4, 41)
-    out = laht_apply(
-        Tensor(x), Tensor(-3.7), Tensor(3.7), Tensor(0.0), Tensor(0.0)
-    )
+    # one raw sharpness gives alpha = -beta exactly; softplus(-inf) = 0
+    sharp = np.log(3.7)
+    out = laht_apply(Tensor(x), _params(sharp, sharp, -np.inf, -np.inf))
     assert np.abs(out.data - x).max() < 1e-12
 
 
 def test_laht_hard_threshold_limit():
-    out = laht_apply(
-        Tensor(np.array([3.0, 0.5, -3.0])),
-        Tensor(-50.0), Tensor(50.0), Tensor(1.0), Tensor(1.0),
-    )
+    out = laht_apply(Tensor(np.array([3.0, 0.5, -3.0])),
+                     _params(*_raw_of(-50.0, 50.0, 1.0, 1.0)))
     assert 2.99 <= out.data[0] <= 3.0
     assert 0.0 <= out.data[1] <= 1e-6
     assert -3.0 <= out.data[2] <= -2.99
 
 
-def _laht_eight_nodes(x, alpha, beta, bias_pos, bias_neg):
-    # the reference: the eight elementwise nodes the fused laht node replaced
+def _laht_composed(x, raw_alpha, raw_beta, raw_pos, raw_neg):
+    # the reference: the exp, neg and softplus nodes of the reparameterization,
+    # then the eight elementwise nodes of the thresholding
+    alpha, beta = ad.neg(ad.exp(raw_alpha)), ad.exp(raw_beta)
+    bias_pos, bias_neg = ad.softplus(raw_pos), ad.softplus(raw_neg)
     gate = ad.add(
         ad.sigmoid(ad.mul(alpha, ad.add(x, bias_neg))),
         ad.sigmoid(ad.mul(beta, ad.sub(x, bias_pos))),
     )
     return ad.mul(x, gate)
+
+
+def _laht_node(x, *raw):
+    return laht_apply(x, LAHTParams(*raw))
 
 
 def _laht_output_and_grads(laht, arrays, probe):
@@ -254,6 +269,16 @@ def _laht_output_and_grads(laht, arrays, probe):
         out = laht(*leaves)
         backward(ad.reduce_sum(ad.mul(out, Tensor(probe))))
     return [out.data] + [t.grad for t in leaves]
+
+
+def _assert_laht_matches_the_composed_form(x, raw):
+    arrays = [x] + [np.array(v) for v in raw]
+    probe = np.random.default_rng(7).normal(size=x.shape)
+    got = _laht_output_and_grads(_laht_node, arrays, probe)
+    want = _laht_output_and_grads(_laht_composed, arrays, probe)
+    for g, w in zip(got, want):
+        assert np.shape(g) == np.shape(w)
+        assert_allclose(g, w, rtol=1e-12, atol=1e-12)
 
 
 _SATURATED_X = np.r_[np.linspace(-0.5, 0.5, 62), -0.2, -0.2001, 0.3, 0.3002].reshape(1, 2, 33)
@@ -267,12 +292,21 @@ _SATURATED_X = np.r_[np.linspace(-0.5, 0.5, 62), -0.2, -0.2001, 0.3, 0.3002].res
     (_SATURATED_X, -1e3, 1e3),  # thresholds at -bias_neg = -0.2 and bias_pos = 0.3
 ], ids=["0d", "vector", "frontend", "saturated"])
 def test_fused_laht_matches_the_eight_node_form(x, alpha, beta):
-    arrays = [x, np.array(alpha), np.array(beta), np.array(0.3), np.array(0.2)]
-    probe = np.random.default_rng(7).normal(size=x.shape)
-    got = _laht_output_and_grads(laht_apply, arrays, probe)
-    want = _laht_output_and_grads(_laht_eight_nodes, arrays, probe)
-    for g, w in zip(got, want):
-        assert_allclose(g, w, rtol=1e-12, atol=1e-12)
+    _assert_laht_matches_the_composed_form(x, _raw_of(alpha, beta, 0.3, 0.2))
+
+
+def test_laht_with_an_overflowing_raw_sharpness_matches_the_composed_form():
+    # exp(800) is inf, so alpha is -inf: no OverflowError, the same infs and NaNs
+    x = np.random.default_rng(8).normal(size=(1, 2, 9))
+    with np.errstate(over="ignore", invalid="ignore"):
+        _assert_laht_matches_the_composed_form(x, (800.0, *_raw_of(-4.0, 4.0, 0.3, 0.2)[1:]))
+
+
+def test_laht_rejects_non_scalar_parameters():
+    params = LAHTParams.init()
+    params.raw_beta = Tensor(np.zeros(2))
+    with pytest.raises(DimensionError):
+        laht_apply(Tensor(np.zeros(2)), params)
 
 
 def test_laht_constraints_from_reparameterization():
@@ -284,9 +318,15 @@ def test_laht_constraints_from_reparameterization():
             raw_bias_pos=Tensor(rng.normal() * 3),
             raw_bias_neg=Tensor(rng.normal() * 3),
         )
-        alpha, beta, bias_pos, bias_neg = (t.data for t in p.effective())
+        alpha, beta, bias_pos, bias_neg = p.values()
         assert alpha < 0 < beta
         assert bias_pos > 0 and bias_neg > 0
+
+
+def _random_params(rng, mirrored=False):
+    """Sharpness in [0.5, 30], the same for both gates when ``mirrored``; biases in (0, 2]."""
+    alpha, beta = -rng.uniform(0.5, 30), rng.uniform(0.5, 30)
+    return _params(*_raw_of(-beta if mirrored else alpha, beta, *rng.uniform(1e-6, 2, size=2)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -294,14 +334,9 @@ def test_laht_constraints_from_reparameterization():
 def test_laht_sign_and_zero_properties(seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=32) * 3
-    out = laht_apply(
-        Tensor(x),
-        Tensor(-float(rng.uniform(0.5, 30))),
-        Tensor(float(rng.uniform(0.5, 30))),
-        Tensor(float(rng.uniform(0.0, 2))),
-        Tensor(float(rng.uniform(0.0, 2))),
-    ).data
-    assert float(laht_apply(Tensor(0.0), Tensor(-1.0), Tensor(1.0), Tensor(0.1), Tensor(0.1)).data) == 0.0
+    out = laht_apply(Tensor(x), _random_params(rng)).data
+    zero = laht_apply(Tensor(0.0), _params(*_raw_of(-1.0, 1.0, 0.1, 0.1)))
+    assert float(zero.data) == 0.0
     ok = (np.sign(out) == np.sign(x)) | (np.abs(out) < 1e-9)
     assert ok.all()
 
@@ -313,13 +348,7 @@ def test_laht_shrinks_under_mirrored_sharpness(seed):
     # magnitudes it can exceed 1 in the transition region
     rng = np.random.default_rng(seed)
     x = rng.normal(size=32) * 3
-    sharp = float(rng.uniform(0.5, 30))
-    out = laht_apply(
-        Tensor(x),
-        Tensor(-sharp), Tensor(sharp),
-        Tensor(float(rng.uniform(0.0, 2))),
-        Tensor(float(rng.uniform(0.0, 2))),
-    ).data
+    out = laht_apply(Tensor(x), _random_params(rng, mirrored=True)).data
     assert np.all(np.abs(out) <= np.abs(x) * (1 + 1e-9))
 
 
@@ -360,7 +389,10 @@ def _laht_frontend_tape_kinds(levels):
 
 @pytest.mark.parametrize("levels", [1, 3])
 def test_frontend_reparameterizes_each_laht_level_once(levels):
-    assert _laht_frontend_tape_kinds(levels).count("softplus") == 2 * levels
+    # inside the level's laht node: no exp, neg or softplus node of its own
+    kinds = _laht_frontend_tape_kinds(levels)
+    reparameterization = [k for k in kinds if k in ("exp", "neg", "softplus")]
+    assert (len(reparameterization), kinds.count("laht")) == (0, levels)
 
 
 @pytest.mark.parametrize("levels", [1, 3])
