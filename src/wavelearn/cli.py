@@ -6,6 +6,7 @@ then each --set override; a later source wins.  Every artifact lands under
 --out-dir with fixed names and carries the config of the network it used in
 its header.  A checkpoint is self-describing: evaluate and predict read its
 run config and class names and take no config flags.
+Every subcommand runs on one thread.
 Exit codes: 0 ok, 2 config error, 3 data error, 4 numerical failure.
 """
 
@@ -77,7 +78,7 @@ def _build_parser():
         "evaluate", help="score a checkpoint on the test split of the dataset it was trained on")
     p_eval.add_argument("--checkpoint", required=True)
 
-    p_pred = sub.add_parser("predict", help="classify wav files, CSV on stdout")
+    p_pred = sub.add_parser("predict", help="classify wav files in the order given, CSV on stdout")
     p_pred.add_argument("--checkpoint", required=True)
     p_pred.add_argument("wavs", nargs="+", help="wav files to classify")
 
@@ -93,8 +94,6 @@ def _build_parser():
 
     for p in (p_train, p_eval, p_dec, p_synth):
         p.add_argument("--out-dir", default="out", help="artifact directory")
-    for p in (p_train, p_eval, p_pred):
-        p.add_argument("--workers", type=int, default=1, help="evaluation thread count")
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference check of every operation")
     p_grad.add_argument("--tolerance", type=float, default=1e-4)
@@ -189,7 +188,7 @@ def cmd_train(args):
                          {"run": cfg.to_dict(), "classes": names})
     test_clips = [clips[i] for i in test_idx]
     test_labels = labels_arr[test_idx].tolist()
-    report = evaluate(net, test_clips, test_labels, n_classes, workers=args.workers)
+    report = evaluate(net, test_clips, test_labels, n_classes)
     _write_metrics(out_dir, cfg, report, extra={"classes": names, "split": "test"})
     print(f"train done: test accuracy {report.accuracy:.4f}; artifacts in {out_dir}")
     return EXIT_OK
@@ -232,7 +231,7 @@ def cmd_evaluate(args):
     labels = np.asarray(labels)[keep].tolist()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = evaluate(net, clips, labels, len(names), workers=args.workers)
+    report = evaluate(net, clips, labels, len(names))
     _write_metrics(out_dir, cfg, report, extra={"classes": names, "split": "test"})
     print(f"evaluate done: accuracy {report.accuracy:.4f}; artifacts in {out_dir}")
     return EXIT_OK
@@ -241,7 +240,7 @@ def cmd_evaluate(args):
 def cmd_predict(args):
     net, _, names = _restore(args.checkpoint)
     clips = _samples([resample_to_16k(load_wav(wav)) for wav in args.wavs], net.cfg.frontend)
-    predicted, log_probs = predict(net, clips, workers=args.workers)
+    predicted, log_probs = predict(net, clips)
     header = ["path", "predicted"] + [f"logp_{i}" for i in range(log_probs.shape[1])]
     print(",".join(header))
     for wav, cls, row in zip(args.wavs, predicted, log_probs):

@@ -7,7 +7,7 @@ writes its dataset's class count into ``model.classes``.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import reduce
 from pathlib import Path
 
@@ -64,6 +64,12 @@ class RunConfig:
         return out
 
 
+def _integer(value):
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _coerce(value, template):
     if isinstance(template, bool):
         if isinstance(value, bool):
@@ -73,23 +79,28 @@ def _coerce(value, template):
         if str(value).lower() in ("false", "0", "no"):
             return False
         raise ConfigError(f"cannot read {value!r} as a boolean")
-    if isinstance(template, int) and not isinstance(template, bool):
-        return int(value)
+    if isinstance(template, int):
+        return _integer(value)
     if isinstance(template, float):
+        if isinstance(value, bool):
+            raise ValueError(f"{value!r} is not a number")
         return float(value)
     if isinstance(template, tuple):
         if isinstance(value, str):
             value = [v for v in value.replace(",", " ").split() if v]
         elif not isinstance(value, (list, tuple)):
             value = [value]  # YAML reads a bare `1` as an int
-        return tuple(int(v) for v in value)
-    return value if value is None or not isinstance(template, str) else str(value)
+        return tuple(_integer(v) for v in value)
+    if value is not None and not isinstance(value, str):  # str and str | None fields
+        raise ValueError(f"{value!r} is not a string")
+    return value
 
 
 def _apply_mapping(obj, mapping, path=""):
+    names = {f.name for f in fields(obj)}
     for key, value in mapping.items():
-        where = f"{path}.{key}" if path else key
-        if not hasattr(obj, key):
+        where = f"{path}.{key}" if path else str(key)
+        if key not in names:
             raise ConfigError(f"unknown config key {where!r}")
         current = getattr(obj, key)
         if hasattr(current, "__dataclass_fields__"):

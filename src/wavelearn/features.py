@@ -5,8 +5,9 @@ with slope 0.01) followed by width-wise attention that scores every position
 with a kernel-size-1 convolution over the feature map.  The map's global
 (width-mean) context is not added to it: its score term is the same at every
 position, a constant shift that the softmax over width cancels.  No pooling
-anywhere: for stride-1 blocks the output width is W minus the total dilated
-kernel span.
+anywhere: a block maps width W to (W + 2 padding - dilation (kernel - 1) - 1)
+// stride + 1, so with the default paddings equal to the dilations and kernel
+3, a stride-1 block keeps width W and a stride-2 block gives ceil(W / 2).
 """
 
 from __future__ import annotations

@@ -145,26 +145,25 @@ class Network:
     def state(self):
         return {name: p.data.copy() for name, p in self._params.items()}
 
-    def _band_vector(self, band, training, rng):
+    def _band_vector(self, band, rng):
         sequence, summary = band_features(band, self.pipeline.blocks, self.pipeline.attention)
         if self.stack is None:
             return summary
-        states = bigru_forward(
-            ad.transpose(sequence, (0, 2, 1)), self.stack, training=training, seed=rng
-        )
+        states = bigru_forward(ad.transpose(sequence, (0, 2, 1)), self.stack, rng)
         return temporal_attention(states, self.temporal)
 
     def forward(self, samples, training=False, dropout_seed=None):
         """Log class probabilities (1, classes) for one waveform.
 
-        ``dropout_seed`` (int, Generator or None) seeds one generator that
-        draws every band's dropout masks in turn when ``training``.
+        When ``training``, ``dropout_seed`` (int, Generator or None) seeds one
+        generator that draws every band's dropout masks in turn.
         """
         samples = np.asarray(samples, dtype=np.float64).reshape(-1)
         x = Tensor(samples.reshape(1, 1, -1))
         decomp = frontend_forward(x, self.cfg.frontend, self.filters, self.lahts)
-        rng = np.random.default_rng(dropout_seed)  # a Generator passes through as is
-        vectors = [self._band_vector(band, training, rng) for band in decomp.bands()]
+        # a Generator passes through as is
+        rng = np.random.default_rng(dropout_seed) if training else None
+        vectors = [self._band_vector(band, rng) for band in decomp.bands()]
         fused = fuse_bands(vectors)
         weighted = channel_weighting(fused, self.channel_weights)
         return classify(weighted, self.head)

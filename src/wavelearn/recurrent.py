@@ -108,7 +108,7 @@ def gru_scan(x, cell, reverse=False):
     and ``h_(s-1)``.  Each step scales ``k_s`` by ``dh_s`` in a (B, 5H) row that
     ends with ``g_(s-1)``, and one matmul of the row against ``[w_hh; I; I]``
     gives ``dh_(s-1)``: there is no (T, B, H, H) Jacobian.  Each call allocates
-    its own work arrays, so threads can share a network.
+    its own work arrays; the package runs on one thread.
     """
     xd, w_ih, w, b_ih, b_hh = (t.data for t in (x, *cell.tensors()))
     B, T, D = xd.shape
@@ -257,24 +257,22 @@ class BiGRUStack:
         return out
 
 
-def bigru_forward(seq, stack, training=False, seed=None):
+def bigru_forward(seq, stack, rng=None):
     """Encode (batch, T, D_in) into (batch, T, 2 * hidden) state sequences.
 
     Inter-layer activations are dropped out with probability ``dropout_p``
-    only when ``training``; masks come from ``seed`` (int or Generator), so a
-    fixed seed reproduces the pass bit for bit.
+    when ``rng`` is a Generator: it draws the masks layer by layer, so a
+    fixed seed reproduces the pass bit for bit.  With no ``rng`` the pass
+    runs no dropout.
     """
     if seq.data.ndim != 3:
         raise DimensionError("bigru_forward expects (batch, T, D_in)")
     if seq.data.shape[1] < 1:
         raise InputTooShortError("bigru_forward needs at least one time step")
-    rng = None
-    if training and stack.dropout_p > 0.0:
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     x = seq
     for index, layer in enumerate(stack.layers):
         x = ad.concat([gru_scan(x, layer.fwd), gru_scan(x, layer.bwd, reverse=True)], axis=2)
-        if rng is not None and index < len(stack.layers) - 1:
+        if rng is not None and stack.dropout_p > 0.0 and index < len(stack.layers) - 1:
             x = ad.dropout(x, stack.dropout_p, rng)
     return x
 
@@ -303,8 +301,9 @@ class TemporalAttentionParams:
 def temporal_attention(states, p):
     """Collapse (batch, T, D) state sequences to one (batch, D) vector each.
 
-    Scores are inner products of the linearly mapped states with the final
-    state; softmax over time yields the weights of the context sum.
+    Scores are inner products of the states with the query ``h_last @ fc1``,
+    which equal those of the ``fc1``-mapped states with the final state
+    ``h_last``; softmax over time yields the weights of the context sum.
     """
     if states.data.ndim != 3:
         raise DimensionError("temporal_attention expects (batch, T, D)")
@@ -312,9 +311,8 @@ def temporal_attention(states, p):
     if p.fc2_weight.data.shape[1] != 2 * dim:
         raise DimensionError("fc2 input extent must be 2 * D")
     h_last = states[:, t_len - 1, :]
-    flat = ad.reshape(states, (batch * t_len, dim))
-    mapped = ad.reshape(ad.matmul(flat, ad.transpose(p.fc1_weight)), (batch, t_len, dim))
-    scores = ad.matmul(mapped, ad.reshape(h_last, (batch, dim, 1)))
+    query = ad.reshape(ad.matmul(h_last, p.fc1_weight), (batch, dim, 1))
+    scores = ad.matmul(states, query)
     weights = ad.softmax(scores, axis=1)
     context = ad.reshape(ad.matmul(ad.transpose(weights, (0, 2, 1)), states), (batch, dim))
     merged = ad.concat([context, h_last], axis=1)

@@ -291,7 +291,9 @@ def train_model(model, clips, labels, loss_cfg, adam, epochs, seed,
             EpochRecord(epoch, "train", total_loss / n, correct / n)
         )
         if val_clips:
-            val_loss, val_acc = _validate(model, val_clips, val_labels, loss_cfg)
+            predicted, log_probs = predict(model, val_clips)
+            val_loss = float(focal_loss(Tensor(log_probs), val_labels, loss_cfg).data)
+            val_acc = float(np.mean(predicted == np.asarray(val_labels)))
             records.append(EpochRecord(epoch, "val", val_loss, val_acc))
     return records
 
@@ -306,44 +308,21 @@ def _apply_l2_and_step(params, lam, adam):
     zero_grads(params)
 
 
-def _validate(model, clips, labels, loss_cfg):
-    total = 0.0
-    correct = 0
-    for clip, label in zip(clips, labels):
-        log_probs = model.forward(clip, training=False)
-        loss = focal_loss(log_probs, [label], loss_cfg)
-        total += float(loss.data)
-        correct += int(np.argmax(log_probs.data[0]) == label)
-    return total / len(clips), correct / len(clips)
-
-
 def predict(model, clips, workers=1):
-    """Argmax class and log probabilities per clip, order-stable.
+    """Argmax class and (clips, classes) log probabilities, one forward per clip in order.
 
-    Forward passes are independent reads of the parameters, so they may fan
-    out over a thread pool; results are reassembled by index.
+    The package runs on one thread.  ``workers`` is kept only for callers
+    that still pass ``workers=1``; any other value is a ContractError.
     """
-    results = [None] * len(clips)
-
-    def run(i):
-        log_probs = model.forward(clips[i], training=False)
-        results[i] = log_probs.data[0].copy()
-
-    if workers > 1 and len(clips) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(len(clips))))
-    else:
-        for i in range(len(clips)):
-            run(i)
-    log_probs = np.stack(results)
+    if workers != 1:
+        raise ContractError(f"predict runs on one thread: workers must be 1, got {workers}")
+    log_probs = np.stack([model.forward(clip).data[0] for clip in clips])
     return np.argmax(log_probs, axis=1), log_probs
 
 
-def evaluate(model, clips, labels, n_classes, workers=1):
-    """MetricsReport for a subset; empty subsets are dataset errors."""
+def evaluate(model, clips, labels, n_classes):
+    """MetricsReport of ``predict`` on a subset; empty subsets are dataset errors."""
     if len(clips) == 0:
         raise DatasetError("cannot evaluate an empty subset")
-    predicted, _ = predict(model, clips, workers=workers)
+    predicted, _ = predict(model, clips)
     return metrics_from_pairs(labels, predicted, n_classes)

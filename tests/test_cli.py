@@ -37,7 +37,7 @@ def _with_run(cfg, names):
 
 
 def _evaluate(tmp_path, checkpoint, monkeypatch, seen):
-    def fake_evaluate(model, clips, labels, n_classes, workers=1):
+    def fake_evaluate(model, clips, labels, n_classes):
         seen.extend(clips)
         return metrics_from_pairs(labels, labels, n_classes)
 
@@ -97,9 +97,9 @@ def test_evaluate_test_split_needs_the_training_dataset(tmp_path, monkeypatch):
 
 
 OPTIONS = {
-    "train": ["--ablation", "--config", "--epochs", "--out-dir", "--seed", "--set", "--workers"],
-    "evaluate": ["--checkpoint", "--out-dir", "--workers"],
-    "predict": ["--checkpoint", "--workers"],
+    "train": ["--ablation", "--config", "--epochs", "--out-dir", "--seed", "--set"],
+    "evaluate": ["--checkpoint", "--out-dir"],
+    "predict": ["--checkpoint"],
     "decompose": ["--config", "--out-dir", "--set"],
     "synth-data": ["--config", "--out-dir", "--per-class", "--set"],
     "gradcheck": ["--tolerance"],
@@ -115,7 +115,7 @@ def test_cli_options_per_subcommand():
         for name, parser in sub.choices.items()
     }
     assert got == OPTIONS
-    assert sum(map(len, got.values())) == 20
+    assert sum(map(len, got.values())) == 17
 
 
 @pytest.mark.parametrize("argv", [
@@ -134,6 +134,9 @@ def test_cli_options_per_subcommand():
     ["predict", "--checkpoint", "m.bin", "x.wav", "--config", "run.yaml"],
     ["predict", "--checkpoint", "m.bin", "x.wav", "--set", "training.seed=0"],
     ["predict", "--checkpoint", "m.bin", "x.wav", "--ablation", "allkernel+laht"],
+    ["train", "--workers", "2"],
+    ["evaluate", "--checkpoint", "m.bin", "--workers", "2"],
+    ["predict", "--checkpoint", "m.bin", "x.wav", "--workers", "2"],
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
 def test_removed_options_are_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -268,8 +271,9 @@ def test_predict_with_a_missing_checkpoint_exits_3(tmp_path, capsys):
     ("classes", {"run": {}, "classes": []}),
     ("run", {"run": {"training": {"lam": -1}}, "classes": ["a", "b", "c", "d"]}),
     ("classes", {"run": {}, "classes": ["a", "b"]}),  # model.classes is 4
+    ("run", {"run": {"model": {"gru_layers": 2.5}}, "classes": ["a", "b", "c", "d"]}),
 ], ids=["run-list", "classes-int", "classes-mixed", "run-missing", "classes-missing",
-        "classes-empty", "run-invalid", "classes-count"])
+        "classes-empty", "run-invalid", "classes-count", "run-non-integral"])
 def test_restore_rejects_mistyped_metadata(tmp_path, capsys, key, meta):
     path = tmp_path / "model.bin"
     _checkpoint(path, lambda c, names: meta)
@@ -287,6 +291,17 @@ def test_an_unreadable_config_file_exits_2(tmp_path, capsys, make):
     argv = ["train", "--config", str(path), "--out-dir", str(tmp_path / "out")]
     assert cli.main(argv) == cli.EXIT_CONFIG
     assert f"cannot read config file {path}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, key", [("1: 2\n", "'1'"), ("model:\n  3: x\n", "'model.3'")],
+                         ids=["top-level", "nested"])
+def test_a_config_file_with_a_non_string_key_exits_2(tmp_path, capsys, text, key):
+    path = tmp_path / "run.yaml"
+    path.write_text(text)
+    argv = ["train", "--config", str(path), "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert f"unknown config key {key}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -35,6 +35,16 @@ BAD = [
     ("model.frontend.kernel_size=42", "model.frontend.kernel_size"),
     ("model.frontend.levels=0", "model.frontend.levels"),
     ("model.frontend.sharing=foo", "model.frontend.sharing"),
+    # only a section's own fields are keys, not its methods or properties
+    ("synthetic_spec=5", "synthetic_spec"),
+    ("to_dict=1", "to_dict"),
+    ("model.frontend.min_input_length=3", "model.frontend.min_input_length"),
+    # no silent rounding or bool-as-number, and paths are strings
+    ("model.gru_layers=2.5", "model.gru_layers"),
+    ("training.epochs=true", "training.epochs"),
+    ("training.lr=true", "training.lr"),
+    ("data.manifest=5", "data.manifest"),
+    ("data.root=7", "data.root"),
 ]
 
 

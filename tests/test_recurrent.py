@@ -273,16 +273,17 @@ def test_bigru_dropout_determinism_and_zero_p():
     rng = np.random.default_rng(5)
     stack = BiGRUStack.init(2, 2, 3, 0.4, rng)
     x = Tensor(rng.normal(size=(1, 6, 2)))
-    a = bigru_forward(x, stack, training=True, seed=7)
-    b = bigru_forward(x, stack, training=True, seed=7)
-    c = bigru_forward(x, stack, training=True, seed=8)
+    a = bigru_forward(x, stack, np.random.default_rng(7))
+    b = bigru_forward(x, stack, np.random.default_rng(7))
+    c = bigru_forward(x, stack, np.random.default_rng(8))
     assert np.array_equal(a.data, b.data)
     assert not np.array_equal(a.data, c.data)
 
     plain = BiGRUStack(layers=stack.layers, dropout_p=0.0)
-    d = bigru_forward(x, plain, training=True, seed=7)
-    e = bigru_forward(x, plain, training=True, seed=123)
+    d = bigru_forward(x, plain, np.random.default_rng(7))
+    e = bigru_forward(x, plain, np.random.default_rng(123))
     assert np.array_equal(d.data, e.data)
+    assert np.array_equal(bigru_forward(x, stack).data, d.data)  # no generator, no dropout
 
 
 def test_network_int_dropout_seed_seeds_one_generator_per_pass():

@@ -338,14 +338,40 @@ def test_inverse_frequency_alphas():
         inverse_frequency_alphas([0, 0], 2)
 
 
-def test_predict_with_two_workers_equals_one():
-    # the threads share one network, so nothing a forward pass writes may be shared
+def _tiny_network_and_clips():
     cfg = ModelConfig(frontend=FrontEndConfig(levels=6), conv_channels=4,
                       gru_layers=2, gru_hidden=4)
     spec = default_synthetic_spec(levels=6, seed=2, length_range=(1300, 1700))
-    clips = [c.samples for c in generate_synthetic(spec, 1)[:3]]
-    net = Network(cfg, seed=4)
-    labels_one, log_probs_one = predict(net, clips, workers=1)
-    labels_two, log_probs_two = predict(net, clips, workers=2)
-    assert np.array_equal(log_probs_two, log_probs_one)
-    assert np.array_equal(labels_two, labels_one)
+    return Network(cfg, seed=4), generate_synthetic(spec, 2)
+
+
+def test_predict_rows_are_each_clips_forward_in_clip_order():
+    net, clips = _tiny_network_and_clips()
+    samples = [c.samples for c in clips[:3]][::-1]
+    labels, log_probs = predict(net, samples)
+    rows = np.stack([net.forward(s).data[0] for s in samples])
+    assert np.array_equal(log_probs, rows)
+    assert np.array_equal(labels, np.argmax(rows, axis=1))
+    # nothing a forward pass writes is kept between calls
+    again_labels, again = predict(net, samples)
+    assert np.array_equal(again, log_probs)
+    assert np.array_equal(again_labels, labels)
+    with pytest.raises(ContractError, match="workers"):
+        predict(net, samples, workers=2)
+
+
+def test_validation_records_the_mean_per_clip_focal_loss_and_accuracy():
+    net, clips = _tiny_network_and_clips()
+    train, val = clips[:4], clips[4:]
+    loss_cfg = LossConfig(class_alpha=np.array([0.5, 1.0, 1.5, 1.0]))
+    records = train_model(net, [c.samples for c in train], [c.label for c in train], loss_cfg,
+                          AdamState(), epochs=1, seed=0, batch_size=4,
+                          val_clips=[c.samples for c in val], val_labels=[c.label for c in val])
+    [record] = [r for r in records if r.split == "val"]
+    losses, hits = [], []
+    for clip in val:
+        log_probs = net.forward(clip.samples)
+        losses.append(float(focal_loss(log_probs, [clip.label], loss_cfg).data))
+        hits.append(np.argmax(log_probs.data[0]) == clip.label)
+    assert abs(record.loss - np.mean(losses)) <= 1e-12
+    assert abs(record.accuracy - np.mean(hits)) <= 1e-12
