@@ -471,8 +471,10 @@ def conv1d(x, w, b=None, stride=1, dilation=1, padding=0):
     The backward's weight gradient is one 2-d matmul over (K, batch out_w).
     Tap s adds its input gradient at padded positions dilation s + stride q,
     which is a contiguous run of phase (dilation s) mod stride, so each tap
-    adds into a contiguous (batch, C, stride, n) phase array, and the phases
-    are interleaved into the padded width once.
+    adds into a contiguous (batch, C, n) array of its phase, and the phases
+    are interleaved into the padded width once; a phase that no tap writes
+    (every tap of a stride-2, dilation-2 block is on phase 0) is written as
+    zeros there.
     """
     if x.data.ndim != 3 or w.data.ndim != 3:
         raise DimensionError("conv1d expects x (batch, C, W) and w (K, C, S)")
@@ -510,15 +512,17 @@ def conv1d(x, w, b=None, stride=1, dilation=1, padding=0):
         gw = g.transpose(1, 0, 2).reshape(k_out, cols) @ mat.transpose(1, 0, 2).reshape(-1, cols).T
         gcols = (wmat.T @ g).reshape(batch, chans, taps, out_w)
         phase_w = -(-full // stride)
-        phases = np.zeros((batch, chans, stride, phase_w))
+        phases = {}  # only the phases some tap writes; tap 0 writes phase 0
         for s in range(taps):
             start, phase = divmod(dilation * s, stride)
-            phases[:, :, phase, start : start + out_w] += gcols[:, :, s]
-        gxp = phases[:, :, 0]  # at stride 1 the one phase is the padded order
+            if phase not in phases:
+                phases[phase] = np.zeros((batch, chans, phase_w))
+            phases[phase][:, :, start : start + out_w] += gcols[:, :, s]
+        gxp = phases[0]  # at stride 1 the one phase is the padded order
         if stride > 1:
             gxp = np.empty((batch, chans, phase_w * stride))
             for phase in range(stride):
-                gxp[:, :, phase::stride] = phases[:, :, phase]
+                gxp[:, :, phase::stride] = phases.get(phase, 0.0)
         gx = gxp[:, :, pad : pad + width]
         if padding == "circular":
             gx[:, :, : full - width] += gxp[:, :, width:full]

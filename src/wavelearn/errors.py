@@ -38,4 +38,4 @@ class FormatError(WavelearnError, ValueError):
 
 
 class NumericalError(WavelearnError, RuntimeError):
-    """A non-finite value appeared during optimization."""
+    """A non-finite value appeared in an input or during optimization."""

@@ -236,6 +236,18 @@ def model_cases():
 
         cases[name] = (scan_case, scan_arrays)
 
+    # a backward whose steps fill one Jacobian chunk and spill one into a second
+    t_chunks = recurrent.CHUNK + 2
+    chunk_probe = rs.normal(size=(1, t_chunks, d_h))
+    chunk_arrays = [rs.normal(size=(1, t_chunks, d_in))]
+    chunk_arrays += [rs.normal(size=s) * 0.5 for s in recurrent.GRUCellParams.shapes(d_in, d_h)]
+
+    def chunk_case(t):
+        out = recurrent.gru_scan(t[0], recurrent.GRUCellParams(*t[1:]))
+        return ad.reduce_sum(ad.mul(out, Tensor(chunk_probe)))
+
+    cases["gru_scan_chunks"] = (chunk_case, chunk_arrays)
+
     bigru_probe = r.normal(size=(1, 4, 2 * d_h))
     template = recurrent.BiGRUStack.init(2, d_in, d_h, 0.0, _rng(7))
     bigru_arrays = [r.normal(size=(1, 4, d_in))] + [p.data * 0.5 for p in template.parameters()]

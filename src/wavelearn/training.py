@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
-from .errors import ContractError, DatasetError, LabelError, NumericalError
+from .errors import ContractError, DatasetError, DimensionError, LabelError, NumericalError
 
 
 @dataclass
@@ -308,15 +308,36 @@ def _apply_l2_and_step(params, lam, adam):
     zero_grads(params)
 
 
+def _checked_clip(clip, index):
+    """``clip`` as a 1-D array of finite real samples, else a typed error naming it."""
+    try:
+        samples = np.asarray(clip)
+    except ValueError as exc:  # a ragged nested sequence
+        raise ContractError(f"clip {index} is not an array of samples: {exc}") from None
+    if samples.dtype.kind not in "iuf":
+        raise ContractError(f"clip {index} holds {samples.dtype} values, not real samples")
+    if samples.ndim != 1:
+        raise DimensionError(f"clip {index} has shape {samples.shape}, not (samples,)")
+    if not np.isfinite(samples).all():
+        raise NumericalError(f"clip {index} holds a non-finite sample")
+    return samples
+
+
 def predict(model, clips, workers=1):
     """Argmax class and (clips, classes) log probabilities, one forward per clip in order.
 
+    Every clip is checked before the first forward: an empty list is a
+    DatasetError, a clip of other than real numbers a ContractError, one that
+    is not 1-D a DimensionError and one with a NaN or inf a NumericalError.
     The package runs on one thread.  ``workers`` is kept only for callers
     that still pass ``workers=1``; any other value is a ContractError.
     """
     if workers != 1:
         raise ContractError(f"predict runs on one thread: workers must be 1, got {workers}")
-    log_probs = np.stack([model.forward(clip).data[0] for clip in clips])
+    if len(clips) == 0:
+        raise DatasetError("cannot predict an empty list of clips")
+    checked = [_checked_clip(clip, index) for index, clip in enumerate(clips)]
+    log_probs = np.stack([model.forward(clip).data[0] for clip in checked])
     return np.argmax(log_probs, axis=1), log_probs
 
 

@@ -9,7 +9,13 @@ from numpy.testing import assert_allclose
 from wavelearn import autodiff as ad
 from wavelearn.autodiff import Tape, Tensor, backward
 from wavelearn.data import default_synthetic_spec, generate_synthetic
-from wavelearn.errors import ContractError, DatasetError, LabelError
+from wavelearn.errors import (
+    ContractError,
+    DatasetError,
+    DimensionError,
+    LabelError,
+    NumericalError,
+)
 from wavelearn.gradcheck import check_gradients
 from wavelearn.model import ModelConfig, Network
 from wavelearn.training import (
@@ -358,6 +364,33 @@ def test_predict_rows_are_each_clips_forward_in_clip_order():
     assert np.array_equal(again_labels, labels)
     with pytest.raises(ContractError, match="workers"):
         predict(net, samples, workers=2)
+
+
+# each bad clip follows a good one: every clip is checked before any forward
+BAD_CLIPS = {
+    "two_channels": (lambda good: good.reshape(2, -1), DimensionError),
+    "text": (lambda good: np.array(["0.1", "0.2"]), ContractError),
+    "ragged": (lambda good: [[0.1, 0.2], [0.3]], ContractError),
+    "nan": (lambda good: np.where(np.arange(good.size) == 7, np.nan, good), NumericalError),
+    "inf": (lambda good: np.where(np.arange(good.size) == 7, -np.inf, good), NumericalError),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_CLIPS))
+def test_predict_rejects_a_bad_clip_before_any_forward(name, monkeypatch):
+    net, clips = _tiny_network_and_clips()
+    good = clips[0].samples[:1400]
+    bad, error = BAD_CLIPS[name]
+    monkeypatch.setattr(net, "forward", lambda *a, **k: pytest.fail("a forward ran"))
+    with pytest.raises(error, match="clip 1"):
+        predict(net, [good, bad(good)])
+
+
+def test_predict_rejects_an_empty_clip_list(monkeypatch):
+    net, _ = _tiny_network_and_clips()
+    monkeypatch.setattr(net, "forward", lambda *a, **k: pytest.fail("a forward ran"))
+    with pytest.raises(DatasetError, match="empty"):
+        predict(net, [])
 
 
 def test_validation_records_the_mean_per_clip_focal_loss_and_accuracy():
