@@ -362,9 +362,10 @@ def stack(tensors, axis):
             raise DimensionError(f"stack extents differ: {t.data.shape} vs {first}")
     out = np.stack([t.data for t in tensors], axis=axis)
     n = len(tensors)
+    lead = (slice(None),) * (axis % out.ndim)
 
-    def bwd(g):
-        return tuple(np.take(g, i, axis=axis) for i in range(n))
+    def bwd(g):  # basic-index views of g, one per input
+        return tuple(g[lead + (i,)] for i in range(n))
 
     return record("stack", out, tuple(tensors), bwd)
 

@@ -21,7 +21,8 @@ from .errors import ParseError
 # 4: the run-config echo lost training.folds; one validation split replaced the folds
 # 5: the run-config echo lost ablation; its model fields state the network built
 # 6: no instance norm, spatial score bias or temporal fc1 bias; names shift
-FORMAT_VERSION = 6
+# 7: the run-config echo lost the five conv-geometry keys, now fixed in features
+FORMAT_VERSION = 7
 
 
 def save_checkpoint(path, state, config):

@@ -255,18 +255,16 @@ def cmd_decompose(args):
                               sharing=fe.sharing, laht_enabled=False)
     filters = FrontEndFilters(analysis)
     [samples] = _samples([resample_to_16k(load_wav(args.wav))], fe)
-    out = frontend_forward(Tensor(samples.reshape(1, 1, -1)), analysis, filters)
+    bands = frontend_forward(Tensor(samples.reshape(1, 1, -1)), analysis, filters)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = [_config_comment(cfg), "band,index,value"]
-    for level, detail in enumerate(out.details, start=1):
-        values = detail.data.reshape(-1)
-        lines.extend(f"d{level},{i},{v:.17g}" for i, v in enumerate(values))
-    approx = out.approximation.data.reshape(-1)
-    lines.extend(f"a{fe.levels},{i},{v:.17g}" for i, v in enumerate(approx))
+    names = [f"d{level}" for level in range(1, fe.levels + 1)] + [f"a{fe.levels}"]
+    for name, band in zip(names, bands):
+        lines.extend(f"{name},{i},{v:.17g}" for i, v in enumerate(band.data.reshape(-1)))
     path = out_dir / "bands.csv"
     path.write_text("\n".join(lines) + "\n")
-    print(f"decompose done: {len(out.details)} detail bands + approximation in {path}")
+    print(f"decompose done: {fe.levels} detail bands + approximation in {path}")
     return EXIT_OK
 
 

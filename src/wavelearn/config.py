@@ -2,7 +2,8 @@
 
 ``RunConfig.model`` is exactly the network a run builds: an ablation tag is
 resolved into the model fields when the config is loaded, and ``train``
-writes its dataset's class count into ``model.classes``.
+writes its dataset's class count into ``model.classes``.  The band
+pipeline's conv geometry is fixed in ``features`` and is not a setting.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import yaml
 
 from .data import default_synthetic_spec
 from .errors import ConfigError
+from .fusion import HEAD_KERNEL
 from .model import ModelConfig, apply_ablation
 from .wavelet import FrontEndConfig
 
@@ -57,17 +59,7 @@ class RunConfig:
         )
 
     def to_dict(self):
-        out = asdict(self)
-        out["model"]["dilations"] = list(self.model.dilations)
-        out["model"]["conv_strides"] = list(self.model.conv_strides)
-        out["model"]["conv_paddings"] = list(self.model.conv_paddings)
-        return out
-
-
-def _integer(value):
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
+        return asdict(self)
 
 
 def _coerce(value, template):
@@ -80,17 +72,13 @@ def _coerce(value, template):
             return False
         raise ConfigError(f"cannot read {value!r} as a boolean")
     if isinstance(template, int):
-        return _integer(value)
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise ValueError(f"{value!r} is not an integer")
+        return int(value)
     if isinstance(template, float):
         if isinstance(value, bool):
             raise ValueError(f"{value!r} is not a number")
         return float(value)
-    if isinstance(template, tuple):
-        if isinstance(value, str):
-            value = [v for v in value.replace(",", " ").split() if v]
-        elif not isinstance(value, (list, tuple)):
-            value = [value]  # YAML reads a bare `1` as an int
-        return tuple(_integer(v) for v in value)
     if value is not None and not isinstance(value, str):  # str and str | None fields
         raise ValueError(f"{value!r} is not a string")
     return value
@@ -176,13 +164,7 @@ def _validate(cfg):
             f"front-end minimum {fe.min_input_length}"
         )
     m, t = cfg.model, cfg.training
-    if not len(m.dilations) == len(m.conv_strides) == len(m.conv_paddings) >= 1:
-        raise ConfigError("model.dilations, model.conv_strides and model.conv_paddings "
-                          "need one entry each per conv block")
     rules = {  # each rule's first word is the key it checks
-        "model.dilations entries >= 1": min(m.dilations) >= 1,
-        "model.conv_strides entries >= 1": min(m.conv_strides) >= 1,
-        "model.conv_paddings entries >= 0": min(m.conv_paddings) >= 0,
         "model.dropout in [0, 1)": 0 <= m.dropout < 1,
         "training.test_frac in (0, 1)": 0 < t.test_frac < 1,
         "training.lr > 0": t.lr > 0,
@@ -192,8 +174,12 @@ def _validate(cfg):
         "training.gamma >= 0": t.gamma >= 0,
         "training.lam >= 0": t.lam >= 0,
     }
-    for key in ("conv_channels", "conv_kernel", "gru_layers", "gru_hidden", "head_kernel"):
+    for key in ("conv_channels", "gru_layers", "gru_hidden"):
         rules[f"model.{key} >= 1"] = getattr(m, key) >= 1
+    key, vector = (("gru_hidden", 2 * m.gru_hidden) if m.bigru_enabled
+                   else ("conv_channels", m.conv_channels))
+    rules[f"model.{key} giving a band vector >= {HEAD_KERNEL} wide for the head's kernel"] = (
+        vector >= HEAD_KERNEL)
     rules["training.epochs >= 1"] = t.epochs >= 1
     rules["training.batch_size >= 1"] = t.batch_size >= 1
     rules["data.synthetic_n_per_class >= 1"] = cfg.data.synthetic_n_per_class >= 1
@@ -201,18 +187,3 @@ def _validate(cfg):
         if not ok:
             key = rule.split()[0]
             raise ConfigError(f"{key} is {reduce(getattr, key.split('.'), cfg)!r}; need {rule}")
-    # an admissible clip's shortest band has kernel_size samples, and a conv's
-    # output only widens with its input, so checking that width is exact
-    width = fe.kernel_size
-    for block, (d, s, p) in enumerate(zip(m.dilations, m.conv_strides, m.conv_paddings)):
-        width = (width + 2 * p - d * (m.conv_kernel - 1) - 1) // s + 1
-        if width < 1:
-            raise ConfigError(
-                f"model.conv_kernel, model.dilations, model.conv_strides and "
-                f"model.conv_paddings leave a {fe.kernel_size}-sample band "
-                f"(model.frontend.kernel_size) no output at conv block {block}")
-    vector = 2 * m.gru_hidden if m.bigru_enabled else m.conv_channels
-    if m.head_kernel > vector:
-        raise ConfigError(f"model.head_kernel is {m.head_kernel}; need <= the band-vector "
-                          f"width {vector} (2 * model.gru_hidden, or model.conv_channels "
-                          f"when model.bigru_enabled is false)")

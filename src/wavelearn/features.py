@@ -1,13 +1,16 @@
 """Per-band local feature extraction.
 
-A short stack of dilated convolution blocks (conv, then a leaky activation
-with slope 0.01) followed by width-wise attention that scores every position
-with a kernel-size-1 convolution over the feature map.  The map's global
-(width-mean) context is not added to it: its score term is the same at every
-position, a constant shift that the softmax over width cancels.  No pooling
-anywhere: a block maps width W to (W + 2 padding - dilation (kernel - 1) - 1)
-// stride + 1, so with the default paddings equal to the dilations and kernel
-3, a stride-1 block keeps width W and a stride-2 block gives ceil(W / 2).
+A fixed stack of three dilated convolution blocks (conv, then a leaky
+activation with slope 0.01), then width-wise attention that scores every
+position with a kernel-size-1 convolution over the feature map.  The map's
+global (width-mean) context is not added: its score term is the same at every
+position, a constant shift that the softmax over width cancels.
+
+The geometry is fixed here: kernel 3 and (dilation, stride, padding) =
+(1, 2, 1), (2, 2, 2), (4, 1, 4).  With each padding equal to its dilation a
+stride-2 block maps width W to ceil(W / 2) and the stride-1 block keeps W, so
+a band of W >= 1 samples leaves ceil(ceil(W / 2) / 2) >= 1 positions.  The
+strides shorten the sequences the recurrent encoder scans; nothing pools.
 """
 
 from __future__ import annotations
@@ -17,7 +20,9 @@ from typing import NamedTuple
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DimensionError
+
+KERNEL = 3
+BLOCKS = ((1, 2, 1), (2, 2, 2), (4, 1, 4))  # (dilation, stride, padding)
 
 
 @dataclass
@@ -29,14 +34,12 @@ class ConvBlockParams:
     padding: int = 0
 
     @classmethod
-    def init(cls, in_channels, out_channels, kernel, rng, dilation=1, stride=1, padding=0):
-        scale = (2.0 / (in_channels * kernel)) ** 0.5
+    def init(cls, in_channels, out_channels, rng, dilation, stride, padding):
+        scale = (2.0 / (in_channels * KERNEL)) ** 0.5
         return cls(
-            weight=ad.parameter(rng.normal(0.0, scale, size=(out_channels, in_channels, kernel))),
+            weight=ad.parameter(rng.normal(0.0, scale, size=(out_channels, in_channels, KERNEL))),
             bias=ad.parameter(rng.normal(0.0, 0.01, size=(out_channels,))),
-            stride=stride,
-            dilation=dilation,
-            padding=padding,
+            stride=stride, dilation=dilation, padding=padding,
         )
 
     def tensors(self):
@@ -78,8 +81,6 @@ def spatial_attention(l, p):
     context adds one constant to every position's score, which the softmax
     cancels.  Returns the weighted map, the weights, and their width sum.
     """
-    if p.score_weight.data.shape[2] != 1:
-        raise DimensionError("spatial attention kernel width must be 1")
     scores = ad.conv1d(l, p.score_weight)
     weights = ad.softmax(scores, axis=2)
     weighted = ad.mul(weights, l)
@@ -95,24 +96,14 @@ class BandPipelineParams:
     attention: SpatialAttentionParams
 
     @classmethod
-    def init(cls, channels, kernel, dilations, rng, strides=None, paddings=None):
-        strides = strides or (1,) * len(dilations)
-        paddings = paddings or (0,) * len(dilations)
-        blocks = []
-        c_in = 1
-        for d, s, p in zip(dilations, strides, paddings):
-            blocks.append(
-                ConvBlockParams.init(c_in, channels, kernel, rng, dilation=d, stride=s, padding=p)
-            )
-            c_in = channels
+    def init(cls, channels, rng):
+        c_in = [1] + [channels] * (len(BLOCKS) - 1)
+        blocks = [ConvBlockParams.init(c, channels, rng, *geometry)
+                  for c, geometry in zip(c_in, BLOCKS)]
         return cls(blocks=blocks, attention=SpatialAttentionParams.init(channels, rng))
 
     def tensors(self):
-        out = []
-        for b in self.blocks:
-            out.extend(b.tensors())
-        out.extend(self.attention.tensors())
-        return out
+        return [t for b in self.blocks for t in b.tensors()] + self.attention.tensors()
 
 
 def band_features(band, blocks, attention):

@@ -3,7 +3,8 @@
 Per-band vectors are stacked channel-wise (high frequency first, then the
 approximation), scaled by one learnable weight per band, pushed through one
 convolution whose output channels are the classes, averaged over width, and
-log-softmax normalized.
+log-softmax normalized.  That convolution's kernel is ``HEAD_KERNEL`` = 3
+wide, so a band vector needs at least 3 entries.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DimensionError
+
+HEAD_KERNEL = 3
 
 
 @dataclass
@@ -31,14 +34,14 @@ class ChannelWeights:
 
 @dataclass
 class HeadParams:
-    weight: Tensor  # (classes, bands, kernel)
+    weight: Tensor  # (classes, bands, HEAD_KERNEL)
     bias: Tensor
 
     @classmethod
-    def init(cls, bands, classes, kernel, rng):
-        scale = (2.0 / (bands * kernel)) ** 0.5
+    def init(cls, bands, classes, rng):
+        scale = (2.0 / (bands * HEAD_KERNEL)) ** 0.5
         return cls(
-            weight=ad.parameter(rng.normal(0.0, scale, size=(classes, bands, kernel))),
+            weight=ad.parameter(rng.normal(0.0, scale, size=(classes, bands, HEAD_KERNEL))),
             bias=ad.parameter(rng.normal(0.0, 0.01, size=(classes,))),
         )
 

@@ -261,6 +261,24 @@ def model_cases():
         cases[name] = (bigru_case, bigru_arrays)
 
     d_att = 2 * d_h
+    # one stack and one attention shared by a T = 3 and a T = 5 sequence, masks
+    # drawn sequence-major from one fresh generator: what Network.encode runs
+    rr = _rng(14)
+    ragged_probe = rr.normal(size=(2, 1, 4))
+    ragged_arrays = [rr.normal(size=(1, 3, 1)), rr.normal(size=(1, 5, 1))]
+    ragged_arrays += [p.data for p in recurrent.BiGRUStack.init(2, 1, 2, 0.0, rr).parameters()
+                      + recurrent.TemporalAttentionParams.init(4, rr).tensors()]
+
+    def encode_ragged_case(t):
+        stack = recurrent.BiGRUStack.from_tensors(t[2:18], layers=2, dropout_p=0.3)
+        temporal = recurrent.TemporalAttentionParams(*t[18:])
+        rng = np.random.default_rng(5)
+        vectors = [recurrent.temporal_attention(recurrent.bigru_forward(seq, stack, rng), temporal)
+                   for seq in t[:2]]
+        return ad.reduce_sum(ad.mul(ad.stack(vectors, axis=0), Tensor(ragged_probe)))
+
+    cases["encode_ragged"] = (encode_ragged_case, ragged_arrays)
+
     temporal_probe = r.normal(size=(2, d_att))
 
     def temporal_case(t):

@@ -1,8 +1,10 @@
 """Full network: wavelet front-end, one shared band pipeline, fusion head.
 
 One forward pass maps a raw waveform (one utterance, any admissible length)
-to log class probabilities.  Every band goes through the same conv stack,
-spatial attention, BiGRU stack and temporal attention.  Parameters live in a flat name -> tensor
+to log class probabilities.  Every band goes through the same conv stack and
+spatial attention (their fixed geometry is stated in ``features``), then
+``Network.encode`` turns each band's sequence into one vector with the BiGRU
+stack and temporal attention.  Parameters live in a flat name -> tensor
 mapping so the optimizer and the checkpoint format stay trivial.
 """
 
@@ -37,17 +39,10 @@ ABLATION_TAGS = tuple(_ABLATION_SHARING)
 class ModelConfig:
     frontend: FrontEndConfig = field(default_factory=FrontEndConfig)
     conv_channels: int = 16
-    conv_kernel: int = 3
-    dilations: tuple = (1, 2, 4)
-    # strides > 1 in the first blocks shrink the sequences the recurrent
-    # encoder has to scan; paddings keep the short low-frequency bands alive
-    conv_strides: tuple = (2, 2, 1)
-    conv_paddings: tuple = (1, 2, 4)
     gru_layers: int = 6
     gru_hidden: int = 16
     dropout: float = 0.2
     bigru_enabled: bool = True
-    head_kernel: int = 3
     classes: int = 4
 
 
@@ -75,10 +70,7 @@ class Network:
             [LAHTParams.init() for _ in range(fe.levels)] if fe.laht_enabled else None
         )
         bands = fe.levels + 1
-        self.pipeline = BandPipelineParams.init(
-            cfg.conv_channels, cfg.conv_kernel, cfg.dilations, rng,
-            strides=cfg.conv_strides, paddings=cfg.conv_paddings,
-        )
+        self.pipeline = BandPipelineParams.init(cfg.conv_channels, rng)
         if cfg.bigru_enabled:
             self.stack = BiGRUStack.init(
                 cfg.gru_layers, cfg.conv_channels, cfg.gru_hidden, cfg.dropout, rng
@@ -88,7 +80,7 @@ class Network:
             self.stack = None
             self.temporal = None
         self.channel_weights = ChannelWeights.init(bands)
-        self.head = HeadParams.init(bands, cfg.classes, cfg.head_kernel, rng)
+        self.head = HeadParams.init(bands, cfg.classes, rng)
         self._params = self._collect()
 
     def _collect(self):
@@ -145,12 +137,18 @@ class Network:
     def state(self):
         return {name: p.data.copy() for name, p in self._params.items()}
 
-    def _band_vector(self, band, rng):
-        sequence, summary = band_features(band, self.pipeline.blocks, self.pipeline.attention)
+    def encode(self, sequences, rng=None):
+        """One (1, D) vector per band from its ``band_features`` (weighted, summary).
+
+        The BiGRU stack scans each (1, C, T) ``weighted`` map as a (1, T, C)
+        sequence, drawing dropout from ``rng`` band after band, layer by layer,
+        and temporal attention collapses the states.  Under nogru: the summaries.
+        """
         if self.stack is None:
-            return summary
-        states = bigru_forward(ad.transpose(sequence, (0, 2, 1)), self.stack, rng)
-        return temporal_attention(states, self.temporal)
+            return [summary for _, summary in sequences]
+        stack, temporal = self.stack, self.temporal
+        return [temporal_attention(bigru_forward(ad.transpose(w, (0, 2, 1)), stack, rng), temporal)
+                for w, _ in sequences]
 
     def forward(self, samples, training=False, dropout_seed=None):
         """Log class probabilities (1, classes) for one waveform.
@@ -159,11 +157,10 @@ class Network:
         generator that draws every band's dropout masks in turn.
         """
         samples = np.asarray(samples, dtype=np.float64).reshape(-1)
-        x = Tensor(samples.reshape(1, 1, -1))
-        decomp = frontend_forward(x, self.cfg.frontend, self.filters, self.lahts)
+        bands = frontend_forward(Tensor(samples.reshape(1, 1, -1)), self.cfg.frontend,
+                                 self.filters, self.lahts)
+        pipe = self.pipeline
+        sequences = [band_features(band, pipe.blocks, pipe.attention) for band in bands]
         # a Generator passes through as is
-        rng = np.random.default_rng(dropout_seed) if training else None
-        vectors = [self._band_vector(band, rng) for band in decomp.bands()]
-        fused = fuse_bands(vectors)
-        weighted = channel_weighting(fused, self.channel_weights)
-        return classify(weighted, self.head)
+        vectors = self.encode(sequences, np.random.default_rng(dropout_seed) if training else None)
+        return classify(channel_weighting(fuse_bands(vectors), self.channel_weights), self.head)

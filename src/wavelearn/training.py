@@ -258,13 +258,15 @@ def train_model(model, clips, labels, loss_cfg, adam, epochs, seed,
     """Per-utterance training with dropout and gradient accumulation.
 
     ``model`` follows the interface of ``model.Network`` (``forward`` and
-    ``parameters``).  Runs all ``epochs``, returns per-epoch records and
+    ``parameters``).  Every clip is checked as ``predict`` checks it before
+    the first epoch.  Runs all ``epochs``, returns per-epoch records and
     mutates the model parameters in place.
     """
     params = model.parameters()
     n = len(clips)
     if n == 0:
         raise DatasetError("training set is empty")
+    clips = [_checked_clip(clip, index) for index, clip in enumerate(clips)]
     order_rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0FFEE)))
     records = []
     for epoch in range(1, epochs + 1):

@@ -253,20 +253,10 @@ class FrontEndFilters:
         return list(self._h) + list(self._g)
 
 
-@dataclass
-class DecompositionOutput:
-    """L detail bands ordered high frequency first, then the approximation."""
-
-    details: list
-    approximation: Tensor
-
-    def bands(self):
-        return list(self.details) + [self.approximation]
-
-
 def frontend_forward(signal, cfg, filters, lahts=None):
     """Run the full analysis cascade on (batch, 1, W) input.
 
+    Returns the L detail bands, high frequency first, then the approximation.
     Recursion always continues on the approximation.  When thresholding is
     enabled, each level's one activation is applied to the level's
     two-channel output before it is split, so the details and the final
@@ -283,12 +273,12 @@ def frontend_forward(signal, cfg, filters, lahts=None):
     if cfg.laht_enabled and lahts is None:
         raise ConfigError("laht_enabled requires per-level LAHT parameters")
     a = signal
-    details = []
+    bands = []
     for level in range(cfg.levels):
         h, g = filters.level_pair(level)
         both = decompose_level(a, h, g)
         if cfg.laht_enabled:
             both = laht_apply(both, lahts[level])
         a = both[:, :1]
-        details.append(both[:, 1:])
-    return DecompositionOutput(details=details, approximation=a)
+        bands.append(both[:, 1:])
+    return bands + [a]

@@ -33,6 +33,19 @@ def test_conv1d_strided_example():
     assert_allclose(ad.conv1d(x, w, stride=2).data, [[[3.0, 7.0]]])
 
 
+
+@pytest.mark.parametrize("axis", [0, 1, -1])
+def test_stack_backward_returns_views_of_its_gradient(axis):
+    rng = np.random.default_rng(9)
+    parts = [Tensor(rng.normal(size=(2, 3)), requires_grad=True) for _ in range(4)]
+    with Tape() as tape:
+        out = ad.stack(parts, axis=axis)
+        g = rng.normal(size=out.data.shape)
+        grads = tape.backward_fns[out.node_id](g)
+    for i, grad in enumerate(grads):
+        assert np.shares_memory(grad, g)
+        assert np.array_equal(grad, np.take(g, i, axis=axis))
+
 def _naive_conv(x, w, b, stride, dilation, padding, g):
     """Output and the x, w, b gradients of sum(out * g), one term at a time."""
     batch, chans, width = x.shape

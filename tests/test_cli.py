@@ -326,7 +326,7 @@ def _shapes(state):
 
 @pytest.mark.parametrize("tag", ABLATION_TAGS)
 def test_the_run_echo_of_an_ablation_tag_builds_its_network(tag):
-    tiny = TINY + (["model.head_kernel=1"] if "nogru" in tag else [])  # a 2-wide band vector
+    tiny = TINY + (["model.conv_channels=3"] if "nogru" in tag else [])  # the head's 3 taps
     echo = load_config(None, tiny, ablation=tag).to_dict()
     built = Network(apply_ablation(load_config(None, tiny).model, tag))
     assert _shapes(Network(from_mapping(echo).model).state()) == _shapes(built.state())

@@ -10,15 +10,19 @@ from wavelearn.wavelet import FrontEndConfig
 
 
 BAD = [
-    ("model.conv_strides=1,1", "model.conv_strides"),  # 3 dilations, 2 strides
-    ("model.conv_paddings=[]", "model.conv_paddings"),
-    ("model.dilations=0,1,2", "model.dilations"),
+    # the conv geometry and the head kernel are fixed in features.py and fusion.py
+    ("model.conv_strides=1,1", "unknown config key 'model.conv_strides'"),
+    ("model.conv_paddings=[]", "unknown config key 'model.conv_paddings'"),
+    ("model.dilations=0,1,2", "unknown config key 'model.dilations'"),
+    ("model.conv_kernel=0", "unknown config key 'model.conv_kernel'"),
+    ("model.head_kernel=0", "unknown config key 'model.head_kernel'"),
+    ("model.conv_kernel=9", "unknown config key 'model.conv_kernel'"),
+    ("model.conv_paddings=0,0,0", "unknown config key 'model.conv_paddings'"),
+    ("model.head_kernel=33", "unknown config key 'model.head_kernel'"),
     ("model.dropout=1.5", "model.dropout"),
     ("model.gru_layers=0", "model.gru_layers"),
     ("model.gru_hidden=0", "model.gru_hidden"),
     ("model.conv_channels=0", "model.conv_channels"),
-    ("model.conv_kernel=0", "model.conv_kernel"),
-    ("model.head_kernel=0", "model.head_kernel"),
     ("training.lr=-1", "training.lr"),
     ("training.lr=.nan", "training.lr"),
     ("training.gamma=-1", "training.gamma"),
@@ -26,11 +30,7 @@ BAD = [
     ("training.beta2=1", "training.beta2"),
     ("training.eps=0", "training.eps"),
     ("data.synthetic_n_per_class=0", "data.synthetic_n_per_class"),
-    # the shortest band of an admissible clip has model.frontend.kernel_size samples
-    ("model.conv_kernel=9", "model.conv_kernel"),
-    ("model.conv_paddings=0,0,0", "model.conv_paddings"),
-    ("model.head_kernel=33", "model.head_kernel"),  # the band vector is 2 * 16 wide
-    ("model.gru_hidden=1", "model.gru_hidden"),
+    ("model.gru_hidden=1", "model.gru_hidden"),  # a 2-wide band vector; the head has 3 taps
     # float64 derives the Daubechies filter orthonormal only up to 40 taps
     ("model.frontend.kernel_size=42", "model.frontend.kernel_size"),
     ("model.frontend.levels=0", "model.frontend.levels"),
@@ -62,31 +62,17 @@ def test_the_ablation_tag_overrides_the_file_and_set_overrides_the_tag(tmp_path)
     assert cfg.model.bigru_enabled
 
 
-BLOCK = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2))  # dilation, stride, pad
-
-
-def _spelled(values):
-    """A one-entry tuple as the bare number `--set model.dilations=1`, else a list."""
-    return values[0] if len(values) == 1 else list(values)
-
-
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(levels=st.integers(1, 3), kernel_size=st.sampled_from([2, 4]),
-       channels=st.integers(1, 3), conv_kernel=st.integers(1, 5),
-       blocks=st.lists(BLOCK, min_size=1, max_size=3), hidden=st.integers(1, 3),
-       bigru=st.booleans(), head_kernel=st.integers(1, 6))
+       channels=st.integers(1, 3), hidden=st.integers(1, 3), bigru=st.booleans())
 def test_a_model_is_accepted_exactly_when_it_runs_on_the_shortest_clip(
-        levels, kernel_size, channels, conv_kernel, blocks, hidden, bigru, head_kernel):
-    dilations, strides, paddings = (tuple(b[i] for b in blocks) for i in range(3))
+        levels, kernel_size, channels, hidden, bigru):
     model = ModelConfig(FrontEndConfig(levels=levels, kernel_size=kernel_size),
-                        conv_channels=channels, conv_kernel=conv_kernel, dilations=dilations,
-                        conv_strides=strides, conv_paddings=paddings, gru_layers=1,
-                        gru_hidden=hidden, bigru_enabled=bigru, head_kernel=head_kernel)
+                        conv_channels=channels, gru_layers=1, gru_hidden=hidden,
+                        bigru_enabled=bigru)
     fields = {"frontend.levels": levels, "frontend.kernel_size": kernel_size,
-              "conv_channels": channels, "conv_kernel": conv_kernel,
-              "dilations": _spelled(dilations), "conv_strides": _spelled(strides),
-              "conv_paddings": _spelled(paddings), "gru_layers": 1, "gru_hidden": hidden,
-              "bigru_enabled": bigru, "head_kernel": head_kernel}
+              "conv_channels": channels, "gru_layers": 1, "gru_hidden": hidden,
+              "bigru_enabled": bigru}
     try:
         accepted = load_config(None, [f"model.{k}={v}" for k, v in fields.items()]).model
     except ConfigError:

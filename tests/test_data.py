@@ -181,8 +181,8 @@ def test_synthetic_lowest_octave_energy_in_approximation():
     cfg = FrontEndConfig(levels=8, kernel_size=20, sharing="db10_fixed", laht_enabled=False)
     filters = FrontEndFilters(cfg)
     for clip in low_clips:
-        out = frontend_forward(Tensor(clip.samples.reshape(1, 1, -1)), cfg, filters)
-        energies = np.array([(b.data**2).sum() for b in out.bands()])
+        bands = frontend_forward(Tensor(clip.samples.reshape(1, 1, -1)), cfg, filters)
+        energies = np.array([(b.data**2).sum() for b in bands])
         assert energies[-1] / energies.sum() > 0.8
 
 
@@ -196,8 +196,8 @@ def test_synthetic_band_energy_nearest_centroid_separability():
     filters = FrontEndFilters(cfg)
 
     def features(clip):
-        out = frontend_forward(Tensor(clip.samples.reshape(1, 1, -1)), cfg, filters)
-        e = np.array([(b.data**2).mean() for b in out.bands()])
+        bands = frontend_forward(Tensor(clip.samples.reshape(1, 1, -1)), cfg, filters)
+        e = np.array([(b.data**2).mean() for b in bands])
         return e / e.sum()
 
     feats = np.stack([features(c) for c in clips])

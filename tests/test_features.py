@@ -1,9 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from wavelearn.autodiff import Tensor
-from wavelearn.errors import InputTooShortError
 from wavelearn.features import (
     BandPipelineParams,
     ConvBlockParams,
@@ -98,15 +99,15 @@ def test_attention_equals_the_paper_form_with_width_mean_context(width):
 
 def _pipeline(channels=4, rng=None):
     rng = rng or np.random.default_rng(3)
-    return BandPipelineParams.init(channels, 3, (1, 2, 4), rng)
+    return BandPipelineParams.init(channels, rng)
 
 
 def test_band_features_width_arithmetic():
     pipe = _pipeline()
-    seq, summary = band_features(Tensor(np.random.default_rng(0).normal(size=(1, 1, 512))),
+    seq, summary = band_features(Tensor(np.random.default_rng(0).normal(size=(1, 1, 511))),
                                  pipe.blocks, pipe.attention)
-    # stride-1 blocks, no pooling: width shrinks by exactly the kernel spans
-    assert seq.data.shape == (1, 4, 512 - 2 - 4 - 8)
+    # two stride-2 blocks give ceil(W / 2) each, the stride-1 block keeps W
+    assert seq.data.shape == (1, 4, 128)
     assert summary.data.shape == (1, 4)
 
 
@@ -127,7 +128,11 @@ def test_band_features_batch_independence():
     assert_allclose(summary.data, swapped.data[::-1], atol=1e-12)
 
 
-def test_band_features_underflow():
+def test_band_features_one_sample_band_gives_a_one_wide_map():
+    # the fixed geometry never runs a band short, so no config rule checks it
     pipe = _pipeline()
-    with pytest.raises(InputTooShortError):
-        band_features(Tensor(np.zeros((1, 1, 10))), pipe.blocks, pipe.attention)
+    seq, _ = band_features(Tensor(np.ones((1, 1, 1))), pipe.blocks, pipe.attention)
+    assert seq.data.shape == (1, 4, 1)
+    for width in range(2, 12):
+        seq, _ = band_features(Tensor(np.ones((1, 1, width))), pipe.blocks, pipe.attention)
+        assert seq.data.shape[2] == math.ceil(math.ceil(width / 2) / 2)

@@ -58,7 +58,7 @@ def test_channel_weighting_extent_mismatch():
 
 
 def _head(bands, classes, rng=None):
-    return HeadParams.init(bands, classes, 3, rng or np.random.default_rng(1))
+    return HeadParams.init(bands, classes, rng or np.random.default_rng(1))
 
 
 def test_classify_log_probabilities_normalize():

@@ -393,6 +393,18 @@ def test_predict_rejects_an_empty_clip_list(monkeypatch):
         predict(net, [])
 
 
+
+@pytest.mark.parametrize("name", ["two_channels", "nan"])
+def test_train_model_rejects_a_bad_clip_before_any_forward(name, monkeypatch):
+    # a (2, 700) clip would train as 1,400 samples; a NaN one would fail as
+    # non-finite gradients in every parameter block
+    net, clips = _tiny_network_and_clips()
+    good = clips[0].samples[:1400]
+    bad, error = BAD_CLIPS[name]
+    monkeypatch.setattr(net, "forward", lambda *a, **k: pytest.fail("a forward ran"))
+    with pytest.raises(error, match="clip 1"):
+        train_model(net, [good, bad(good)], [0, 1], LossConfig(), AdamState(), epochs=1, seed=0)
+
 def test_validation_records_the_mean_per_clip_focal_loss_and_accuracy():
     net, clips = _tiny_network_and_clips()
     train, val = clips[:4], clips[4:]

@@ -361,15 +361,14 @@ def _fixed_frontend(levels, laht_enabled=False):
 def test_frontend_band_widths():
     cfg = FrontEndConfig(levels=3, kernel_size=2, sharing="db10_fixed", laht_enabled=False)
     filters = FrontEndFilters(cfg)
-    out = frontend_forward(Tensor(np.random.default_rng(0).normal(size=(1, 1, 1024))), cfg, filters)
-    assert [d.data.shape[2] for d in out.details] == [512, 256, 128]
-    assert out.approximation.data.shape[2] == 128
+    bands = frontend_forward(Tensor(np.random.default_rng(0).normal(size=(1, 1, 1024))), cfg,
+                             filters)
+    assert [b.data.shape[2] for b in bands] == [512, 256, 128, 128]  # details, approximation
 
 
 def test_frontend_zero_signal():
     cfg, filters = _fixed_frontend(2)
-    out = frontend_forward(Tensor(np.zeros((1, 1, 128))), cfg, filters)
-    for band in out.bands():
+    for band in frontend_forward(Tensor(np.zeros((1, 1, 128))), cfg, filters):
         assert_allclose(band.data, np.zeros_like(band.data))
 
 
@@ -420,9 +419,9 @@ def test_roundtrip_db10_five_levels():
     rng = np.random.default_rng(8)
     x = rng.normal(size=2048)
     cfg, filters = _fixed_frontend(5)
-    out = frontend_forward(Tensor(x.reshape(1, 1, -1)), cfg, filters)
+    bands = frontend_forward(Tensor(x.reshape(1, 1, -1)), cfg, filters)
     pairs = [tuple(f.data for f in filters.level_pair(i)) for i in range(cfg.levels)]
-    rebuilt = _reconstruct([b.data for b in out.bands()], pairs)
+    rebuilt = _reconstruct([b.data for b in bands], pairs)
     assert np.abs(rebuilt - x).max() < 1e-6
 
 
@@ -439,9 +438,9 @@ def test_roundtrip_property(log_len, levels, seed):
     filters = FrontEndFilters(cfg)
     if 2**log_len < cfg.min_input_length:
         return
-    out = frontend_forward(Tensor(x.reshape(1, 1, -1)), cfg, filters)
+    bands = frontend_forward(Tensor(x.reshape(1, 1, -1)), cfg, filters)
     pairs = [tuple(f.data for f in filters.level_pair(i)) for i in range(cfg.levels)]
-    rebuilt = _reconstruct([b.data for b in out.bands()], pairs)
+    rebuilt = _reconstruct([b.data for b in bands], pairs)
     assert np.abs(rebuilt - x).max() < 1e-6
 
 
@@ -477,10 +476,10 @@ def test_frontend_gradcheck_through_cascade():
                              laht_enabled=False)
         filters = FrontEndFilters(cfg)
         filters._h[0] = t[0]
-        out = frontend_forward(t[1], cfg, filters)
-        probe = Tensor(np.random.default_rng(0).normal(size=out.approximation.data.shape))
-        total = ad.reduce_sum(ad.mul(out.approximation, probe))
-        for d in out.details:
+        *details, approximation = frontend_forward(t[1], cfg, filters)
+        probe = Tensor(np.random.default_rng(0).normal(size=approximation.data.shape))
+        total = ad.reduce_sum(ad.mul(approximation, probe))
+        for d in details:
             total = ad.add(total, ad.reduce_sum(ad.mul(d, d)))
         return total
 
