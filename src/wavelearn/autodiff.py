@@ -5,13 +5,13 @@ execution order (which is a topological order by construction).  ``backward``
 walks the records in reverse and accumulates gradients into the
 ``requires_grad`` leaves.  There is one tape per forward pass; parameters are
 registered as leaves the first time the pass touches them.  ``backward`` runs
-inside the tape's ``with`` block: leaving the block drops the backward
-closures, which would otherwise keep the pass's tensors in a reference cycle
-until a full garbage collection.  The arrays freed at ``Tape.__exit__`` stay
-mapped under the package's allocator policy (see ``wavelearn/__init__.py``),
-so the next pass reuses them without page faults.  Tapes are confined to a
-single thread; running with no active tape computes plain forward values and
-records nothing.
+once per tape, inside its ``with`` block, and releases each closure as soon as
+it has run; gradients accumulate across tapes.  Leaving the block drops the
+closures left, which would otherwise keep the pass's tensors in a reference
+cycle until a full garbage collection.  Freed arrays stay mapped under the
+package's allocator policy (see ``wavelearn/__init__.py``), so the next pass
+reuses them without page faults.  Tapes are confined to a single thread;
+running with no active tape computes plain forward values and records nothing.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ class Tape:
         self.backward_fns = []
         self.leaves = []  # (node_id, Tensor) pairs for gradient write-back
         self._leaf_ids = {}
+        self.spent = False  # set by the one backward this tape allows
 
     def __enter__(self):
         self._outer = _active_tape()
@@ -130,24 +131,26 @@ def record(kind, out_data, parents, backward_fn):
 def backward(root):
     """Accumulate d(root)/d(leaf) into every requires_grad leaf of the tape.
 
-    Repeated calls without clearing leaf grads accumulate, which is what
-    gradient accumulation over a logical batch relies on.
+    Each node's closure is released once it has run, so a second call on the
+    same tape is a ContractError.  Calls on successive tapes add into leaf
+    grads, which is what gradient accumulation over a logical batch relies on.
     """
     if not isinstance(root, Tensor) or root.tape is None or root.tape is not _active_tape():
         raise ContractError("backward root must be produced on the active tape")
     if root.data.size != 1:
         raise ContractError(f"backward root must be scalar, got shape {root.data.shape}")
     tape = root.tape
+    if tape.spent:
+        raise ContractError("this tape was already back-propagated; record a new one")
+    tape.spent = True
     grads = [None] * (root.node_id + 1)
     grads[root.node_id] = np.ones_like(root.data)
     for nid in range(root.node_id, -1, -1):
         g = grads[nid]
-        if g is None:
+        if g is None or tape.backward_fns[nid] is None:
             continue
-        fn = tape.backward_fns[nid]
-        if fn is None:
-            continue
-        parent_grads = fn(g)
+        parent_grads = tape.backward_fns[nid](g)
+        tape.backward_fns[nid] = None  # frees what only this closure holds
         for pid, pg in zip(tape.parent_ids[nid], parent_grads):
             if pid < 0 or pg is None:
                 continue
@@ -246,17 +249,6 @@ def leaky_relu(a, slope=0.01):
     mask = a.data >= 0
     out = np.where(mask, a.data, a.data * slope)
     return record("leaky_relu", out, (a,), lambda g: (np.where(mask, g, g * slope),))
-
-
-def dropout(a, p, rng):
-    """Zero each entry with probability ``p`` and scale the rest by 1 / (1 - p).
-
-    The keep mask is ``rng.random(shape) >= p``; the tape holds it as booleans
-    and keeps neither a float mask nor the input.
-    """
-    keep = rng.random(a.data.shape) >= p
-    scale = 1.0 / (1.0 - p)
-    return record("dropout", a.data * keep * scale, (a,), lambda g: (g * keep * scale,))
 
 
 def _softplus(x):

@@ -236,6 +236,18 @@ def model_cases():
 
         cases[name] = (scan_case, scan_arrays)
 
+    # two input parts under one keep mask, scanned in both directions
+    parts_keep, parts_probe = rs.random((2, 4, 5)) >= 0.3, rs.normal(size=(2, 2, 4, d_h))
+
+    def parts_case(t):
+        cell = recurrent.GRUCellParams(*t[2:])
+        outs = [recurrent.gru_scan(t[:2], cell, rev, parts_keep, 1 / 0.7) for rev in (False, True)]
+        return ad.reduce_sum(ad.mul(ad.stack(outs, axis=0), Tensor(parts_probe)))
+
+    parts_arrays = [rs.normal(size=(2, 4, 2)), rs.normal(size=(2, 4, 3))]
+    parts_arrays += [rs.normal(size=s) * 0.5 for s in recurrent.GRUCellParams.shapes(5, d_h)]
+    cases["gru_scan_parts"] = (parts_case, parts_arrays)
+
     # a backward whose steps fill one Jacobian chunk and spill one into a second
     t_chunks = recurrent.CHUNK + 2
     chunk_probe = rs.normal(size=(1, t_chunks, d_h))

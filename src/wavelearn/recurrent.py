@@ -11,9 +11,10 @@ sequence, and the returned states are a view of it.  The backward recomputes
 every gate from the states in place, in the call's own buffers, and builds
 the per-step state Jacobians in bulk, ``CHUNK`` steps at a time, so each
 step is one vector-matrix product.  The stacked encoder runs one scan
-forward and one backward over time per layer and concatenates their states
-per step; dropout applies between layers only, during training, from a
-seeded generator, as one node that keeps a boolean mask.  The attention head
+forward and one backward over time per layer; the next layer's scans read
+both state views in place, dropout (between layers only, during training,
+from a seeded generator) is a boolean mask they fold into their input, and
+only the last layer's states are concatenated.  The attention head
 scores hidden states against the final state, softmax-normalizes over time,
 and squashes a linear map of [context; final state] to produce one vector
 per sequence.
@@ -22,6 +23,7 @@ per sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -84,12 +86,16 @@ def gru_cell_step(x_t, h_prev, p):
     return ad.add(ad.mul(ad.sub(Tensor(1.0), z), n), ad.mul(z, h_prev))
 
 
-def gru_scan(x, cell, reverse=False):
+def gru_scan(x, cell, reverse=False, keep=None, scale=1.0):
     """One recurrent direction over (batch, T, D_in) input, from a zero state.
 
-    Returns the (batch, T, H) states, aligned with input time in either
-    direction, as one tape node over ``x`` and the four tensors of ``cell``.
-    The tape keeps only the (T + 1, B, H + 1) state array in scan order (from
+    ``x`` is the input, or a sequence of (batch, T, D_i) parts of it along
+    features, such as the previous layer's two state views, read in place.
+    With a boolean ``keep`` mask of x's shape the scan reads ``x * keep *
+    scale`` and returns each part's slice of ``g * keep * scale``.  Returns
+    the (batch, T, H) states, aligned with input time in either direction, as
+    one tape node over the parts and ``cell``'s four tensors.  Beside the
+    mask, it keeps only the (T + 1, B, H + 1) state array in scan order (from
     the end when ``reverse``); the returned states are a view of it.  Its last
     column is a constant 1 that carries ``b_hh``'s candidate rows through the
     hidden matmul ``v``, and the input projection ``u`` folds in ``b_hh``'s r
@@ -97,7 +103,8 @@ def gru_scan(x, cell, reverse=False):
 
     The forward writes ``u`` into a transient (T + 1, B, 4H + 1) work array
     whose rows are ``[h | 1 | u_rz | u_n]``.  Both directions write ``u`` the
-    same way: per gate, one matmul of the scan-order x against a (D, H) block
+    same way: per gate, one matmul of the masked scan-order x (one copy of
+    the parts, or one unmasked input read in place) against a (D, H) block
     of a C-ordered ``w_ih^T``, then one bias add, so the backward's recompute
     equals the forward's bitwise.  Each step is one matmul of a row against a
     (4H + 1, 4H) weight whose identity blocks add ``u_rz`` and pass ``u_n``
@@ -119,18 +126,28 @@ def gru_scan(x, cell, reverse=False):
     state needs no gradient.  Then ``k dh`` is one broadcast product.  Each
     call allocates its own work arrays; the package runs on one thread.
     """
-    xd, w_ih, w, b_ih, b_hh = (t.data for t in (x, *cell.tensors()))
-    B, T, D = xd.shape
-    H = w.shape[1]
-    if D != w_ih.shape[1]:
-        raise DimensionError(f"scan input extent {D} != {w_ih.shape[1]}")
+    parts = (x,) if isinstance(x, Tensor) else tuple(x)
+    xds = [p.data for p in parts]
+    w_ih, w, b_ih, b_hh = (t.data for t in cell.tensors())
+    edges = [0, *accumulate(xd.shape[-1] for xd in xds)]
+    B, T, H, D = *xds[0].shape[:2], w.shape[1], edges[-1]
+    if D != w_ih.shape[1] or {xd.shape[:-1] for xd in xds} != {(B, T)} or (
+            keep is not None and keep.shape != (B, T, D)):
+        raise DimensionError(f"scan parts {[xd.shape for xd in xds]} and keep mask do not "
+                             f"make one (batch, T, {w_ih.shape[1]}) input")
     step = -1 if reverse else 1  # every (T, B, .) array below is in scan order
 
     def operands(u):
         """Write the projection into (3, T B, H) blocks ``u``; return scan-order x and w_aug."""
         sign = np.repeat([-1.0, -1.0, 1.0], H)  # r and z rows negated
         bias = sign * (b_ih + np.concatenate([b_hh[: 2 * H], np.zeros(H)]))
-        xt = np.ascontiguousarray(xd[:, ::step].transpose(1, 0, 2)).reshape(T * B, D)
+        src = [xd[:, ::step].transpose(1, 0, 2) for xd in xds]
+        fresh = len(src) > 1 or keep is not None  # a copy of the call's own, masked in place
+        xt = np.concatenate(src, 2) if fresh else np.ascontiguousarray(src[0])
+        if keep is not None:  # (x * keep) * scale, in dropout's order
+            xt *= keep[:, ::step].transpose(1, 0, 2)
+            xt *= scale
+        xt = xt.reshape(T * B, D)
         # a C-ordered w_ih^T, so each gate's (D, H) block has contiguous rows
         w_in = np.empty((D, 3 * H))
         np.multiply(w_ih.T, sign, w_in)
@@ -224,9 +241,13 @@ def gru_scan(x, cell, reverse=False):
         dw_aug = dxp.T @ h_aug
         np.multiply(dh[:, :, :H], k_n, dk[:, :, 2])  # the input-side candidate gradient
         dx = (dxp @ w_ih).reshape(T, B, D).transpose(1, 0, 2)[:, ::step]
-        return dx, dxp.T @ xt, dw_aug[:, :H], dxp.sum(axis=0), dw_aug[:, H]
+        if keep is not None:
+            dx *= keep
+            dx *= scale
+        dparts = (dx[:, :, lo:hi] for lo, hi in zip(edges, edges[1:]))
+        return (*dparts, dxp.T @ xt, dw_aug[:, :H], dxp.sum(axis=0), dw_aug[:, H])
 
-    parents = (x, cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh)
+    parents = (*parts, cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh)
     return ad.record("gru_scan", out, parents, bwd)
 
 
@@ -276,20 +297,22 @@ def bigru_forward(seq, stack, rng=None):
     """Encode (batch, T, D_in) into (batch, T, 2 * hidden) state sequences.
 
     Inter-layer activations are dropped out with probability ``dropout_p``
-    when ``rng`` is a Generator: it draws the masks layer by layer, so a
-    fixed seed reproduces the pass bit for bit.  With no ``rng`` the pass
-    runs no dropout.
+    when ``rng`` is a Generator: it draws each mask, ``rng.random(shape) >=
+    dropout_p``, layer by layer, so a fixed seed reproduces the pass bit for
+    bit, and the next layer's scans fold it in.  With no ``rng``, no dropout.
     """
     if seq.data.ndim != 3:
         raise DimensionError("bigru_forward expects (batch, T, D_in)")
     if seq.data.shape[1] < 1:
         raise InputTooShortError("bigru_forward needs at least one time step")
-    x = seq
+    p, scale = stack.dropout_p, 1.0 / (1.0 - stack.dropout_p)
+    parts, keep = seq, None
     for index, layer in enumerate(stack.layers):
-        x = ad.concat([gru_scan(x, layer.fwd), gru_scan(x, layer.bwd, reverse=True)], axis=2)
-        if rng is not None and stack.dropout_p > 0.0 and index < len(stack.layers) - 1:
-            x = ad.dropout(x, stack.dropout_p, rng)
-    return x
+        if index > 0 and rng is not None and p > 0.0:
+            keep = rng.random((*seq.data.shape[:2], sum(t.data.shape[2] for t in parts))) >= p
+        parts = (gru_scan(parts, layer.fwd, keep=keep, scale=scale),
+                 gru_scan(parts, layer.bwd, reverse=True, keep=keep, scale=scale))
+    return ad.concat(parts, axis=2)
 
 
 @dataclass

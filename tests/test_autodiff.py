@@ -1,5 +1,4 @@
 import gc
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -273,27 +272,15 @@ def test_leaving_the_tape_frees_it_without_gc():
         gc.enable()
 
 
-def test_dropout_keeps_its_mask_and_output_but_not_its_input():
-    x = Tensor(np.random.default_rng(0).normal(size=(4, 1000)), requires_grad=True)
-    tracemalloc.start()
-    try:
-        with Tape():
-            y = ad.add(x, x)  # its closure keeps x, not y
-            before = tracemalloc.get_traced_memory()[0]
-            out = ad.dropout(y, 0.25, np.random.default_rng(1))
-            kept = tracemalloc.get_traced_memory()[0] - before
-            y_data = weakref.ref(y.data)
-            del y
-            assert y_data() is None
-            backward(ad.reduce_sum(out))
-    finally:
-        tracemalloc.stop()
-    # the float64 output and a one-byte-per-entry mask, not a float64 mask
-    assert 9 * x.data.size <= kept <= 1.1 * 9 * x.data.size
-    keep = np.random.default_rng(1).random(x.shape) >= 0.25
-    scale = 1.0 / 0.75
-    assert np.array_equal(out.data, np.where(keep, (x.data + x.data) * scale, 0.0))
-    assert np.array_equal(x.grad, np.where(keep, 2 * scale, 0.0))
+def test_a_tape_is_back_propagated_once():
+    x = Tensor(np.array([2.0]), requires_grad=True)
+    with Tape() as tape:
+        loss = ad.reduce_sum(ad.mul(x, x))
+        backward(loss)
+        assert tape.backward_fns == [None] * len(tape.kinds)  # released as they ran
+        with pytest.raises(ContractError):
+            backward(loss)
+    assert_allclose(x.grad, [4.0])  # not added a second time
 
 
 def test_no_tape_means_no_graph():

@@ -64,3 +64,19 @@ def test_the_package_runs_without_mpmath():
         str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_a_failing_hypothesis_test_is_one_failure_under_the_repository_warning_filters(tmp_path):
+    # reporting a failure imports optional modules that may warn on import;
+    # under pyproject's filters that must not end the run as an INTERNALERROR
+    (tmp_path / "test_probe.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n\n"
+        "@settings(database=None)\n@given(st.integers())\n"
+        "def test_fails(n):\n    assert n < 0\n\n"
+        "def test_passes():\n    pass\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "test_probe.py"],
+        cwd=tmp_path, capture_output=True, text=True)
+    assert "INTERNALERROR" not in done.stdout + done.stderr
+    assert "1 failed, 1 passed" in done.stdout, done.stdout

@@ -309,6 +309,50 @@ def test_bigru_dropout_determinism_and_zero_p():
     assert np.array_equal(bigru_forward(x, stack).data, d.data)  # no generator, no dropout
 
 
+def test_bigru_dropout_keeps_a_mask_not_a_float64_copy_between_layers():
+    batch, t_len, d_in, hidden, p = 1, 4000, 3, 8, 0.25
+    rng = np.random.default_rng(19)
+    stack = BiGRUStack.init(2, d_in, hidden, p, rng)
+    x = Tensor(rng.normal(size=(batch, t_len, d_in)))
+    with Tape():
+        bigru_forward(x, stack)  # first calls allocate a few kB that stay
+    kept = []
+    tracemalloc.start()
+    try:
+        for generator in (None, np.random.default_rng(2)):
+            with Tape():
+                before = tracemalloc.get_traced_memory()[0]
+                bigru_forward(x, stack, generator)
+                kept.append(tracemalloc.get_traced_memory()[0] - before)
+    finally:
+        tracemalloc.stop()
+    # one byte per entry of the second layer's input, give or take a few
+    # hundred bytes of interpreter bookkeeping; a float64 copy would be 9x
+    mask = batch * t_len * 2 * hidden
+    assert 0.95 * mask <= kept[1] - kept[0] <= 1.1 * mask
+
+    # the scan reads x * keep * scale and returns g * keep * scale per part
+    t_len, scale = 7, 1.0 / (1.0 - p)
+    parts = [Tensor(rng.normal(size=(batch, t_len, hidden)), requires_grad=True)
+             for _ in range(2)]
+    keep = rng.random((batch, t_len, 2 * hidden)) >= p
+    masked = Tensor(np.where(keep, np.concatenate([t.data for t in parts], 2) * scale, 0.0),
+                    requires_grad=True)
+    probe = Tensor(rng.normal(size=(batch, t_len, hidden)))
+    for reverse in (False, True):
+        for t in (*parts, masked):
+            t.grad = None
+        with Tape():
+            out = gru_scan(parts, stack.layers[1].fwd, reverse, keep=keep, scale=scale)
+            backward(ad.reduce_sum(ad.mul(out, probe)))
+        with Tape():
+            want = gru_scan(masked, stack.layers[1].fwd, reverse)
+            backward(ad.reduce_sum(ad.mul(want, probe)))
+        assert np.array_equal(out.data, want.data)
+        grads = np.concatenate([t.grad for t in parts], axis=2)
+        assert np.array_equal(grads, np.where(keep, masked.grad * scale, 0.0))
+
+
 def test_network_int_dropout_seed_seeds_one_generator_per_pass():
     cfg = ModelConfig(frontend=FrontEndConfig(levels=6), conv_channels=4,
                       gru_layers=2, gru_hidden=4, dropout=0.4)
