@@ -235,11 +235,6 @@ def _logistic(x):
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def sigmoid(a):
-    out = _logistic(a.data)
-    return record("sigmoid", out, (a,), lambda g: (g * out * (1.0 - out),))
-
-
 def tanh(a):
     out = np.tanh(a.data)
     return record("tanh", out, (a,), lambda g: (g * (1.0 - out * out),))
@@ -254,12 +249,6 @@ def leaky_relu(a, slope=0.01):
 def _softplus(x):
     # log(1 + e^x) in an overflow-safe form
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-
-
-def softplus(a):
-    # the derivative is the sigmoid
-    x = a.data
-    return record("softplus", _softplus(x), (a,), lambda g: (g * _logistic(x),))
 
 
 def pow_const(a, exponent):

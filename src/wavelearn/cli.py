@@ -1,6 +1,9 @@
 """Command line entry point.
 
-Subcommands: train, evaluate, predict, decompose, synth-data, gradcheck.
+Subcommands: train, evaluate, predict, decompose, synth-data.  The
+finite-difference gradient check is a test suite, not a subcommand:
+``PYTHONPATH=src python -m pytest -q tests/test_autodiff.py -k
+"gradients_match_finite_differences or non_finite_gradient"``.
 A run config is the defaults, then --config, then train's --ablation tag,
 then each --set override; a later source wins.  Every artifact lands under
 --out-dir with fixed names and carries the config of the network it used in
@@ -94,9 +97,6 @@ def _build_parser():
 
     for p in (p_train, p_eval, p_dec, p_synth):
         p.add_argument("--out-dir", default="out", help="artifact directory")
-
-    p_grad = sub.add_parser("gradcheck", help="finite-difference check of every operation")
-    p_grad.add_argument("--tolerance", type=float, default=1e-4)
     return parser
 
 
@@ -286,21 +286,6 @@ def cmd_synth_data(args):
     return EXIT_OK
 
 
-def cmd_gradcheck(args):
-    from .gradcheck import run_suite
-
-    tol = args.tolerance
-    if not 0 < tol < np.inf:
-        raise ConfigError(f"--tolerance must be a finite number > 0, got {tol}")
-    results = run_suite(tol=tol)
-    failed = sorted(name for name, err in results.items() if not err < tol)  # NaN fails too
-    worst = np.max(list(results.values()))
-    print(f"gradcheck worst max_rel_err={worst:.3e} over {len(results)} ops")
-    if failed:
-        raise NumericalError(f"gradient check failed for {', '.join(failed)} (tolerance {tol})")
-    return EXIT_OK
-
-
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -310,7 +295,6 @@ def main(argv=None):
         "predict": cmd_predict,
         "decompose": cmd_decompose,
         "synth-data": cmd_synth_data,
-        "gradcheck": cmd_gradcheck,
     }
     try:
         return handlers[args.command](args)

@@ -2,7 +2,9 @@
 
 ``RunConfig.model`` is exactly the network a run builds: an ablation tag is
 resolved into the model fields when the config is loaded, and ``train``
-writes its dataset's class count into ``model.classes``.  The band
+writes its dataset's class count into ``model.classes``.  That field is
+derived, so a file or override that sets it is a ConfigError; a checkpoint's
+``run`` entry records it, and ``from_mapping`` reads it back.  The band
 pipeline's conv geometry is fixed in ``features`` and is not a setting.
 """
 
@@ -84,17 +86,22 @@ def _coerce(value, template):
     return value
 
 
-def _apply_mapping(obj, mapping, path=""):
+_DERIVED = ("model.classes",)  # set by train from its dataset, never by a user
+
+
+def _apply_mapping(obj, mapping, path="", derived=()):
     names = {f.name for f in fields(obj)}
     for key, value in mapping.items():
         where = f"{path}.{key}" if path else str(key)
         if key not in names:
             raise ConfigError(f"unknown config key {where!r}")
+        if where in derived:
+            raise ConfigError(f"{where!r} is derived from the dataset and cannot be set")
         current = getattr(obj, key)
         if hasattr(current, "__dataclass_fields__"):
             if not isinstance(value, dict):
                 raise ConfigError(f"{where!r} must be a mapping")
-            _apply_mapping(current, value, where)
+            _apply_mapping(current, value, where, derived)
         else:
             try:
                 setattr(obj, key, _coerce(value, current))
@@ -123,7 +130,7 @@ def load_config(path=None, overrides=(), ablation=None):
             raw = {}
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: top level must be a mapping")
-        _apply_mapping(cfg, raw)
+        _apply_mapping(cfg, raw, derived=_DERIVED)
     if ablation is not None:
         cfg.model = apply_ablation(cfg.model, ablation)
     for item in overrides:
@@ -138,7 +145,7 @@ def load_config(path=None, overrides=(), ablation=None):
             cursor[key] = {}
             cursor = cursor[key]
         cursor[keys[-1]] = value
-        _apply_mapping(cfg, mapping)
+        _apply_mapping(cfg, mapping, derived=_DERIVED)
     _validate(cfg)
     return cfg
 

@@ -55,36 +55,6 @@ class GRUCellParams:
     def tensors(self):
         return [self.w_ih, self.w_hh, self.b_ih, self.b_hh]
 
-    @property
-    def hidden_size(self):
-        return self.w_hh.data.shape[1]
-
-
-def _linear(x, w, b):
-    return ad.add(ad.matmul(x, ad.transpose(w)), b)
-
-
-def gru_cell_step(x_t, h_prev, p):
-    """One recurrence step on (batch, D_in) input and (batch, D_h) state.
-
-    Reads each gate's rows of the fused weights separately, independent of
-    ``gru_scan``, so it serves as the reference the scan is tested against.
-    """
-    if x_t.data.shape[1] != p.w_ih.data.shape[1]:
-        raise DimensionError(
-            f"cell input extent {x_t.data.shape[1]} != {p.w_ih.data.shape[1]}"
-        )
-    hidden = p.hidden_size
-    if h_prev.data.shape[1] != hidden:
-        raise DimensionError(f"cell state extent {h_prev.data.shape[1]} != {hidden}")
-    rows = [slice(i * hidden, (i + 1) * hidden) for i in range(3)]
-    x_r, x_z, x_n = (_linear(x_t, p.w_ih[s], p.b_ih[s]) for s in rows)
-    h_r, h_z, h_n = (_linear(h_prev, p.w_hh[s], p.b_hh[s]) for s in rows)
-    r = ad.sigmoid(ad.add(x_r, h_r))
-    z = ad.sigmoid(ad.add(x_z, h_z))
-    n = ad.tanh(ad.add(x_n, ad.mul(r, h_n)))
-    return ad.add(ad.mul(ad.sub(Tensor(1.0), z), n), ad.mul(z, h_prev))
-
 
 def gru_scan(x, cell, reverse=False, keep=None, scale=1.0):
     """One recurrent direction over (batch, T, D_in) input, from a zero state.
@@ -276,13 +246,6 @@ class BiGRUStack:
                 )
             )
             d_in = 2 * hidden_size
-        return cls(layers=built, dropout_p=dropout_p)
-
-    @classmethod
-    def from_tensors(cls, tensors, layers, dropout_p):
-        """Rebuild a stack from tensors in ``parameters()`` order."""
-        cells = [GRUCellParams(*tensors[i : i + 4]) for i in range(0, 8 * layers, 4)]
-        built = [BiGRULayer(fwd=f, bwd=b) for f, b in zip(cells[::2], cells[1::2])]
         return cls(layers=built, dropout_p=dropout_p)
 
     def parameters(self):

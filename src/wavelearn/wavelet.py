@@ -118,7 +118,7 @@ class LAHTParams:
     def values(self):
         """Effective (alpha, beta, bias_pos, bias_neg) arrays; records nothing.
 
-        The expressions the ``exp`` and ``softplus`` nodes compute, so an
+        Computed with numpy's ``exp`` and ``autodiff._softplus``, so an
         overflowing raw value gives inf with a RuntimeWarning, never an
         OverflowError.
         """

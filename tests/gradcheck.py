@@ -1,16 +1,20 @@
 """Central finite-difference verification of the analytic gradients.
 
-Every differentiable operation gets a small randomized case.  The numeric
-gradient perturbs one input entry at a time with a symmetric step, so it is
-independent of the backward implementations it checks.
+Every differentiable operation gets a small randomized case, and
+``tests/test_autodiff.py`` runs each one at a relative tolerance of 1e-4.
+The numeric gradient perturbs one input entry at a time with a symmetric
+step, so it is independent of the backward implementations it checks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tape, Tensor, backward
+from wavelearn import autodiff as ad
+from wavelearn import features, fusion, recurrent, training, wavelet
+from wavelearn.autodiff import Tape, Tensor, backward
+
+import reference
 
 
 def numeric_grad(fn, arrays, which, step=1e-5):
@@ -65,6 +69,13 @@ def _rng(seed):
     return np.random.default_rng(seed)
 
 
+def _stack_from_tensors(tensors, layers, dropout_p):
+    """A ``recurrent.BiGRUStack`` over tensors in its ``parameters()`` order."""
+    cells = [recurrent.GRUCellParams(*tensors[i : i + 4]) for i in range(0, 8 * layers, 4)]
+    built = [recurrent.BiGRULayer(fwd=f, bwd=b) for f, b in zip(cells[::2], cells[1::2])]
+    return recurrent.BiGRUStack(layers=built, dropout_p=dropout_p)
+
+
 def core_cases():
     """Small randomized builds covering each primitive of the engine."""
     r = _rng(1234)
@@ -76,13 +87,13 @@ def core_cases():
         "mul": (lambda t: ad.reduce_sum(ad.mul(t[0], t[1])), [x, y]),
         "sub_neg": (lambda t: ad.reduce_sum(ad.mul(ad.sub(ad.neg(t[0]), t[1]), t[1])), [x, y]),
         "exp": (lambda t: ad.reduce_sum(ad.exp(t[0])), [x * 0.3]),
-        "sigmoid": (lambda t: ad.reduce_sum(ad.sigmoid(t[0])), [x]),
+        "sigmoid": (lambda t: ad.reduce_sum(reference.sigmoid(t[0])), [x]),
         "tanh": (lambda t: ad.reduce_sum(ad.tanh(t[0])), [x]),
         "leaky_relu": (
             lambda t: ad.reduce_sum(ad.leaky_relu(t[0], 0.01)),
             [x + 0.1 * np.sign(x)],  # keep entries away from the kink
         ),
-        "softplus": (lambda t: ad.reduce_sum(ad.softplus(t[0])), [x * 2.0]),
+        "softplus": (lambda t: ad.reduce_sum(reference.softplus(t[0])), [x * 2.0]),
         "pow_const": (lambda t: ad.reduce_sum(ad.pow_const(t[0], 2.5)), [np.abs(x) + 0.3]),
         "matmul": (
             lambda t: ad.reduce_sum(ad.matmul(t[0], t[1])),
@@ -141,8 +152,6 @@ def core_cases():
 
 def model_cases():
     """Composite builds through the network blocks and losses."""
-    from . import features, fusion, recurrent, training, wavelet
-
     r = _rng(99)
     cases = {}
 
@@ -219,7 +228,7 @@ def model_cases():
 
     def gru_cell_case(t):
         p = recurrent.GRUCellParams(*t[2:])
-        return ad.reduce_sum(ad.mul(recurrent.gru_cell_step(t[0], t[1], p), Tensor(cell_probe)))
+        return ad.reduce_sum(ad.mul(reference.gru_cell_step(t[0], t[1], p), Tensor(cell_probe)))
 
     gru_arrays = [r.normal(size=(2, d_in)), r.normal(size=(2, d_h))]
     gru_arrays += [r.normal(size=s) * 0.5 for s in recurrent.GRUCellParams.shapes(d_in, d_h)]
@@ -266,7 +275,7 @@ def model_cases():
     for name, p in (("bigru_2layer", 0.0), ("bigru_2layer_dropout", 0.3)):
         def bigru_case(t, p=p):
             # a fresh generator draws the same dropout masks on every evaluation
-            stack = recurrent.BiGRUStack.from_tensors(t[1:], layers=2, dropout_p=p)
+            stack = _stack_from_tensors(t[1:], layers=2, dropout_p=p)
             out = recurrent.bigru_forward(t[0], stack, np.random.default_rng(3))
             return ad.reduce_sum(ad.mul(out, Tensor(bigru_probe)))
 
@@ -282,7 +291,7 @@ def model_cases():
                       + recurrent.TemporalAttentionParams.init(4, rr).tensors()]
 
     def encode_ragged_case(t):
-        stack = recurrent.BiGRUStack.from_tensors(t[2:18], layers=2, dropout_p=0.3)
+        stack = _stack_from_tensors(t[2:18], layers=2, dropout_p=0.3)
         temporal = recurrent.TemporalAttentionParams(*t[18:])
         rng = np.random.default_rng(5)
         vectors = [recurrent.temporal_attention(recurrent.bigru_forward(seq, stack, rng), temporal)
@@ -330,14 +339,3 @@ def all_cases():
     cases = dict(core_cases())
     cases.update(model_cases())
     return cases
-
-
-def run_suite(tol=1e-4, step=1e-5, cases=None):
-    """Run every case; returns {name: max_rel_error} and prints one line each."""
-    results = {}
-    for name, (build, arrays) in (cases or all_cases()).items():
-        err = check_gradients(build, arrays, step=step)
-        results[name] = err
-        status = "ok" if err < tol else "FAIL"
-        print(f"gradcheck {name:<24s} max_rel_err={err:.3e} [{status}]")
-    return results

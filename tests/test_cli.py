@@ -6,8 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from wavelearn import autodiff as ad
-from wavelearn import cli, gradcheck
+from wavelearn import cli
 from wavelearn.checkpoint import load_checkpoint, save_checkpoint
 from wavelearn.config import from_mapping, load_config
 from wavelearn.data import generate_synthetic, write_wav_pcm16
@@ -102,7 +101,6 @@ OPTIONS = {
     "predict": ["--checkpoint"],
     "decompose": ["--config", "--out-dir", "--set"],
     "synth-data": ["--config", "--out-dir", "--per-class", "--set"],
-    "gradcheck": ["--tolerance"],
 }
 
 
@@ -115,7 +113,7 @@ def test_cli_options_per_subcommand():
         for name, parser in sub.choices.items()
     }
     assert got == OPTIONS
-    assert sum(map(len, got.values())) == 17
+    assert sum(map(len, got.values())) == 16
 
 
 @pytest.mark.parametrize("argv", [
@@ -137,12 +135,16 @@ def test_cli_options_per_subcommand():
     ["train", "--workers", "2"],
     ["evaluate", "--checkpoint", "m.bin", "--workers", "2"],
     ["predict", "--checkpoint", "m.bin", "x.wav", "--workers", "2"],
+    ["gradcheck", "--tolerance", "1e-4"],
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
 def test_removed_options_are_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+    # the gradcheck subcommand is gone with its option
+    removed = ("invalid choice: 'gradcheck'" if argv[0] == "gradcheck"
+               else f"unrecognized arguments: {argv[-2]}")
+    assert removed in capsys.readouterr().err
 
 
 def _artifact(path, header):
@@ -185,38 +187,6 @@ def test_end_to_end_on_the_tiny_config(tmp_path, capsys, caplog):
     save_checkpoint(tmp_path / "again.bin", state, meta)
     assert (tmp_path / "again.bin").read_bytes() == (run / "checkpoint.bin").read_bytes()
     assert not [r for r in caplog.records if "reducing folds" in r.getMessage()]
-
-
-def test_gradcheck_takes_no_run_options():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["gradcheck", "--workers", "2"])
-    assert exc.value.code == 2
-
-
-@pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1e-4"])
-def test_gradcheck_tolerance_must_be_finite_and_positive(tolerance, monkeypatch, capsys):
-    monkeypatch.setattr(gradcheck, "run_suite", lambda **kw: pytest.fail("suite ran"))
-    assert cli.main(["gradcheck", f"--tolerance={tolerance}"]) == cli.EXIT_CONFIG
-    assert "--tolerance" in capsys.readouterr().err
-
-
-def test_gradcheck_fails_on_a_nan_gradient(monkeypatch, capsys):
-    def nan_gradient(t):
-        out = ad.record("fake", t[0].data * 1.0, (t[0],), lambda g: (np.full_like(g, np.nan),))
-        return ad.reduce_sum(out)
-
-    cases = {"exp": gradcheck.core_cases()["exp"], "nan_gradient": (nan_gradient, [np.ones(3)])}
-    monkeypatch.setattr(gradcheck, "all_cases", lambda: cases)
-    assert cli.main(["gradcheck"]) == cli.EXIT_NUMERICAL
-    out, err = capsys.readouterr()
-    assert "nan_gradient" in out and "[FAIL]" in out
-    assert "failed for nan_gradient" in err
-
-
-def test_gradcheck_fails_when_any_error_is_nan(monkeypatch):
-    # max() over these keeps 1e-9 and drops the NaN
-    monkeypatch.setattr(gradcheck, "run_suite", lambda **kw: {"ok": 1e-9, "bad": float("nan")})
-    assert cli.main(["gradcheck"]) == cli.EXIT_NUMERICAL
 
 
 def _predict(checkpoint, wav, *options):
@@ -352,8 +322,11 @@ def test_a_set_override_wins_over_the_ablation_tag_and_is_echoed(tmp_path):
     assert "frontend.laht.0.0" in state
 
 
-def test_the_echo_states_the_class_count_of_the_data(tmp_path):
-    model, state = _train(tmp_path, "--set", "model.classes=9")
+def test_the_echo_states_the_class_count_of_the_data(tmp_path, capsys):
+    argv = ["train", "--set", "model.classes=9", "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "'model.classes' is derived" in capsys.readouterr().err
+    model, state = _train(tmp_path)
     assert model["classes"] == 4
     assert state["head.0"].shape[0] == 4
 

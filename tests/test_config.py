@@ -45,6 +45,8 @@ BAD = [
     ("training.lr=true", "training.lr"),
     ("data.manifest=5", "data.manifest"),
     ("data.root=7", "data.root"),
+    # train derives the class count from its dataset's class names
+    ("model.classes=1", "model.classes"),
 ]
 
 
@@ -52,6 +54,13 @@ BAD = [
 def test_values_a_run_cannot_use_are_config_errors(override, key):
     with pytest.raises(ConfigError, match=key):
         load_config(None, [override])
+
+
+def test_a_config_file_cannot_set_the_derived_class_count(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_text("model:\n  classes: 1\n")
+    with pytest.raises(ConfigError, match="model.classes"):
+        load_config(path)
 
 
 def test_the_ablation_tag_overrides_the_file_and_set_overrides_the_tag(tmp_path):

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,16 @@ import pytest
 tomllib = pytest.importorskip("tomllib")
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "wavelearn"
 IMPORT_NAMES = {"pyyaml": "yaml"}
+# the package's modules, and the test helper modules that pytest does not collect
+MODULES = sorted(PACKAGE.glob("*.py")) + [ROOT / "tests" / "gradcheck.py",
+                                          ROOT / "tests" / "reference.py"]
+# definitions that no code in the package reads, each with the caller that needs it
+READ_OUTSIDE_THE_PACKAGE = {
+    "Network.parameter_count": "bench/run.py",
+    "regularized_objective": "bench/tracing.py",
+}
 
 
 def _declared():
@@ -21,7 +31,7 @@ def _declared():
 
 def _imported():
     found = set()
-    for path in (ROOT / "src" / "wavelearn").glob("*.py"):
+    for path in PACKAGE.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 found.update(alias.name.split(".")[0] for alias in node.names)
@@ -49,9 +59,37 @@ def _unused_imports(source):
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
 
-@pytest.mark.parametrize("name", sorted(p.name for p in (ROOT / "src" / "wavelearn").glob("*.py")))
-def test_every_import_is_used(name):
-    assert _unused_imports((ROOT / "src" / "wavelearn" / name).read_text()) == []
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_import_is_used(path):
+    assert _unused_imports(path.read_text()) == []
+
+
+def _definitions(tree):
+    """(qualified name, node) of each top-level function and class, and of each
+    method but the special ones, which the language calls."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _reads(tree):
+    """How often each name is read under ``tree``, as a variable or an attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load))
+
+
+def test_every_definition_in_the_package_is_read_in_the_package():
+    # code that only tests read belongs in tests/, not in the shipped package
+    trees = [ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")]
+    reads = sum(map(_reads, trees), Counter())
+    unread = sorted(name for tree in trees for name, node in _definitions(tree)
+                    if reads[node.name] == _reads(node)[node.name])
+    assert unread == sorted(READ_OUTSIDE_THE_PACKAGE)
 
 
 def test_the_package_runs_without_mpmath():

@@ -13,7 +13,8 @@ from wavelearn.features import (
     conv_block,
     spatial_attention,
 )
-from wavelearn.gradcheck import check_gradients
+
+from gradcheck import check_gradients
 
 
 def _block(weight, bias, dilation=1):

@@ -87,18 +87,26 @@ def test_encode_draws_dropout_band_major_then_layer_by_layer():
 
 
 @functools.cache
-def _default_clip_memory():
+def _default_clip_memory(samples=12083, backward_too=True):
     """Bytes the default clip's training tape holds after the forward, and at
-    its high-water mark during the backward, above the memory before it."""
+    its high-water mark during the backward, above the memory before it.
+
+    The clip is tiled to ``samples``; at 12,083 it is the clip as generated.
+    Without ``backward_too`` the high-water mark is None, and the run is about
+    half as long: tracing every allocation slows both passes several times.
+    """
     clip = generate_synthetic(default_synthetic_spec(seed=0), 1)[0]
     assert clip.samples.size == 12083
+    tiled = np.resize(clip.samples, samples)
     net = Network(ModelConfig(), seed=0)
     tracemalloc.start()
     try:
         with Tape():
             before = tracemalloc.get_traced_memory()[0]
-            log_probs = net.forward(clip.samples, training=True, dropout_seed=0)
+            log_probs = net.forward(tiled, training=True, dropout_seed=0)
             kept = tracemalloc.get_traced_memory()[0] - before
+            if not backward_too:
+                return kept, None
             backward(focal_loss(log_probs, [clip.label], LossConfig()))
             high_water = tracemalloc.get_traced_memory()[1] - before
     finally:
@@ -116,3 +124,11 @@ def test_default_clip_backward_high_water_stays_within_its_measured_size():
     # 12.51 MiB measured for this clip (19.41 MiB when every backward closure
     # lived until the tape closed); the bound is +5%
     assert _default_clip_memory()[1] <= 1.05 * 12.51 * 2**20
+
+
+def test_forward_tape_bytes_per_input_sample_do_not_grow_with_clip_length():
+    # 1,047 B per sample measured at 12,083 samples and 1,015 at 48,000: the
+    # tape is linear in length, so a path that pads rows to a common length fails
+    short = _default_clip_memory()[0] / 12083
+    long = _default_clip_memory(48000, backward_too=False)[0] / 48000
+    assert abs(long - short) <= 0.05 * short

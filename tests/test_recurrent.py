@@ -8,7 +8,6 @@ from wavelearn import autodiff as ad
 from wavelearn.autodiff import Tape, Tensor, backward
 from wavelearn.data import default_synthetic_spec, generate_synthetic
 from wavelearn.errors import DimensionError, InputTooShortError
-from wavelearn.gradcheck import check_gradients
 from wavelearn.model import ModelConfig, Network
 from wavelearn.recurrent import (
     CHUNK,
@@ -17,11 +16,13 @@ from wavelearn.recurrent import (
     GRUCellParams,
     TemporalAttentionParams,
     bigru_forward,
-    gru_cell_step,
     gru_scan,
     temporal_attention,
 )
 from wavelearn.wavelet import FrontEndConfig
+
+from gradcheck import check_gradients
+from reference import gru_cell_step
 
 
 def _cell(input_size, hidden, fill=0.0):
@@ -65,7 +66,7 @@ def test_cell_dimension_errors():
 
 def _repeated_cell_steps(x, cell, reverse):
     batch, t_len, _ = x.data.shape
-    h = Tensor(np.zeros((batch, cell.hidden_size)))
+    h = Tensor(np.zeros((batch, cell.w_hh.data.shape[1])))
     states = [None] * t_len
     for t in reversed(range(t_len)) if reverse else range(t_len):
         h = gru_cell_step(x[:, t], h, cell)

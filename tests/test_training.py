@@ -16,7 +16,6 @@ from wavelearn.errors import (
     LabelError,
     NumericalError,
 )
-from wavelearn.gradcheck import check_gradients
 from wavelearn.model import ModelConfig, Network
 from wavelearn.training import (
     AdamState,
@@ -32,6 +31,8 @@ from wavelearn.training import (
     zero_grads,
 )
 from wavelearn.wavelet import FrontEndConfig
+
+from gradcheck import check_gradients
 
 
 def _logp(probs):

@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from wavelearn import autodiff as ad
 from wavelearn.autodiff import Tape, Tensor, backward
 from wavelearn.errors import ConfigError, DimensionError, InputTooShortError
-from wavelearn.gradcheck import check_gradients
 from wavelearn.wavelet import (
     SHARING_MODES,
     FrontEndConfig,
@@ -19,6 +18,9 @@ from wavelearn.wavelet import (
     frontend_forward,
     laht_apply,
 )
+
+import reference
+from gradcheck import check_gradients
 
 # Standard orthonormal 20-tap table (10 vanishing moments), as printed in the
 # classical wavelet literature; Sum h = sqrt(2), sum h^2 = 1.
@@ -251,10 +253,10 @@ def _laht_composed(x, raw_alpha, raw_beta, raw_pos, raw_neg):
     # the reference: the exp, neg and softplus nodes of the reparameterization,
     # then the eight elementwise nodes of the thresholding
     alpha, beta = ad.neg(ad.exp(raw_alpha)), ad.exp(raw_beta)
-    bias_pos, bias_neg = ad.softplus(raw_pos), ad.softplus(raw_neg)
+    bias_pos, bias_neg = reference.softplus(raw_pos), reference.softplus(raw_neg)
     gate = ad.add(
-        ad.sigmoid(ad.mul(alpha, ad.add(x, bias_neg))),
-        ad.sigmoid(ad.mul(beta, ad.sub(x, bias_pos))),
+        reference.sigmoid(ad.mul(alpha, ad.add(x, bias_neg))),
+        reference.sigmoid(ad.mul(beta, ad.sub(x, bias_pos))),
     )
     return ad.mul(x, gate)
 
