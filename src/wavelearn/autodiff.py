@@ -445,9 +445,9 @@ def conv1d(x, w, b=None, stride=1, dilation=1, padding=0):
     input; when no tap reads past the input (no padding, no wrap) they view
     the input itself and no padded copy is made.  The im2col matrix is one
     copy of that view into a contiguous (batch, C * S, out_w) array, so the
-    copy's inner loop runs along the output width; it stays on the tape for
-    backward and may view ``x.data`` when the windows are already contiguous
-    (one tap at stride 1), which backward only reads.  The output
+    copy's inner loop runs along the output width.  The tape keeps only
+    ``xp`` (``x.data`` itself when no copy was made), and the backward
+    rebuilds the matrix from it with the same copy.  The output
     ``w @ mat`` is a C-contiguous (batch, K, out_w).
 
     The backward's weight gradient is one 2-d matmul over (K, batch out_w).
@@ -480,16 +480,20 @@ def conv1d(x, w, b=None, stride=1, dilation=1, padding=0):
         xp[:, :, :pad] = 0.0
         xp[:, :, pad : pad + width] = x.data
         xp[:, :, pad + width :] = x.data[:, :, : full - width] if padding == "circular" else 0.0
-    sb, sc, sw = xp.strides
-    windows = np.ndarray((batch, chans, taps, out_w), xp.dtype, xp, 0,
-                         (sb, sc, sw * dilation, sw * stride))
-    mat = np.ascontiguousarray(windows).reshape(batch, chans * taps, out_w)
+
+    def im2col():
+        sb, sc, sw = xp.strides
+        windows = np.ndarray((batch, chans, taps, out_w), xp.dtype, xp, 0,
+                             (sb, sc, sw * dilation, sw * stride))
+        return np.ascontiguousarray(windows).reshape(batch, chans * taps, out_w)
+
     wmat = w.data.reshape(k_out, chans * taps)
-    out = wmat @ mat
+    out = wmat @ im2col()
     if b is not None:
         out += b.data[:, None]
 
     def bwd(g):
+        mat = im2col()
         cols = batch * out_w
         gw = g.transpose(1, 0, 2).reshape(k_out, cols) @ mat.transpose(1, 0, 2).reshape(-1, cols).T
         gcols = (wmat.T @ g).reshape(batch, chans, taps, out_w)

@@ -7,10 +7,15 @@ global (width-mean) context is not added: its score term is the same at every
 position, a constant shift that the softmax over width cancels.
 
 The geometry is fixed here: kernel 3 and (dilation, stride, padding) =
-(1, 2, 1), (2, 2, 2), (4, 1, 4).  With each padding equal to its dilation a
-stride-2 block maps width W to ceil(W / 2) and the stride-1 block keeps W, so
-a band of W >= 1 samples leaves ceil(ceil(W / 2) / 2) >= 1 positions.  The
-strides shorten the sequences the recurrent encoder scans; nothing pools.
+(1, 4, 1), (1, 1, 1), (4, 1, 4).  Each padding equals its dilation, so a band
+of W >= 1 samples leaves ceil(W / 4) >= 1 positions.  The strides shorten the
+sequences the recurrent encoder scans; nothing pools.
+
+This is the stack (1, 2, 1), (2, 2, 2), (4, 1, 4) without its dead half: its
+second block reads the first block's output only at even positions, with
+zeros past either end.  Those are the first block at stride 4, which a
+dilation-1, padding-1 block reads with the same zero edges: the same function
+at half the first block's columns.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 KERNEL = 3
-BLOCKS = ((1, 2, 1), (2, 2, 2), (4, 1, 4))  # (dilation, stride, padding)
+BLOCKS = ((1, 4, 1), (1, 1, 1), (4, 1, 4))  # (dilation, stride, padding)
 
 
 @dataclass

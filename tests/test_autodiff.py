@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -80,9 +81,13 @@ def _naive_conv(x, w, b, stride, dilation, padding, g):
 # (batch, chans, width, k_out, taps, stride, dilation, padding) at widths >= 64
 _CONV_GEOMETRIES = {
     # the model's band conv blocks and its wavelet level's (h, g) bank
-    "block-stride2-dilation2": (1, 16, 67, 16, 3, 2, 2, 2),
+    "block-stride4": (1, 1, 67, 16, 3, 4, 1, 1),
+    "block-padding1": (1, 16, 65, 16, 3, 1, 1, 1),
     "block-dilation4": (1, 16, 64, 16, 3, 1, 4, 4),
     "wavelet-level": (1, 1, 65, 2, 20, 2, 1, "circular"),
+    # the band stack's old second block, which read only the first block's
+    # even columns: every tap on phase 0 of stride 2
+    "block-stride2-dilation2": (1, 16, 67, 16, 3, 2, 2, 2),
     # taps start at 0, 2, 4, 6: phases 0, 2, 1, 0 of stride 3
     "stride3-dilation2": (2, 3, 70, 2, 4, 3, 2, 1),
     # one tap, no padding: no padded copy, and the im2col matrix views x
@@ -144,6 +149,25 @@ def test_conv1d_leaves_its_inputs_intact_and_returns_a_contiguous_output():
         expected = _naive_conv(x, w, b.data, 1, 1, padding, probe.data)
         for got, want in zip([out.data] + [t.grad for t in leaves], expected):
             assert_allclose(got, want, atol=1e-12)
+
+
+def test_conv1d_tape_keeps_only_its_extended_input():
+    # a wavelet level's conv: the im2col matrix is about 10x the extended
+    # input, and the backward rebuilds it instead of keeping it
+    width, taps = 12084, 20
+    r = np.random.default_rng(6)
+    x = Tensor(r.normal(size=(1, 1, width)), requires_grad=True)
+    w = Tensor(r.normal(size=(2, 1, taps)), requires_grad=True)
+    extended = 8 * ((width // 2 - 1) * 2 + taps)
+    tracemalloc.start()
+    try:
+        with Tape():
+            before = tracemalloc.get_traced_memory()[0]
+            out = ad.conv1d(x, w, stride=2, padding="circular")
+            held = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.1 * extended
 
 
 def test_conv1d_shape_errors():

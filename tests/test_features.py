@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from wavelearn.autodiff import Tensor
+from wavelearn import autodiff as ad
+from wavelearn.autodiff import Tape, Tensor, backward
 from wavelearn.features import (
     BandPipelineParams,
     ConvBlockParams,
@@ -107,7 +108,7 @@ def test_band_features_width_arithmetic():
     pipe = _pipeline()
     seq, summary = band_features(Tensor(np.random.default_rng(0).normal(size=(1, 1, 511))),
                                  pipe.blocks, pipe.attention)
-    # two stride-2 blocks give ceil(W / 2) each, the stride-1 block keeps W
+    # the stride-4 block gives ceil(W / 4), the stride-1 blocks keep it
     assert seq.data.shape == (1, 4, 128)
     assert summary.data.shape == (1, 4)
 
@@ -136,4 +137,56 @@ def test_band_features_one_sample_band_gives_a_one_wide_map():
     assert seq.data.shape == (1, 4, 1)
     for width in range(2, 12):
         seq, _ = band_features(Tensor(np.ones((1, 1, width))), pipe.blocks, pipe.attention)
-        assert seq.data.shape[2] == math.ceil(math.ceil(width / 2) / 2)
+        assert seq.data.shape[2] == math.ceil(width / 4)
+
+
+# (dilation, stride, padding) of the stack before block 1 dropped the odd
+# columns that block 2 never reads
+_FULL_BLOCKS = ((1, 2, 1), (2, 2, 2), (4, 1, 4))
+
+
+def _taped_band_features(band, blocks, attention, probes):
+    """Outputs, then the band's and every parameter's gradient, of one taped
+    band_features under a fixed linear probe of both outputs."""
+    leaves = [Tensor(band, requires_grad=True)]
+    leaves += [ad.parameter(t.data) for p in blocks for t in p.tensors()]
+    leaves.append(ad.parameter(attention.score_weight.data))
+    blocks = [ConvBlockParams(w, b, p.stride, p.dilation, p.padding)
+              for p, w, b in zip(blocks, leaves[1::2], leaves[2::2])]
+    with Tape():
+        weighted, summary = band_features(leaves[0], blocks, SpatialAttentionParams(leaves[-1]))
+        backward(ad.add(ad.reduce_sum(ad.mul(weighted, Tensor(probes[0]))),
+                        ad.reduce_sum(ad.mul(summary, Tensor(probes[1])))))
+    return [weighted.data, summary.data] + [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize("width", [*range(1, 71), 6042])
+def test_band_features_equal_the_full_stride_2_stack(width):
+    rng = np.random.default_rng(width)
+    pipe = _pipeline(channels=5, rng=rng)
+    full = [ConvBlockParams(p.weight, p.bias, stride=s, dilation=d, padding=pad)
+            for p, (d, s, pad) in zip(pipe.blocks, _FULL_BLOCKS)]
+    band = rng.normal(size=(2, 1, width))
+    probes = (rng.normal(size=(2, 5, math.ceil(width / 4))), rng.normal(size=(2, 5)))
+    ours = _taped_band_features(band, pipe.blocks, pipe.attention, probes)
+    theirs = _taped_band_features(band, full, pipe.attention, probes)
+    for a, b in zip(ours, theirs):
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+
+
+def test_every_block_output_position_gets_a_gradient():
+    # no block computes a column that the rest of the stack never reads
+    rng = np.random.default_rng(7)
+    pipe = _pipeline(channels=4, rng=rng)
+    taps = []
+    with Tape():
+        x = Tensor(rng.normal(size=(1, 1, 67)))
+        for p in pipe.blocks:
+            x = conv_block(x, p)
+            taps.append(Tensor(np.zeros(x.shape), requires_grad=True))
+            x = ad.add(x, taps[-1])  # a zero leaf whose gradient is the output's
+        weighted = spatial_attention(x, pipe.attention).weighted
+        backward(ad.reduce_sum(ad.mul(weighted, Tensor(rng.normal(size=weighted.shape)))))
+    for tap in taps:
+        assert np.all(tap.grad != 0.0)

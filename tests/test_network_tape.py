@@ -8,7 +8,7 @@ from wavelearn import autodiff as ad
 from wavelearn.autodiff import Tape, Tensor, backward
 from wavelearn.data import default_synthetic_spec, generate_synthetic
 from wavelearn.features import band_features
-from wavelearn.model import ModelConfig, Network
+from wavelearn.model import ModelConfig, Network, apply_ablation
 from wavelearn.recurrent import bigru_forward, temporal_attention
 from wavelearn.training import LossConfig, focal_loss
 from wavelearn.wavelet import FrontEndConfig, frontend_forward
@@ -87,18 +87,19 @@ def test_encode_draws_dropout_band_major_then_layer_by_layer():
 
 
 @functools.cache
-def _default_clip_memory(samples=12083, backward_too=True):
+def _clip_memory(tag="allkernel+laht", samples=12083, backward_too=True):
     """Bytes the default clip's training tape holds after the forward, and at
     its high-water mark during the backward, above the memory before it.
 
-    The clip is tiled to ``samples``; at 12,083 it is the clip as generated.
-    Without ``backward_too`` the high-water mark is None, and the run is about
-    half as long: tracing every allocation slows both passes several times.
+    The network is the default one under the ablation ``tag``.  The clip is
+    tiled to ``samples``; at 12,083 it is the clip as generated.  Without
+    ``backward_too`` the high-water mark is None, and the run is about half as
+    long: tracing every allocation slows both passes several times.
     """
     clip = generate_synthetic(default_synthetic_spec(seed=0), 1)[0]
     assert clip.samples.size == 12083
     tiled = np.resize(clip.samples, samples)
-    net = Network(ModelConfig(), seed=0)
+    net = Network(apply_ablation(ModelConfig(), tag), seed=0)
     tracemalloc.start()
     try:
         with Tape():
@@ -115,20 +116,39 @@ def _default_clip_memory(samples=12083, backward_too=True):
 
 
 def test_default_clip_forward_tape_stays_within_its_measured_size():
-    # 12.07 MiB measured for this clip (15.76 MiB when each BiGRU layer kept a
-    # dropped-out float64 copy of the previous layer's states); the bound is +5%
-    assert _default_clip_memory()[0] <= 1.05 * 12.07 * 2**20
+    # 8.86 MiB measured for this clip (12.07 when each conv kept its im2col
+    # matrix and band block 1 computed the odd columns block 2 never reads,
+    # 15.76 when each BiGRU layer kept a dropped-out float64 copy of the
+    # previous layer's states); the bound is +5%
+    assert _clip_memory()[0] <= 1.05 * 8.86 * 2**20
 
 
 def test_default_clip_backward_high_water_stays_within_its_measured_size():
-    # 12.51 MiB measured for this clip (19.41 MiB when every backward closure
-    # lived until the tape closed); the bound is +5%
-    assert _default_clip_memory()[1] <= 1.05 * 12.51 * 2**20
+    # 9.31 MiB measured for this clip (12.51 with each conv's im2col matrix
+    # and all of band block 1, 19.41 when every backward closure lived until
+    # the tape closed); the bound is +5%
+    assert _clip_memory()[1] <= 1.05 * 9.31 * 2**20
+
+
+def test_nogru_clip_forward_tape_stays_within_its_measured_size():
+    # 2.23 MiB measured for this clip under nogru, which keeps no scan states
+    # (5.43 with each conv's im2col matrix and all of band block 1); the bound
+    # is +5%
+    assert _clip_memory("allkernel+laht-nogru")[0] <= 1.05 * 2.23 * 2**20
+
+
+def test_nogru_clip_backward_high_water_stays_within_its_measured_size():
+    # 2.98 MiB measured for this clip under nogru (5.99 with each conv's im2col
+    # matrix and all of band block 1); the bound is +5%
+    assert _clip_memory("allkernel+laht-nogru")[1] <= 1.05 * 2.98 * 2**20
 
 
 def test_forward_tape_bytes_per_input_sample_do_not_grow_with_clip_length():
-    # 1,047 B per sample measured at 12,083 samples and 1,015 at 48,000: the
-    # tape is linear in length, so a path that pads rows to a common length fails
-    short = _default_clip_memory()[0] / 12083
-    long = _default_clip_memory(48000, backward_too=False)[0] / 48000
+    # 760-768 B per sample measured at 12,083 samples and 736 at 48,000
+    # (1,039-1,047 and 1,015 with each conv's im2col matrix and all of band
+    # block 1): the tape is linear in length, so a path that pads rows to a
+    # common length fails.  The fixed per-clip bytes weigh more as the
+    # per-sample bytes fall, so the two readings draw apart.
+    short = _clip_memory()[0] / 12083
+    long = _clip_memory(samples=48000, backward_too=False)[0] / 48000
     assert abs(long - short) <= 0.05 * short
