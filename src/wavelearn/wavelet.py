@@ -141,10 +141,11 @@ def laht_apply(x, params):
 
     ``params`` is the level's ``LAHTParams``, whose four raw values must be
     scalars.  One ``laht`` tape node over x and the four raw tensors; it
-    keeps x and t1, t2.  Each gate is written as S(z) = (1 + t) / 2 with
-    t = tanh(z / 2), so S (1 - S) = (1 - t^2) / 4.  That is one ``tanh``
-    pass where the overflow-safe two-sided logistic takes nine, and since
-    the gates only scale x, tanh's absolute precision is all they need.
+    keeps x, and its backward repeats the forward's calls for t1, t2.  Each
+    gate is written as S(z) = (1 + t) / 2 with t = tanh(z / 2), so S (1 - S)
+    = (1 - t^2) / 4.  That is one ``tanh`` pass where the overflow-safe
+    two-sided logistic takes nine, and since the gates only scale x, tanh's
+    absolute precision is all they need.
 
     With d1 = g x S1 (1 - S1) and d2 = g x S2 (1 - S2) the backward returns
     dx = g (S1 + S2) + alpha d1 + beta d2 and, through the reparameterization,
@@ -167,6 +168,7 @@ def laht_apply(x, params):
     out *= xd
 
     def bwd(g):
+        t1, t2 = _half_tanh(xd, bn, a), _half_tanh(xd, -bp, b)
         g = np.reshape(g, -1)
         gx = g * xd
         gx *= 0.25

@@ -277,7 +277,7 @@ def model_cases():
             # a fresh generator draws the same dropout masks on every evaluation
             stack = _stack_from_tensors(t[1:], layers=2, dropout_p=p)
             out = recurrent.bigru_forward(t[0], stack, np.random.default_rng(3))
-            return ad.reduce_sum(ad.mul(out, Tensor(bigru_probe)))
+            return ad.reduce_sum(ad.mul(ad.concat(out, axis=2), Tensor(bigru_probe)))
 
         cases[name] = (bigru_case, bigru_arrays)
 
@@ -310,6 +310,22 @@ def model_cases():
         temporal_case,
         [r.normal(size=(2, 3, d_att)), r.normal(size=(d_att, d_att)) * 0.5,
          r.normal(size=(d_att, 2 * d_att)) * 0.5, r.normal(size=(d_att,))],
+    )
+
+    # the last BiGRU layer's two state views as unequal parts, read in place
+    ra = _rng(15)
+    attention_probe = ra.normal(size=(2, d_att))
+
+    def temporal_parts_case(t):
+        p = recurrent.TemporalAttentionParams(*t[2:])
+        out = recurrent.temporal_attention(t[:2], p)
+        return ad.reduce_sum(ad.mul(out, Tensor(attention_probe)))
+
+    cases["temporal_attention_parts"] = (
+        temporal_parts_case,
+        [ra.normal(size=(2, 3, 2)), ra.normal(size=(2, 3, d_att - 2)),
+         ra.normal(size=(d_att, d_att)) * 0.5, ra.normal(size=(d_att, 2 * d_att)) * 0.5,
+         ra.normal(size=(d_att,))],
     )
 
     channel_probe = r.normal(size=(2, 3, 4))

@@ -4,6 +4,8 @@ The package computes the logistic and softplus inside fused nodes (``laht``,
 ``gru_scan``) and records neither as a node of its own.  The ops below are
 those expressions as single tape nodes, and ``gru_cell_step`` is one GRU step
 built from them, so the fused nodes can be checked against plain compositions.
+``taped_temporal_attention`` is ``recurrent.temporal_attention`` composed of
+engine nodes, the reference for the fused node.
 """
 
 from __future__ import annotations
@@ -49,3 +51,21 @@ def gru_cell_step(x_t, h_prev, p):
     z = sigmoid(ad.add(x_z, h_z))
     n = ad.tanh(ad.add(x_n, ad.mul(r, h_n)))
     return ad.add(ad.mul(ad.sub(Tensor(1.0), z), n), ad.mul(z, h_prev))
+
+
+def taped_temporal_attention(states, p):
+    """``recurrent.temporal_attention`` of a (batch, T, D) Tensor, node by node.
+
+    ``p`` is a ``recurrent.TemporalAttentionParams``.  The query is ``h_last
+    @ fc1`` for the final state ``h_last``; softmax over time of the scores
+    ``states @ query`` weights the context sum, and the output is
+    ``tanh([context; h_last] @ fc2^T + b)``.
+    """
+    batch, t_len, dim = states.data.shape
+    h_last = states[:, t_len - 1, :]
+    query = ad.reshape(ad.matmul(h_last, p.fc1_weight), (batch, dim, 1))
+    scores = ad.matmul(states, query)
+    weights = ad.softmax(scores, axis=1)
+    context = ad.reshape(ad.matmul(ad.transpose(weights, (0, 2, 1)), states), (batch, dim))
+    merged = ad.concat([context, h_last], axis=1)
+    return ad.tanh(ad.add(ad.matmul(merged, ad.transpose(p.fc2_weight)), p.fc2_bias))

@@ -1,5 +1,4 @@
 import functools
-import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -10,19 +9,22 @@ from wavelearn.data import default_synthetic_spec, generate_synthetic
 from wavelearn.features import band_features
 from wavelearn.model import ModelConfig, Network, apply_ablation
 from wavelearn.recurrent import bigru_forward, temporal_attention
-from wavelearn.training import LossConfig, focal_loss
+from wavelearn.training import LossConfig, focal_loss, predict
 from wavelearn.wavelet import FrontEndConfig, frontend_forward
 
-# The 318 nodes of one recorded forward of the tiny network: each GRU
-# direction is one `gru_scan` node, each LAHT level thresholds both channels
-# of its level with one `laht` node over its four raw parameters, and each
-# wavelet level is one `stack` of its (h, g) bank, one `conv1d` and two
-# `take`s of the approximation and detail channels.
+from memory import traced
+
+# The 227 nodes of one recorded forward of the tiny network: each GRU
+# direction is one `gru_scan` node, each band's temporal attention is one
+# `temporal_attention` node over the last layer's two state views, each LAHT
+# level thresholds both channels of its level with one `laht` node over its
+# four raw parameters, and each wavelet level is one `stack` of its (h, g)
+# bank, one `conv1d` and two `take`s of the approximation and detail channels.
+# (318 when each band concatenated its two views and attention took 13 nodes.)
 TINY_FORWARD_KINDS = {
-    "add": 7, "concat": 18, "conv1d": 35, "gru_scan": 28, "laht": 6,
-    "leaf": 65, "leaky_relu": 21, "log_softmax": 1, "matmul": 28, "mean": 1,
-    "mul": 8, "reshape": 21, "softmax": 14, "stack": 7, "sum": 7, "take": 23,
-    "tanh": 7, "transpose": 21,
+    "concat": 4, "conv1d": 35, "gru_scan": 28, "laht": 6, "leaf": 65, "leaky_relu": 21,
+    "log_softmax": 1, "mean": 1, "mul": 8, "reshape": 7, "softmax": 7, "stack": 7,
+    "sum": 7, "take": 16, "temporal_attention": 7, "transpose": 7,
 }
 # The 166 nodes of the same forward under nogru: each band's summary goes
 # straight to the head, with no transpose, scan or temporal attention.
@@ -100,47 +102,59 @@ def _clip_memory(tag="allkernel+laht", samples=12083, backward_too=True):
     assert clip.samples.size == 12083
     tiled = np.resize(clip.samples, samples)
     net = Network(apply_ablation(ModelConfig(), tag), seed=0)
-    tracemalloc.start()
-    try:
-        with Tape():
-            before = tracemalloc.get_traced_memory()[0]
-            log_probs = net.forward(tiled, training=True, dropout_seed=0)
-            kept = tracemalloc.get_traced_memory()[0] - before
-            if not backward_too:
-                return kept, None
-            backward(focal_loss(log_probs, [clip.label], LossConfig()))
-            high_water = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+    with Tape(), traced() as usage:
+        log_probs = net.forward(tiled, training=True, dropout_seed=0)
+        kept = usage()[0]
+        if not backward_too:
+            return kept, None
+        backward(focal_loss(log_probs, [clip.label], LossConfig()))
+        high_water = usage()[1]
     return kept, high_water
 
 
 def test_default_clip_forward_tape_stays_within_its_measured_size():
-    # 8.86 MiB measured for this clip (12.07 when each conv kept its im2col
+    # 7.34 MiB measured for this clip (8.86 when each scan kept a constant
+    # column beside its states, each band concatenated its last two state
+    # views and each laht kept both gates; 12.07 when each conv kept its im2col
     # matrix and band block 1 computed the odd columns block 2 never reads,
     # 15.76 when each BiGRU layer kept a dropped-out float64 copy of the
     # previous layer's states); the bound is +5%
-    assert _clip_memory()[0] <= 1.05 * 8.86 * 2**20
+    assert _clip_memory()[0] <= 1.05 * 7.34 * 2**20
 
 
 def test_default_clip_backward_high_water_stays_within_its_measured_size():
-    # 9.31 MiB measured for this clip (12.51 with each conv's im2col matrix
-    # and all of band block 1, 19.41 when every backward closure lived until
-    # the tape closed); the bound is +5%
-    assert _clip_memory()[1] <= 1.05 * 9.31 * 2**20
+    # 7.90 MiB measured for this clip (9.31 when each scan's backward buffers
+    # held all T steps, 12.51 with each conv's im2col matrix and all of band
+    # block 1, 19.41 when every backward closure lived until the tape closed);
+    # the bound is +5%
+    assert _clip_memory()[1] <= 1.05 * 7.90 * 2**20
 
 
 def test_nogru_clip_forward_tape_stays_within_its_measured_size():
-    # 2.23 MiB measured for this clip under nogru, which keeps no scan states
-    # (5.43 with each conv's im2col matrix and all of band block 1); the bound
-    # is +5%
-    assert _clip_memory("allkernel+laht-nogru")[0] <= 1.05 * 2.23 * 2**20
+    # 1.85 MiB measured for this clip under nogru, which keeps no scan states
+    # (2.23 when each laht kept both gates, 5.43 with each conv's im2col matrix
+    # and all of band block 1); the bound is +5%
+    assert _clip_memory("allkernel+laht-nogru")[0] <= 1.05 * 1.85 * 2**20
 
 
 def test_nogru_clip_backward_high_water_stays_within_its_measured_size():
-    # 2.98 MiB measured for this clip under nogru (5.99 with each conv's im2col
-    # matrix and all of band block 1); the bound is +5%
-    assert _clip_memory("allkernel+laht-nogru")[1] <= 1.05 * 2.98 * 2**20
+    # 2.60 MiB measured for this clip under nogru (2.98 when each laht kept
+    # both gates, 5.99 with each conv's im2col matrix and all of band block 1);
+    # the bound is +5%
+    assert _clip_memory("allkernel+laht-nogru")[1] <= 1.05 * 2.60 * 2**20
+
+
+def test_default_clip_predict_peak_stays_within_its_measured_size():
+    # 1.45 MiB measured for one predict of this clip, which records no tape
+    # (2.96 when each scan's work array and input copy held all T steps); the
+    # bound is +5%
+    clip = generate_synthetic(default_synthetic_spec(seed=0), 1)[0]
+    net = Network(ModelConfig(), seed=0)
+    predict(net, [clip.samples])  # first calls allocate a few kB that stay
+    with traced() as usage:
+        predict(net, [clip.samples])
+        peak = usage()[1]
+    assert peak <= 1.05 * 1.45 * 2**20
 
 
 def test_forward_tape_bytes_per_input_sample_do_not_grow_with_clip_length():

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -22,7 +20,8 @@ from wavelearn.recurrent import (
 from wavelearn.wavelet import FrontEndConfig
 
 from gradcheck import check_gradients
-from reference import gru_cell_step
+from memory import traced
+from reference import gru_cell_step, taped_temporal_attention
 
 
 def _cell(input_size, hidden, fill=0.0):
@@ -105,25 +104,62 @@ def test_scan_matches_repeated_cell_steps(batch, t_len, d_in, hidden):
             assert_allclose(a, b, rtol=0, atol=1e-10)
 
 
-# the backward runs steps T - 1, ..., 1 through Jacobian blocks built CHUNK
-# steps at a time, last chunk first: no block, two and one short of a full
-# chunk, one full chunk, a full chunk and a one-step one, and three chunks
-CHUNK_LENGTHS = [1, CHUNK - 1, CHUNK, CHUNK + 1, CHUNK + 2, 2 * CHUNK + 3]
+# the scan runs CHUNK steps at a time through one set of buffers, and its
+# backward walks the chunks last first, carrying the state gradient across each
+# boundary: one step, one short of a chunk, one chunk, one and two past it, two
+# chunks and one step, and three chunks; each with one input, and with two
+# input parts under a dropout mask
+CHUNK_LENGTHS = [1, CHUNK - 1, CHUNK, CHUNK + 1, CHUNK + 2, 2 * CHUNK + 1, 2 * CHUNK + 3]
+CHUNK_CASES = [pytest.param(batch, t_len, masked, id=f"{batch}-{t_len}" + "-masked" * masked)
+               for masked in (False, True) for batch in (1, 3) for t_len in CHUNK_LENGTHS]
 
 
-@pytest.mark.parametrize("t_len", CHUNK_LENGTHS)
-@pytest.mark.parametrize("batch", [1, 3])
-def test_scan_matches_cell_steps_across_chunk_boundaries(batch, t_len):
+@pytest.mark.parametrize("batch, t_len, masked", CHUNK_CASES)
+def test_scan_matches_cell_steps_across_chunk_boundaries(batch, t_len, masked):
     rng = np.random.default_rng(t_len)
     cell = GRUCellParams.init(3, 4, rng)
     arrays = [rng.normal(size=(batch, t_len, 3))] + [t.data for t in cell.tensors()]
     probe = rng.normal(size=(batch, t_len, 4))
+    scan, steps = gru_scan, _repeated_cell_steps
+    if masked:  # parts of widths 1 and 2; the steps read x * keep * scale
+        keep, scale = rng.random((batch, t_len, 3)) >= 0.3, 1.0 / 0.7
+
+        def scan(x, cell, reverse):
+            return gru_scan([x[:, :, :1], x[:, :, 1:]], cell, reverse, keep, scale)
+
+        def steps(x, cell, reverse):
+            return _repeated_cell_steps(ad.mul(x, Tensor(keep * scale)), cell, reverse)
+
     for reverse in (False, True):
-        scan = _scan_and_grads(gru_scan, arrays, probe, reverse)
-        steps = _scan_and_grads(_repeated_cell_steps, arrays, probe, reverse)
+        scanned = _scan_and_grads(scan, arrays, probe, reverse)
+        stepped = _scan_and_grads(steps, arrays, probe, reverse)
         # the output, then the gradients of x, w_ih, w_hh, b_ih and b_hh
-        for a, b in zip([scan[0]] + scan[1], [steps[0]] + steps[1]):
+        for a, b in zip([scanned[0]] + scanned[1], [stepped[0]] + stepped[1]):
             assert_allclose(a, b, rtol=0, atol=1e-12 * np.abs(b).max())
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_scan_buffers_do_not_grow_with_sequence_length(reverse):
+    # beyond the states a forward keeps and the input gradient a backward
+    # returns, a scan holds only buffers of CHUNK steps: its peaks above those
+    # two stay put from T = 1,511 to T = 6,044
+    d_in, hidden = 32, 16
+    rng = np.random.default_rng(18)
+    cell = GRUCellParams.init(d_in, hidden, rng)
+    forward_extra, backward_extra = [], []
+    for t_len in (1511, 6044):
+        x = Tensor(rng.normal(size=(1, t_len, d_in)), requires_grad=True)
+        g = rng.normal(size=(1, t_len, hidden))
+        with traced() as usage:
+            gru_scan(x, cell, reverse)  # no tape: a forward-only scan
+            forward_extra.append(usage()[1] - 8 * (t_len + 1) * hidden)
+        with Tape() as tape:
+            scan_backward = tape.backward_fns[gru_scan(x, cell, reverse).node_id]
+            with traced() as usage:
+                dx = scan_backward(g)[0]
+                backward_extra.append(usage()[1] - dx.nbytes)
+    for short, long in (forward_extra, backward_extra):
+        assert abs(long - short) <= 0.1 * short
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -158,21 +194,19 @@ def test_scan_backward_never_holds_a_jacobian():
     probe = Tensor(rng.normal(size=(batch, t_len, hidden)))
     with Tape():
         loss = ad.reduce_sum(ad.mul(gru_scan(x, cell), probe))
-        tracemalloc.start()
-        try:
+        with traced() as usage:
             backward(loss)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+            peak = usage()[1]
     # one float64 (T, B, H, H) array of every step's state Jacobian
     assert peak < 8 * t_len * batch * hidden * hidden
     assert x.grad.shape == x.data.shape
 
 
-# in units of one (T, B, H) float64 array the backward reads 15.4 forward and
-# 17.4 reverse, which copies x into scan order; each bound is 1.05 x its reading
-@pytest.mark.parametrize("reverse, bound", [pytest.param(False, 16.1, id="forward"),
-                                            pytest.param(True, 18.2, id="reverse")])
+# in units of one (T, B, H) float64 array the backward reads 6.71 in either
+# direction (15.4 forward and 17.4 reverse when its gate, Jacobian and input
+# buffers held all T steps); each bound is 1.05 x its reading
+@pytest.mark.parametrize("reverse, bound", [pytest.param(False, 7.05, id="forward"),
+                                            pytest.param(True, 7.05, id="reverse")])
 def test_scan_backward_peak_stays_within_its_measured_size(reverse, bound):
     batch, t_len, d_in, hidden = 1, 1511, 32, 16  # the default model's longest band
     rng = np.random.default_rng(16)
@@ -181,12 +215,9 @@ def test_scan_backward_peak_stays_within_its_measured_size(reverse, bound):
     probe = Tensor(rng.normal(size=(batch, t_len, hidden)))
     with Tape():
         loss = ad.reduce_sum(ad.mul(gru_scan(x, cell, reverse), probe))
-        tracemalloc.start()
-        try:
+        with traced() as usage:
             backward(loss)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+            peak = usage()[1]
     assert peak <= bound * 8 * t_len * batch * hidden
 
 
@@ -235,16 +266,11 @@ def test_reverse_scan_keeps_only_its_states():
     rng = np.random.default_rng(13)
     cell = GRUCellParams.init(d_in, hidden, rng)
     x = Tensor(rng.normal(size=(batch, t_len, d_in)))
-    tracemalloc.start()
-    try:
-        with Tape():
-            before = tracemalloc.get_traced_memory()[0]
-            out = gru_scan(x, cell, reverse=True)
-            kept = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    # the (T + 1, B, H + 1) float64 states; the output is a view of them
-    states = 8 * (t_len + 1) * batch * (hidden + 1)
+    with Tape(), traced() as usage:
+        out = gru_scan(x, cell, reverse=True)
+        kept = usage()[0]
+    # the (T + 1, B, H) float64 states; the output is a view of them
+    states = 8 * (t_len + 1) * batch * hidden
     assert kept <= 1.25 * states
     assert out.data.shape == (batch, t_len, hidden)
 
@@ -267,19 +293,19 @@ def test_scan_convexity_bound():
     cell = GRUCellParams.init(2, 3, rng)
     stack = BiGRUStack(layers=[BiGRULayer(fwd=cell, bwd=GRUCellParams.init(2, 3, rng))],
                        dropout_p=0.0)
-    out = bigru_forward(Tensor(rng.normal(size=(1, 50, 2)) * 5), stack)
-    assert np.all(np.abs(out.data) < 1.0)
+    for out in bigru_forward(Tensor(rng.normal(size=(1, 50, 2)) * 5), stack):
+        assert np.all(np.abs(out.data) < 1.0)
 
 
 def test_bigru_single_step_concatenates_directions():
     rng = np.random.default_rng(3)
     stack = BiGRUStack.init(1, 2, 3, 0.0, rng)
     x = rng.normal(size=(1, 1, 2))
-    out = bigru_forward(Tensor(x), stack)
+    out_fwd, out_bwd = bigru_forward(Tensor(x), stack)
     fwd = gru_cell_step(Tensor(x[:, 0]), Tensor(np.zeros((1, 3))), stack.layers[0].fwd)
     bwd = gru_cell_step(Tensor(x[:, 0]), Tensor(np.zeros((1, 3))), stack.layers[0].bwd)
-    assert_allclose(out.data[:, 0, :3], fwd.data, atol=1e-12)
-    assert_allclose(out.data[:, 0, 3:], bwd.data, atol=1e-12)
+    assert_allclose(out_fwd.data[:, 0], fwd.data, atol=1e-12)
+    assert_allclose(out_bwd.data[:, 0], bwd.data, atol=1e-12)
 
 
 def test_bigru_time_reversal_swaps_directions_with_tied_cells():
@@ -289,25 +315,29 @@ def test_bigru_time_reversal_swaps_directions_with_tied_cells():
     x = rng.normal(size=(1, 2, 2))
     out = bigru_forward(Tensor(x), stack)
     rev = bigru_forward(Tensor(x[:, ::-1].copy()), stack)
-    assert_allclose(out.data[:, :, :3], rev.data[:, ::-1, 3:], atol=1e-12)
-    assert_allclose(out.data[:, :, 3:], rev.data[:, ::-1, :3], atol=1e-12)
+    assert_allclose(out[0].data, rev[1].data[:, ::-1], atol=1e-12)
+    assert_allclose(out[1].data, rev[0].data[:, ::-1], atol=1e-12)
 
 
 def test_bigru_dropout_determinism_and_zero_p():
     rng = np.random.default_rng(5)
     stack = BiGRUStack.init(2, 2, 3, 0.4, rng)
     x = Tensor(rng.normal(size=(1, 6, 2)))
-    a = bigru_forward(x, stack, np.random.default_rng(7))
-    b = bigru_forward(x, stack, np.random.default_rng(7))
-    c = bigru_forward(x, stack, np.random.default_rng(8))
-    assert np.array_equal(a.data, b.data)
-    assert not np.array_equal(a.data, c.data)
+
+    def states(stack, rng=None):  # both directions' states side by side
+        return np.concatenate([t.data for t in bigru_forward(x, stack, rng)], axis=2)
+
+    a = states(stack, np.random.default_rng(7))
+    b = states(stack, np.random.default_rng(7))
+    c = states(stack, np.random.default_rng(8))
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
     plain = BiGRUStack(layers=stack.layers, dropout_p=0.0)
-    d = bigru_forward(x, plain, np.random.default_rng(7))
-    e = bigru_forward(x, plain, np.random.default_rng(123))
-    assert np.array_equal(d.data, e.data)
-    assert np.array_equal(bigru_forward(x, stack).data, d.data)  # no generator, no dropout
+    d = states(plain, np.random.default_rng(7))
+    e = states(plain, np.random.default_rng(123))
+    assert np.array_equal(d, e)
+    assert np.array_equal(states(stack), d)  # no generator, no dropout
 
 
 def test_bigru_dropout_keeps_a_mask_not_a_float64_copy_between_layers():
@@ -318,15 +348,10 @@ def test_bigru_dropout_keeps_a_mask_not_a_float64_copy_between_layers():
     with Tape():
         bigru_forward(x, stack)  # first calls allocate a few kB that stay
     kept = []
-    tracemalloc.start()
-    try:
-        for generator in (None, np.random.default_rng(2)):
-            with Tape():
-                before = tracemalloc.get_traced_memory()[0]
-                bigru_forward(x, stack, generator)
-                kept.append(tracemalloc.get_traced_memory()[0] - before)
-    finally:
-        tracemalloc.stop()
+    for generator in (None, np.random.default_rng(2)):
+        with Tape(), traced() as usage:
+            bigru_forward(x, stack, generator)
+            kept.append(usage()[0])
     # one byte per entry of the second layer's input, give or take a few
     # hundred bytes of interpreter bookkeeping; a float64 copy would be 9x
     mask = batch * t_len * 2 * hidden
@@ -388,6 +413,36 @@ def test_scan_gradcheck(reverse, batch, t_len):
     arrays = [rng.normal(size=(batch, t_len, 5))]
     arrays += [rng.normal(size=s) * 0.6 for s in GRUCellParams.shapes(5, 3)]
     assert check_gradients(build, arrays) < 1e-4
+
+
+ATTENTION_CASES = [pytest.param(2, 5, [6], id="one-tensor"),
+                   pytest.param(2, 5, [2, 4], id="two-parts"),
+                   pytest.param(2, 1, [3, 3], id="T1"),
+                   pytest.param(3, 4, [3, 3], id="B3")]
+
+
+@pytest.mark.parametrize("batch, t_len, widths", ATTENTION_CASES)
+def test_temporal_attention_matches_the_taped_composition(batch, t_len, widths):
+    rng = np.random.default_rng(20)
+    arrays = [rng.normal(size=(batch, t_len, w)) for w in widths]
+    arrays += [t.data for t in TemporalAttentionParams.init(sum(widths), rng).tensors()]
+    probe = rng.normal(size=(batch, sum(widths)))
+
+    def run(fused):
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        parts, p = leaves[: len(widths)], TemporalAttentionParams(*leaves[len(widths) :])
+        with Tape() as tape:
+            if fused:
+                out = temporal_attention(parts[0] if len(parts) == 1 else parts, p)
+                assert tape.kinds.count("temporal_attention") == 1
+            else:
+                out = taped_temporal_attention(ad.concat(parts, axis=2), p)
+            backward(ad.reduce_sum(ad.mul(out, Tensor(probe))))
+        return [out.data] + [leaf.grad for leaf in leaves]
+
+    # the output, then the gradients of each part, fc1, fc2 and the bias
+    for a, b in zip(run(True), run(False)):
+        assert_allclose(a, b, rtol=0, atol=1e-12 * np.abs(b).max())
 
 
 def test_temporal_attention_single_step():

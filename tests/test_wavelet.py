@@ -21,6 +21,7 @@ from wavelearn.wavelet import (
 
 import reference
 from gradcheck import check_gradients
+from memory import traced
 
 # Standard orthonormal 20-tap table (10 vanishing moments), as printed in the
 # classical wavelet literature; Sum h = sqrt(2), sum h^2 = 1.
@@ -302,6 +303,19 @@ def test_laht_with_an_overflowing_raw_sharpness_matches_the_composed_form():
     x = np.random.default_rng(8).normal(size=(1, 2, 9))
     with np.errstate(over="ignore", invalid="ignore"):
         _assert_laht_matches_the_composed_form(x, (800.0, *_raw_of(-4.0, 4.0, 0.3, 0.2)[1:]))
+
+
+def test_laht_tape_keeps_only_its_input():
+    # the backward recomputes both gates from x, so beyond x and the output a
+    # taped laht keeps a few hundred bytes; keeping t1 and t2 would be 2x x
+    x = Tensor(np.random.default_rng(21).normal(size=(1, 2, 20000)), requires_grad=True)
+    params = LAHTParams.init()
+    with Tape():
+        laht_apply(x, params)  # first calls allocate a few kB that stay
+    with Tape(), traced() as usage:
+        out = laht_apply(x, params)
+        kept = usage()[0]
+    assert kept - out.data.nbytes <= 0.1 * x.data.nbytes
 
 
 def test_laht_rejects_non_scalar_parameters():
