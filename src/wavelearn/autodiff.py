@@ -235,11 +235,6 @@ def _logistic(x):
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def tanh(a):
-    out = np.tanh(a.data)
-    return record("tanh", out, (a,), lambda g: (g * (1.0 - out * out),))
-
-
 def leaky_relu(a, slope=0.01):
     mask = a.data >= 0
     out = np.where(mask, a.data, a.data * slope)
@@ -266,23 +261,6 @@ def pow_const(a, exponent):
 
 # ---------------------------------------------------------------------------
 # linear algebra and reductions
-
-
-def matmul(a, b):
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise DimensionError("matmul operands must have at least 2 dimensions")
-    if a.data.shape[-1] != b.data.shape[-2]:
-        raise DimensionError(
-            f"matmul inner extents differ: {a.data.shape} x {b.data.shape}"
-        )
-    out = a.data @ b.data
-
-    def bwd(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return (_unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape))
-
-    return record("matmul", out, (a, b), bwd)
 
 
 def transpose(a, axes=None):

@@ -5,10 +5,13 @@ finite-difference gradient check is a test suite, not a subcommand:
 ``PYTHONPATH=src python -m pytest -q tests/test_autodiff.py -k
 "gradients_match_finite_differences or non_finite_gradient"``.
 A run config is the defaults, then --config, then train's --ablation tag,
-then each --set override; a later source wins.  Every artifact lands under
---out-dir with fixed names and carries the config of the network it used in
-its header.  A checkpoint is self-describing: evaluate and predict read its
-run config and class names and take no config flags.
+then each --set override; a later source wins.  Only train and synth-data
+take one.  Every artifact lands under --out-dir with fixed names and carries
+the config of the network it used in its header.  A checkpoint is
+self-describing: evaluate, predict and decompose read its run config, class
+names and learned parameters and take no config flags.  decompose writes the
+bands of the checkpoint's own front end: its learned filters, then LAHT where
+the run used it.
 Every subcommand runs on one thread.
 Exit codes: 0 ok, 2 config error, 3 data error, 4 numerical failure.
 """
@@ -51,7 +54,7 @@ from .training import (
     stratified_split,
     train_model,
 )
-from .wavelet import FrontEndConfig, FrontEndFilters, frontend_forward
+from .wavelet import frontend_forward
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -85,11 +88,13 @@ def _build_parser():
     p_pred.add_argument("--checkpoint", required=True)
     p_pred.add_argument("wavs", nargs="+", help="wav files to classify")
 
-    # decompose and synth-data read neither the seed, the epochs nor an ablation
-    p_dec = sub.add_parser("decompose", help="dump wavelet band coefficients (filters only)")
-    run_config(p_dec)
+    p_dec = sub.add_parser(
+        "decompose",
+        help="write a checkpoint's wavelet bands of one wav: learned filters, then LAHT if used")
+    p_dec.add_argument("--checkpoint", required=True)
     p_dec.add_argument("wav", help="input wav file")
 
+    # synth-data reads neither the seed, the epochs nor an ablation
     p_synth = sub.add_parser("synth-data", help="write the synthetic dataset as wav + manifest")
     run_config(p_synth)
     p_synth.add_argument("--per-class", type=int, default=None,
@@ -137,14 +142,13 @@ def _config_comment(cfg):
 
 
 def _write_metrics(out_dir, cfg, report, extra=None):
-    payload = {"config": cfg.to_dict(), "metrics": report.to_dict()}
+    payload = {"config": cfg.to_dict(), "metrics": report}
     if extra:
         payload.update(extra)
     (out_dir / "metrics.json").write_text(json.dumps(payload, sort_keys=True, indent=2))
-    lines = [_config_comment(cfg), "true\\predicted," + ",".join(
-        str(i) for i in range(report.confusion.shape[1]))]
-    for i, row in enumerate(report.confusion):
-        lines.append(f"{i}," + ",".join(str(int(v)) for v in row))
+    confusion = report["confusion"]
+    lines = [_config_comment(cfg), "true\\predicted," + ",".join(map(str, range(len(confusion))))]
+    lines.extend(f"{i}," + ",".join(map(str, row)) for i, row in enumerate(confusion))
     (out_dir / "confusion.csv").write_text("\n".join(lines) + "\n")
 
 
@@ -190,7 +194,7 @@ def cmd_train(args):
     test_labels = labels_arr[test_idx].tolist()
     report = evaluate(net, test_clips, test_labels, n_classes)
     _write_metrics(out_dir, cfg, report, extra={"classes": names, "split": "test"})
-    print(f"train done: test accuracy {report.accuracy:.4f}; artifacts in {out_dir}")
+    print(f"train done: test accuracy {report['accuracy']:.4f}; artifacts in {out_dir}")
     return EXIT_OK
 
 
@@ -233,7 +237,7 @@ def cmd_evaluate(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     report = evaluate(net, clips, labels, len(names))
     _write_metrics(out_dir, cfg, report, extra={"classes": names, "split": "test"})
-    print(f"evaluate done: accuracy {report.accuracy:.4f}; artifacts in {out_dir}")
+    print(f"evaluate done: accuracy {report['accuracy']:.4f}; artifacts in {out_dir}")
     return EXIT_OK
 
 
@@ -249,13 +253,10 @@ def cmd_predict(args):
 
 
 def cmd_decompose(args):
-    cfg = _load_run_config(args)
+    net, cfg, _ = _restore(args.checkpoint)
     fe = cfg.model.frontend
-    analysis = FrontEndConfig(levels=fe.levels, kernel_size=fe.kernel_size,
-                              sharing=fe.sharing, laht_enabled=False)
-    filters = FrontEndFilters(analysis)
     [samples] = _samples([resample_to_16k(load_wav(args.wav))], fe)
-    bands = frontend_forward(Tensor(samples.reshape(1, 1, -1)), analysis, filters)
+    bands = frontend_forward(Tensor(samples.reshape(1, 1, -1)), fe, net.filters, net.lahts)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = [_config_comment(cfg), "band,index,value"]

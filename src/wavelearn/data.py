@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DatasetError, FormatError, LabelError, ParseError
+from .errors import ConfigError, DatasetError, FormatError, ParseError
 
 TARGET_RATE = 16000
 SUPPORTED_RATES = (8000, 16000, 22050, 44100, 48000)
@@ -279,21 +279,18 @@ class DatasetManifest:
     vocabulary: list  # label names in first-seen order
     root: Path
 
-    def __len__(self):
-        return len(self.rows)
-
-    def load_clip(self, i):
-        rel, label = self.rows[i]
-        clip = resample_to_16k(load_wav(self.root / rel))
-        clip.label = self.vocabulary.index(label)
-        clip.source_id = rel
-        return clip
-
     def load_all(self):
-        return [self.load_clip(i) for i in range(len(self.rows))]
+        """Every row's clip at 16 kHz, labelled by its index in ``vocabulary``."""
+        clips = []
+        for rel, label in self.rows:
+            clip = resample_to_16k(load_wav(self.root / rel))
+            clip.label = self.vocabulary.index(label)
+            clip.source_id = rel
+            clips.append(clip)
+        return clips
 
 
-def load_manifest(path, root=None, vocabulary=None):
+def load_manifest(path, root=None):
     """Read a UTF-8 `path,label` CSV and validate every referenced file exists."""
     path = Path(path)
     root = Path(root) if root is not None else path.parent
@@ -317,15 +314,5 @@ def load_manifest(path, root=None, vocabulary=None):
     missing = [rel for rel, _ in rows if not (root / rel).is_file()]
     if missing:
         raise DatasetError(f"{path}: missing files: {missing}")
-    if vocabulary is not None:
-        unknown = sorted({label for _, label in rows} - set(vocabulary))
-        if unknown:
-            raise LabelError(f"{path}: labels {unknown} not in fixed vocabulary")
-        vocab = list(vocabulary)
-    else:
-        vocab = []
-        for _, label in rows:
-            if label not in vocab:
-                vocab.append(label)
-    return DatasetManifest(rows=rows, vocabulary=vocab, root=root)
-
+    vocabulary = list(dict.fromkeys(label for _, label in rows))
+    return DatasetManifest(rows=rows, vocabulary=vocabulary, root=root)

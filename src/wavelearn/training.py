@@ -157,51 +157,19 @@ def stratified_split(labels, seed, test_frac=0.1):
     return train, val, test
 
 
-@dataclass
-class MetricsReport:
-    confusion: np.ndarray  # rows: true class, columns: predicted class
-    precision: np.ndarray
-    recall: np.ndarray
-    f1: np.ndarray
-    accuracy: float
-    macro_precision: float
-    macro_recall: float
-    macro_f1: float
-    weighted_precision: float
-    weighted_recall: float
-    weighted_f1: float
-    support: np.ndarray
-
-    def to_dict(self):
-        return {
-            "confusion": self.confusion.astype(int).tolist(),
-            "per_class": {
-                "precision": self.precision.tolist(),
-                "recall": self.recall.tolist(),
-                "f1": self.f1.tolist(),
-                "support": self.support.astype(int).tolist(),
-            },
-            "accuracy": self.accuracy,
-            "macro": {
-                "precision": self.macro_precision,
-                "recall": self.macro_recall,
-                "f1": self.macro_f1,
-            },
-            "weighted": {
-                "precision": self.weighted_precision,
-                "recall": self.weighted_recall,
-                "f1": self.weighted_f1,
-            },
-        }
-
-
 def _safe_div(num, den):
     safe = np.where(den > 0, den, 1.0)
     return np.where(den > 0, num / safe, 0.0)
 
 
 def metrics_from_pairs(true_labels, predicted, n_classes):
-    """Confusion matrix and derived scores; zero denominators score 0."""
+    """Confusion matrix and derived scores, as ``metrics.json`` holds them.
+
+    ``confusion`` has a row per true class and a column per predicted class;
+    ``per_class`` holds precision, recall, f1 and support lists, ``accuracy``
+    the share predicted right, and ``macro`` and ``weighted`` the averages of
+    precision, recall and f1.  Zero denominators score 0.
+    """
     true_labels = np.asarray(true_labels, dtype=np.int64)
     predicted = np.asarray(predicted, dtype=np.int64)
     if true_labels.size == 0:
@@ -216,20 +184,26 @@ def metrics_from_pairs(true_labels, predicted, n_classes):
     recall = _safe_div(tp, support)
     f1 = _safe_div(2 * precision * recall, precision + recall)
     total = float(true_labels.size)
-    return MetricsReport(
-        confusion=confusion,
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        accuracy=float(tp.sum() / total),
-        macro_precision=float(precision.mean()),
-        macro_recall=float(recall.mean()),
-        macro_f1=float(f1.mean()),
-        weighted_precision=float((precision * support).sum() / total),
-        weighted_recall=float((recall * support).sum() / total),
-        weighted_f1=float((f1 * support).sum() / total),
-        support=support,
-    )
+    return {
+        "confusion": confusion.tolist(),
+        "per_class": {
+            "precision": precision.tolist(),
+            "recall": recall.tolist(),
+            "f1": f1.tolist(),
+            "support": confusion.sum(axis=1).tolist(),
+        },
+        "accuracy": float(tp.sum() / total),
+        "macro": {
+            "precision": float(precision.mean()),
+            "recall": float(recall.mean()),
+            "f1": float(f1.mean()),
+        },
+        "weighted": {
+            "precision": float((precision * support).sum() / total),
+            "recall": float((recall * support).sum() / total),
+            "f1": float((f1 * support).sum() / total),
+        },
+    }
 
 
 def _check_finite(value, params, context):
@@ -344,7 +318,7 @@ def predict(model, clips, workers=1):
 
 
 def evaluate(model, clips, labels, n_classes):
-    """MetricsReport of ``predict`` on a subset; empty subsets are dataset errors."""
+    """``metrics_from_pairs`` of ``predict`` on a subset; empty subsets are dataset errors."""
     if len(clips) == 0:
         raise DatasetError("cannot evaluate an empty subset")
     predicted, _ = predict(model, clips)

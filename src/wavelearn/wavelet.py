@@ -239,7 +239,7 @@ class FrontEndFilters:
         elif self.mode == "layer_wise":
             self._h = [ad.parameter(base.copy()) for _ in range(cfg.levels)]
         else:  # all_kernel
-            g0 = np.where(np.arange(base.size) % 2 == 0, 1.0, -1.0) * base[::-1]
+            g0 = derive_cqf(base).data
             self._h = [ad.parameter(base.copy()) for _ in range(cfg.levels)]
             self._g = [ad.parameter(g0.copy()) for _ in range(cfg.levels)]
 

@@ -76,8 +76,16 @@ def _stack_from_tensors(tensors, layers, dropout_p):
     return recurrent.BiGRUStack(layers=built, dropout_p=dropout_p)
 
 
+def _normals(rng, shapes, scale=1.0):
+    return [rng.normal(size=s) * scale for s in shapes]
+
+
 def core_cases():
-    """Small randomized builds covering each primitive of the engine."""
+    """Small randomized builds covering each primitive of the engine.
+
+    Like ``model_cases``, it binds what each case reads when the case is
+    made, so no later local can change an earlier case's inputs.
+    """
     r = _rng(1234)
     x = r.normal(size=(2, 3))
     y = r.normal(size=(2, 3))
@@ -88,7 +96,7 @@ def core_cases():
         "sub_neg": (lambda t: ad.reduce_sum(ad.mul(ad.sub(ad.neg(t[0]), t[1]), t[1])), [x, y]),
         "exp": (lambda t: ad.reduce_sum(ad.exp(t[0])), [x * 0.3]),
         "sigmoid": (lambda t: ad.reduce_sum(reference.sigmoid(t[0])), [x]),
-        "tanh": (lambda t: ad.reduce_sum(ad.tanh(t[0])), [x]),
+        "tanh": (lambda t: ad.reduce_sum(reference.tanh(t[0])), [x]),
         "leaky_relu": (
             lambda t: ad.reduce_sum(ad.leaky_relu(t[0], 0.01)),
             [x + 0.1 * np.sign(x)],  # keep entries away from the kink
@@ -96,11 +104,11 @@ def core_cases():
         "softplus": (lambda t: ad.reduce_sum(reference.softplus(t[0])), [x * 2.0]),
         "pow_const": (lambda t: ad.reduce_sum(ad.pow_const(t[0], 2.5)), [np.abs(x) + 0.3]),
         "matmul": (
-            lambda t: ad.reduce_sum(ad.matmul(t[0], t[1])),
+            lambda t: ad.reduce_sum(reference.matmul(t[0], t[1])),
             [r.normal(size=(3, 4)), r.normal(size=(4, 2))],
         ),
         "matmul_batched": (
-            lambda t: ad.reduce_sum(ad.matmul(t[0], t[1])),
+            lambda t: ad.reduce_sum(reference.matmul(t[0], t[1])),
             [r.normal(size=(2, 3, 4)), r.normal(size=(4, 2))],
         ),
         "reduce_mean": (
@@ -108,11 +116,11 @@ def core_cases():
             [x],
         ),
         "softmax": (
-            lambda t: ad.reduce_sum(ad.mul(ad.softmax(t[0], axis=1), Tensor(y))),
+            lambda t, y=y: ad.reduce_sum(ad.mul(ad.softmax(t[0], axis=1), Tensor(y))),
             [x],
         ),
         "log_softmax": (
-            lambda t: ad.reduce_sum(ad.mul(ad.log_softmax(t[0], axis=1), Tensor(y))),
+            lambda t, y=y: ad.reduce_sum(ad.mul(ad.log_softmax(t[0], axis=1), Tensor(y))),
             [x],
         ),
         "concat_stack_take": (
@@ -122,7 +130,7 @@ def core_cases():
             [x, y],
         ),
         "flip_transpose_reshape": (
-            lambda t: ad.reduce_sum(
+            lambda t, y=y: ad.reduce_sum(
                 ad.mul(ad.reshape(ad.transpose(ad.flip(t[0], 1)), (3, 2)), Tensor(y.T.copy()))
             ),
             [x],
@@ -141,7 +149,7 @@ def core_cases():
         "conv1d_stride_dilated": dict(stride=2, dilation=2, padding=2),
     }
     for name, kwargs in conv_variants.items():
-        def conv_case(t, kw=kwargs):
+        def conv_case(t, kw=kwargs, probe=probe):
             out = ad.conv1d(t[0], t[1], t[2], **kw)
             mask = Tensor(probe[:, :, : out.shape[2]].copy())
             return ad.reduce_sum(ad.mul(out, mask))
@@ -150,26 +158,31 @@ def core_cases():
     return cases
 
 
+def _bank_case(t, probe):
+    # g tied to h by the alternating flip, or free as a third input
+    g = t[2] if len(t) > 2 else wavelet.derive_cqf(t[0])
+    return ad.reduce_sum(ad.mul(wavelet.decompose_level(t[1], t[0], g), Tensor(probe)))
+
+
 def model_cases():
-    """Composite builds through the network blocks and losses."""
+    """Composite builds through the network blocks and losses.
+
+    Each case binds the arrays it reads through default arguments, so the
+    function keeps no local in a closure (``co_cellvars`` is empty).
+    """
     r = _rng(99)
     cases = {}
 
     h = r.normal(size=(6,)) * 0.4
     sig = r.normal(size=(1, 1, 12))
-    band_probe = r.normal(size=(1, 1, 12))
-
-    def bank_case(t, probe):
-        # g tied to h by the alternating flip, or free as a third input
-        g = t[2] if len(t) > 2 else wavelet.derive_cqf(t[0])
-        return ad.reduce_sum(ad.mul(wavelet.decompose_level(t[1], t[0], g), Tensor(probe)))
-
-    cases["cqf_decompose"] = (lambda t: bank_case(t, band_probe.reshape(1, 2, 6)), [h, sig])
+    band_probe = r.normal(size=(1, 1, 12)).reshape(1, 2, 6)
+    cases["cqf_decompose"] = (lambda t, probe=band_probe: _bank_case(t, probe), [h, sig])
     # 4 taps on a batch of odd widths, which the level extends by one
-    rb = _rng(12)
-    bank_h, bank_sig, bank_g, bank_probe = (rb.normal(size=s) for s in [(4,), (2, 1, 9), (4,), (2, 2, 5)])
-    cases["filter_bank_tied"] = (lambda t: bank_case(t, bank_probe), [bank_h, bank_sig])
-    cases["filter_bank_free"] = (lambda t: bank_case(t, bank_probe), [bank_h, bank_sig, bank_g])
+    bank_h, bank_sig, bank_g, bank_probe = _normals(_rng(12), [(4,), (2, 1, 9), (4,), (2, 2, 5)])
+    cases["filter_bank_tied"] = (lambda t, probe=bank_probe: _bank_case(t, probe),
+                                 [bank_h, bank_sig])
+    cases["filter_bank_free"] = (lambda t, probe=bank_probe: _bank_case(t, probe),
+                                 [bank_h, bank_sig, bank_g])
 
     laht_probe = r.normal(size=(5,))
 
@@ -202,7 +215,7 @@ def model_cases():
 
     block_probe = r.normal(size=(1, 3, 6))
 
-    def conv_block_case(t):
+    def conv_block_case(t, block_probe=block_probe):
         p = features.ConvBlockParams(weight=t[1], bias=t[2], stride=1, dilation=2)
         return ad.reduce_sum(ad.mul(features.conv_block(t[0], p), Tensor(block_probe)))
 
@@ -213,7 +226,7 @@ def model_cases():
 
     spatial_probe = r.normal(size=(2, 3))
 
-    def spatial_case(t):
+    def spatial_case(t, spatial_probe=spatial_probe):
         p = features.SpatialAttentionParams(score_weight=t[1])
         result = features.spatial_attention(t[0], p)
         return ad.reduce_sum(ad.mul(result.summary, Tensor(spatial_probe)))
@@ -226,20 +239,20 @@ def model_cases():
     d_in, d_h = 2, 3
     cell_probe = r.normal(size=(2, d_h))
 
-    def gru_cell_case(t):
+    def gru_cell_case(t, cell_probe=cell_probe):
         p = recurrent.GRUCellParams(*t[2:])
         return ad.reduce_sum(ad.mul(reference.gru_cell_step(t[0], t[1], p), Tensor(cell_probe)))
 
     gru_arrays = [r.normal(size=(2, d_in)), r.normal(size=(2, d_h))]
-    gru_arrays += [r.normal(size=s) * 0.5 for s in recurrent.GRUCellParams.shapes(d_in, d_h)]
+    gru_arrays += _normals(r, recurrent.GRUCellParams.shapes(d_in, d_h), 0.5)
     cases["gru_cell"] = (gru_cell_case, gru_arrays)
 
     rs = _rng(11)
     scan_probe = rs.normal(size=(2, 4, d_h))
     scan_arrays = [rs.normal(size=(2, 4, d_in))]
-    scan_arrays += [rs.normal(size=s) * 0.5 for s in recurrent.GRUCellParams.shapes(d_in, d_h)]
+    scan_arrays += _normals(rs, recurrent.GRUCellParams.shapes(d_in, d_h), 0.5)
     for name, reverse in (("gru_scan", False), ("gru_scan_reverse", True)):
-        def scan_case(t, reverse=reverse):
+        def scan_case(t, reverse=reverse, scan_probe=scan_probe):
             out = recurrent.gru_scan(t[0], recurrent.GRUCellParams(*t[1:]), reverse=reverse)
             return ad.reduce_sum(ad.mul(out, Tensor(scan_probe)))
 
@@ -248,22 +261,22 @@ def model_cases():
     # two input parts under one keep mask, scanned in both directions
     parts_keep, parts_probe = rs.random((2, 4, 5)) >= 0.3, rs.normal(size=(2, 2, 4, d_h))
 
-    def parts_case(t):
+    def parts_case(t, parts_keep=parts_keep, parts_probe=parts_probe):
         cell = recurrent.GRUCellParams(*t[2:])
         outs = [recurrent.gru_scan(t[:2], cell, rev, parts_keep, 1 / 0.7) for rev in (False, True)]
         return ad.reduce_sum(ad.mul(ad.stack(outs, axis=0), Tensor(parts_probe)))
 
     parts_arrays = [rs.normal(size=(2, 4, 2)), rs.normal(size=(2, 4, 3))]
-    parts_arrays += [rs.normal(size=s) * 0.5 for s in recurrent.GRUCellParams.shapes(5, d_h)]
+    parts_arrays += _normals(rs, recurrent.GRUCellParams.shapes(5, d_h), 0.5)
     cases["gru_scan_parts"] = (parts_case, parts_arrays)
 
     # a backward whose steps fill one Jacobian chunk and spill one into a second
     t_chunks = recurrent.CHUNK + 2
     chunk_probe = rs.normal(size=(1, t_chunks, d_h))
     chunk_arrays = [rs.normal(size=(1, t_chunks, d_in))]
-    chunk_arrays += [rs.normal(size=s) * 0.5 for s in recurrent.GRUCellParams.shapes(d_in, d_h)]
+    chunk_arrays += _normals(rs, recurrent.GRUCellParams.shapes(d_in, d_h), 0.5)
 
-    def chunk_case(t):
+    def chunk_case(t, chunk_probe=chunk_probe):
         out = recurrent.gru_scan(t[0], recurrent.GRUCellParams(*t[1:]))
         return ad.reduce_sum(ad.mul(out, Tensor(chunk_probe)))
 
@@ -273,7 +286,7 @@ def model_cases():
     template = recurrent.BiGRUStack.init(2, d_in, d_h, 0.0, _rng(7))
     bigru_arrays = [r.normal(size=(1, 4, d_in))] + [p.data * 0.5 for p in template.parameters()]
     for name, p in (("bigru_2layer", 0.0), ("bigru_2layer_dropout", 0.3)):
-        def bigru_case(t, p=p):
+        def bigru_case(t, p=p, bigru_probe=bigru_probe):
             # a fresh generator draws the same dropout masks on every evaluation
             stack = _stack_from_tensors(t[1:], layers=2, dropout_p=p)
             out = recurrent.bigru_forward(t[0], stack, np.random.default_rng(3))
@@ -290,7 +303,7 @@ def model_cases():
     ragged_arrays += [p.data for p in recurrent.BiGRUStack.init(2, 1, 2, 0.0, rr).parameters()
                       + recurrent.TemporalAttentionParams.init(4, rr).tensors()]
 
-    def encode_ragged_case(t):
+    def encode_ragged_case(t, ragged_probe=ragged_probe):
         stack = _stack_from_tensors(t[2:18], layers=2, dropout_p=0.3)
         temporal = recurrent.TemporalAttentionParams(*t[18:])
         rng = np.random.default_rng(5)
@@ -302,7 +315,7 @@ def model_cases():
 
     temporal_probe = r.normal(size=(2, d_att))
 
-    def temporal_case(t):
+    def temporal_case(t, temporal_probe=temporal_probe):
         p = recurrent.TemporalAttentionParams(fc1_weight=t[1], fc2_weight=t[2], fc2_bias=t[3])
         return ad.reduce_sum(ad.mul(recurrent.temporal_attention(t[0], p), Tensor(temporal_probe)))
 
@@ -316,7 +329,7 @@ def model_cases():
     ra = _rng(15)
     attention_probe = ra.normal(size=(2, d_att))
 
-    def temporal_parts_case(t):
+    def temporal_parts_case(t, attention_probe=attention_probe):
         p = recurrent.TemporalAttentionParams(*t[2:])
         out = recurrent.temporal_attention(t[:2], p)
         return ad.reduce_sum(ad.mul(out, Tensor(attention_probe)))
@@ -330,7 +343,7 @@ def model_cases():
 
     channel_probe = r.normal(size=(2, 3, 4))
 
-    def channel_case(t):
+    def channel_case(t, channel_probe=channel_probe):
         weighted = fusion.channel_weighting(t[0], fusion.ChannelWeights(w=t[1]))
         return ad.reduce_sum(ad.mul(weighted, Tensor(channel_probe)))
 

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from wavelearn import cli
+from wavelearn.autodiff import Tensor
 from wavelearn.checkpoint import load_checkpoint, save_checkpoint
 from wavelearn.config import from_mapping, load_config
-from wavelearn.data import generate_synthetic, write_wav_pcm16
+from wavelearn.data import generate_synthetic, load_wav, write_wav_pcm16
 from wavelearn.model import ABLATION_TAGS, Network, apply_ablation
 from wavelearn.training import metrics_from_pairs, stratified_split
+from wavelearn.wavelet import FrontEndConfig, FrontEndFilters, frontend_forward
 
 TINY = [
     "model.frontend.levels=6", "model.frontend.kernel_size=4", "model.conv_channels=2",
@@ -21,8 +23,8 @@ TINY = [
 TINY_ARGS = [arg for item in TINY for arg in ("--set", item)]
 
 
-def _checkpoint(path, meta_of, changes=()):
-    cfg = load_config(None, TINY + list(changes))
+def _checkpoint(path, meta_of, changes=(), ablation=None):
+    cfg = load_config(None, TINY + list(changes), ablation)
     spec = cfg.synthetic_spec()
     clips = generate_synthetic(spec, cfg.data.synthetic_n_per_class)
     names = spec.label_names()
@@ -99,7 +101,7 @@ OPTIONS = {
     "train": ["--ablation", "--config", "--epochs", "--out-dir", "--seed", "--set"],
     "evaluate": ["--checkpoint", "--out-dir"],
     "predict": ["--checkpoint"],
-    "decompose": ["--config", "--out-dir", "--set"],
+    "decompose": ["--checkpoint", "--out-dir"],
     "synth-data": ["--config", "--out-dir", "--per-class", "--set"],
 }
 
@@ -113,15 +115,17 @@ def test_cli_options_per_subcommand():
         for name, parser in sub.choices.items()
     }
     assert got == OPTIONS
-    assert sum(map(len, got.values())) == 16
+    assert sum(map(len, got.values())) == 15
 
 
 @pytest.mark.parametrize("argv", [
     ["evaluate", "--checkpoint", "m.bin", "--seed", "1"],
     ["evaluate", "--checkpoint", "m.bin", "--epochs", "1"],
-    ["decompose", "x.wav", "--seed", "1"],
-    ["decompose", "x.wav", "--epochs", "1"],
-    ["decompose", "x.wav", "--ablation", "db10"],
+    ["decompose", "--checkpoint", "m.bin", "x.wav", "--seed", "1"],
+    ["decompose", "--checkpoint", "m.bin", "x.wav", "--epochs", "1"],
+    ["decompose", "--checkpoint", "m.bin", "x.wav", "--ablation", "db10"],
+    ["decompose", "--checkpoint", "m.bin", "x.wav", "--config", "run.yaml"],
+    ["decompose", "--checkpoint", "m.bin", "x.wav", "--set", "model.frontend.levels=6"],
     ["synth-data", "--seed", "1"],
     ["synth-data", "--epochs", "1"],
     ["synth-data", "--ablation", "db10"],
@@ -170,7 +174,7 @@ def test_end_to_end_on_the_tiny_config(tmp_path, capsys, caplog):
     assert cli.main(["predict", "--checkpoint", str(run / "checkpoint.bin"),
                      str(wav)]) == cli.EXIT_OK
     predicted = capsys.readouterr().out.splitlines()
-    assert cli.main(["decompose", "--out-dir", str(tmp_path), *TINY_ARGS, str(wav)]) == cli.EXIT_OK
+    assert _decompose(run / "checkpoint.bin", wav, tmp_path) == cli.EXIT_OK
 
     epochs = _artifact(run / "epochs.csv", "epoch,split,loss,accuracy")
     assert [line.split(",")[:2] for line in epochs[2:]] == [["1", "train"], ["1", "val"]]
@@ -191,6 +195,11 @@ def test_end_to_end_on_the_tiny_config(tmp_path, capsys, caplog):
 
 def _predict(checkpoint, wav, *options):
     return cli.main(["predict", "--checkpoint", str(checkpoint), *options, str(wav)])
+
+
+def _decompose(checkpoint, wav, out_dir):
+    return cli.main(["decompose", "--checkpoint", str(checkpoint), "--out-dir", str(out_dir),
+                     str(wav)])
 
 
 @pytest.mark.parametrize("option", [["--seed", "1"], ["--epochs", "1"], ["--out-dir", "d"]],
@@ -391,10 +400,71 @@ def test_predict_rejects_a_clip_shorter_than_the_front_end_minimum(tmp_path, cap
 
 
 def test_decompose_rejects_a_clip_shorter_than_the_front_end_minimum(tmp_path, capsys):
+    path = tmp_path / "model.bin"
+    _checkpoint(path, _with_run)
     wav = _short_wav(tmp_path)
-    argv = ["decompose", "--out-dir", str(tmp_path / "out"), *TINY_ARGS, str(wav)]
-    assert cli.main(argv) == cli.EXIT_DATA
+    assert _decompose(path, wav, tmp_path / "out") == cli.EXIT_DATA
     assert f"{wav}: 100 samples at 16 kHz" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _clip_wav(tmp_path):
+    wav = tmp_path / "clip.wav"
+    write_wav_pcm16(wav, np.random.default_rng(0).uniform(-0.5, 0.5, 400), 16000)
+    return wav, Tensor(load_wav(wav).samples.reshape(1, 1, -1))
+
+
+def _bands_csv(cfg, bands):
+    levels = cfg.model.frontend.levels
+    lines = [cli._config_comment(cfg), "band,index,value"]
+    names = [f"d{level}" for level in range(1, levels + 1)] + [f"a{levels}"]
+    for name, band in zip(names, bands):
+        lines.extend(f"{name},{i},{v:.17g}" for i, v in enumerate(band.data.reshape(-1)))
+    return "\n".join(lines) + "\n"
+
+
+def test_decompose_of_a_db10_checkpoint_writes_the_fixed_bank_bands(tmp_path):
+    path = tmp_path / "model.bin"
+    cfg, _ = _checkpoint(path, _with_run, ablation="db10")
+    wav, signal = _clip_wav(tmp_path)
+    assert _decompose(path, wav, tmp_path / "out") == cli.EXIT_OK
+    # the fixed bank with thresholding off, built from the config alone
+    fe = cfg.model.frontend
+    analysis = FrontEndConfig(levels=fe.levels, kernel_size=fe.kernel_size,
+                              sharing=fe.sharing, laht_enabled=False)
+    bands = frontend_forward(signal, analysis, FrontEndFilters(analysis))
+    assert (tmp_path / "out" / "bands.csv").read_text() == _bands_csv(cfg, bands)
+
+
+def test_decompose_writes_what_the_checkpoint_learned(tmp_path):
+    path = tmp_path / "model.bin"
+    cfg = load_config(None, TINY)
+    initial = Network(cfg.model, seed=cfg.training.seed)
+    state = initial.state()
+    state["frontend.filter.0"][0] += 0.25  # level 0's h
+    state["frontend.laht.0.0"] += 0.5  # level 0's raw alpha
+    save_checkpoint(path, state, _with_run(cfg, cfg.synthetic_spec().label_names()))
+    wav, signal = _clip_wav(tmp_path)
+    assert _decompose(path, wav, tmp_path / "out") == cli.EXIT_OK
+
+    written = (tmp_path / "out" / "bands.csv").read_text()
+    net, _, _ = cli._restore(path)
+    fe = cfg.model.frontend
+    assert written == _bands_csv(cfg, frontend_forward(signal, fe, net.filters, net.lahts))
+    assert written != _bands_csv(cfg, frontend_forward(signal, fe, initial.filters,
+                                                       initial.lahts))
+
+
+@pytest.mark.parametrize("make", [lambda path: None, lambda path: path.write_bytes(b"not a model")],
+                         ids=["missing", "corrupt"])
+def test_decompose_with_an_unreadable_checkpoint_exits_3(tmp_path, capsys, make):
+    path = tmp_path / "model.bin"
+    make(path)
+    wav, _ = _clip_wav(tmp_path)
+    assert _decompose(path, wav, tmp_path / "out") == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"data: {path}: ")
+    assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

@@ -14,7 +14,7 @@ from wavelearn.data import (
     resample_to_16k,
     write_wav_pcm16,
 )
-from wavelearn.errors import ConfigError, DatasetError, FormatError, LabelError, ParseError
+from wavelearn.errors import ConfigError, DatasetError, FormatError, ParseError
 
 
 def _write_raw_wav(path, fmt_code, bits, channels, rate, payload):
@@ -217,9 +217,10 @@ def test_manifest_roundtrip(tmp_path):
     manifest_path = tmp_path / "manifest.csv"
     manifest_path.write_text("path,label\nx.wav,calm\ny.wav,tense\nz.wav,calm\n")
     manifest = load_manifest(manifest_path)
-    assert len(manifest) == 3
+    clips = manifest.load_all()
+    assert len(clips) == 3
     assert manifest.vocabulary == ["calm", "tense"]
-    clip = manifest.load_clip(1)
+    clip = clips[1]
     assert clip.label == 1
     assert clip.sample_rate == 16000
 
@@ -246,12 +247,3 @@ def test_manifest_invalid_utf8_reports_offset(tmp_path):
     manifest_path.write_bytes(b"path,label\nx.wav,\xffcalm\n")
     with pytest.raises(ParseError, match="invalid UTF-8 at byte 17"):
         load_manifest(manifest_path)
-
-
-def test_manifest_fixed_vocabulary(tmp_path):
-    write_wav_pcm16(tmp_path / "x.wav", np.zeros(10), 16000)
-    manifest_path = tmp_path / "manifest.csv"
-    manifest_path.write_text("path,label\nx.wav,surprise\n")
-    with pytest.raises(LabelError, match="surprise"):
-        load_manifest(manifest_path, vocabulary=["calm", "tense"])
-

@@ -76,11 +76,41 @@ def _definitions(tree):
                     yield f"{node.name}.{item.name}", item
 
 
-def _reads(tree):
-    """How often each name is read under ``tree``, as a variable or an attribute."""
-    return Counter(node.id if isinstance(node, ast.Name) else node.attr
-                   for node in ast.walk(tree)
-                   if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load))
+def _root(node):
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node
+
+
+def _reads(tree, module=None):
+    """How often each name is read under ``tree``, as a variable or an attribute.
+
+    An attribute of a name imported from outside the package (``np.tanh``,
+    ``np.random.default_rng``) reads that module, not a definition here.
+    Given the ``module`` that ``tree`` lies in, a bare name that the module
+    assigns or takes as an argument itself (``tanh = np.tanh``) reads that
+    binding, not a definition elsewhere.
+    """
+    module = module or tree
+    outside, bound = set(), set()
+    for node in ast.walk(module):
+        if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.level == 0:
+            outside.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        elif isinstance(node, ast.arg):
+            bound.add(node.arg)
+    reads = Counter()
+    for node in ast.walk(tree):
+        if not isinstance(getattr(node, "ctx", None), ast.Load):
+            continue
+        if isinstance(node, ast.Name) and node.id not in bound:
+            reads[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            root = _root(node)
+            if not (isinstance(root, ast.Name) and root.id in outside):
+                reads[node.attr] += 1
+    return reads
 
 
 def test_every_definition_in_the_package_is_read_in_the_package():
@@ -88,8 +118,21 @@ def test_every_definition_in_the_package_is_read_in_the_package():
     trees = [ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")]
     reads = sum(map(_reads, trees), Counter())
     unread = sorted(name for tree in trees for name, node in _definitions(tree)
-                    if reads[node.name] == _reads(node)[node.name])
+                    if reads[node.name] == _reads(node, tree)[node.name])
     assert unread == sorted(READ_OUTSIDE_THE_PACKAGE)
+
+
+@pytest.mark.parametrize("source, read", [
+    ("import numpy as np\nnp.tanh(1)\n", False),
+    ("import numpy as np\nnp.random.default_rng(0).tanh\n", True),
+    ("from . import autodiff as ad\nad.tanh(1)\n", True),
+    ("import numpy as np\ndef f():\n    tanh = np.tanh\n    tanh(1)\n", False),
+    ("def f(tanh):\n    return tanh(1)\n", False),
+    ("from .autodiff import tanh\ntanh(1)\n", True),
+], ids=["numpy-attribute", "attribute-of-a-call", "package-attribute", "local-alias",
+        "argument", "imported-name"])
+def test_a_read_of_a_name_counts_only_where_it_can_reach_a_package_definition(source, read):
+    assert _reads(ast.parse(source))["tanh"] == int(read)
 
 
 def test_the_package_runs_without_mpmath():

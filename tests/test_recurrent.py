@@ -21,7 +21,7 @@ from wavelearn.wavelet import FrontEndConfig
 
 from gradcheck import check_gradients
 from memory import traced
-from reference import gru_cell_step, taped_temporal_attention
+from reference import gru_cell_step, matmul, taped_temporal_attention
 
 
 def _cell(input_size, hidden, fill=0.0):
@@ -459,9 +459,9 @@ def test_temporal_attention_weights_sum_to_one():
     p = TemporalAttentionParams.init(4, rng)
     states = Tensor(rng.normal(size=(3, 5, 4)))
     flat = ad.reshape(states, (15, 4))
-    mapped = ad.reshape(ad.matmul(flat, ad.transpose(p.fc1_weight)), (3, 5, 4))
+    mapped = ad.reshape(matmul(flat, ad.transpose(p.fc1_weight)), (3, 5, 4))
     h_last = states[:, 4, :]
-    scores = ad.matmul(mapped, ad.reshape(h_last, (3, 4, 1)))
+    scores = matmul(mapped, ad.reshape(h_last, (3, 4, 1)))
     weights = ad.softmax(scores, axis=1)
     assert_allclose(weights.data.sum(axis=1), np.ones((3, 1)), atol=1e-9)
 
