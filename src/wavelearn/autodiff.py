@@ -235,10 +235,11 @@ def _logistic(x):
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def leaky_relu(a, slope=0.01):
+def leaky_relu(a):
+    """a where a >= 0, else 0.01 a."""
     mask = a.data >= 0
-    out = np.where(mask, a.data, a.data * slope)
-    return record("leaky_relu", out, (a,), lambda g: (np.where(mask, g, g * slope),))
+    out = np.where(mask, a.data, a.data * 0.01)
+    return record("leaky_relu", out, (a,), lambda g: (np.where(mask, g, g * 0.01),))
 
 
 def _softplus(x):

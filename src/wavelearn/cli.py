@@ -5,13 +5,15 @@ finite-difference gradient check is a test suite, not a subcommand:
 ``PYTHONPATH=src python -m pytest -q tests/test_autodiff.py -k
 "gradients_match_finite_differences or non_finite_gradient"``.
 A run config is the defaults, then --config, then train's --ablation tag,
-then each --set override; a later source wins.  Only train and synth-data
-take one.  Every artifact lands under --out-dir with fixed names and carries
-the config of the network it used in its header.  A checkpoint is
-self-describing: evaluate, predict and decompose read its run config, class
-names and learned parameters and take no config flags.  decompose writes the
-bands of the checkpoint's own front end: its learned filters, then LAHT where
-the run used it.
+then each --set override in command-line order; a later source wins.  Only
+train and synth-data take one.  Every run value has one spelling, its --set
+key: ``--set training.seed=N``, ``--set training.epochs=N``, ``--set
+data.synthetic_n_per_class=N``.  Every artifact lands under --out-dir with
+fixed names and carries the config of the network it used in its header.
+A checkpoint is self-describing: evaluate, predict and decompose read its run
+config, class names and learned parameters and take no config flags.
+decompose writes the bands of the checkpoint's own front end: its learned
+filters, then LAHT where the run used it.
 Every subcommand runs on one thread.
 Exit codes: 0 ok, 2 config error, 3 data error, 4 numerical failure.
 """
@@ -72,12 +74,14 @@ def _build_parser():
     def run_config(p):
         p.add_argument("--config", default=None, help="YAML run configuration")
         p.add_argument("--set", dest="overrides", action="append", default=[],
-                       metavar="KEY.PATH=VALUE", help="dotted config override")
+                       metavar="KEY.PATH=VALUE",
+                       help="dotted config override such as training.seed=N, "
+                            "training.epochs=N or data.synthetic_n_per_class=N; the run "
+                            "config is the defaults, then --config, then train's --ablation, "
+                            "then each --set in command-line order, a later source winning")
 
     p_train = sub.add_parser("train", help="train on the configured dataset")
     run_config(p_train)
-    p_train.add_argument("--seed", type=int, default=None, help="overrides training.seed")
-    p_train.add_argument("--epochs", type=int, default=None, help="overrides training.epochs")
     p_train.add_argument("--ablation", default=None, choices=ABLATION_TAGS)
 
     p_eval = sub.add_parser(
@@ -94,25 +98,12 @@ def _build_parser():
     p_dec.add_argument("--checkpoint", required=True)
     p_dec.add_argument("wav", help="input wav file")
 
-    # synth-data reads neither the seed, the epochs nor an ablation
     p_synth = sub.add_parser("synth-data", help="write the synthetic dataset as wav + manifest")
     run_config(p_synth)
-    p_synth.add_argument("--per-class", type=int, default=None,
-                         help="overrides data.synthetic_n_per_class")
 
     for p in (p_train, p_eval, p_dec, p_synth):
         p.add_argument("--out-dir", default="out", help="artifact directory")
     return parser
-
-
-def _load_run_config(args):
-    overrides = list(args.overrides)
-    flags = {"seed": "training.seed", "epochs": "training.epochs",
-             "per_class": "data.synthetic_n_per_class"}
-    for flag, key in flags.items():
-        if getattr(args, flag, None) is not None:  # not every subcommand has the flag
-            overrides.append(f"{key}={getattr(args, flag)}")
-    return cfgmod.load_config(args.config, overrides, getattr(args, "ablation", None))
 
 
 def _samples(clips, fe):
@@ -128,10 +119,8 @@ def _samples(clips, fe):
 def _load_dataset(cfg):
     """Clips, integer labels, and label names for the configured source."""
     if cfg.data.manifest:
-        manifest = load_manifest(cfg.data.manifest, cfg.data.root)
-        clips = manifest.load_all()
-        return (_samples(clips, cfg.model.frontend), [c.label for c in clips],
-                list(manifest.vocabulary))
+        clips, names = load_manifest(cfg.data.manifest, cfg.data.root)
+        return _samples(clips, cfg.model.frontend), [c.label for c in clips], names
     spec = cfg.synthetic_spec()
     clips = generate_synthetic(spec, cfg.data.synthetic_n_per_class)
     return ([c.samples for c in clips], [c.label for c in clips], spec.label_names())
@@ -160,7 +149,7 @@ def _write_epochs(out_dir, cfg, records):
 
 
 def cmd_train(args):
-    cfg = _load_run_config(args)
+    cfg = cfgmod.load_config(args.config, args.overrides, args.ablation)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     clips, labels, names = _load_dataset(cfg)
@@ -270,7 +259,7 @@ def cmd_decompose(args):
 
 
 def cmd_synth_data(args):
-    cfg = _load_run_config(args)
+    cfg = cfgmod.load_config(args.config, args.overrides)
     spec = cfg.synthetic_spec()
     clips = generate_synthetic(spec, cfg.data.synthetic_n_per_class)
     out_dir = Path(args.out_dir)

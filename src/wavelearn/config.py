@@ -137,7 +137,10 @@ def load_config(path=None, overrides=(), ablation=None):
         if "=" not in item:
             raise ConfigError(f"override {item!r} must look like key.path=value")
         dotted, _, text = item.partition("=")
-        value = yaml.safe_load(text)
+        try:
+            value = yaml.safe_load(text)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"cannot parse the value of override {item!r}: {exc}")
         mapping = {}
         cursor = mapping
         keys = dotted.strip().split(".")
@@ -188,6 +191,8 @@ def _validate(cfg):
     rules[f"model.{key} giving a band vector >= {HEAD_KERNEL} wide for the head's kernel"] = (
         vector >= HEAD_KERNEL)
     rules["training.epochs >= 1"] = t.epochs >= 1
+    rules["training.seed >= 0"] = t.seed >= 0  # numpy's SeedSequence takes no negative
+    rules["data.synthetic_seed >= 0"] = cfg.data.synthetic_seed >= 0
     rules["training.batch_size >= 1"] = t.batch_size >= 1
     rules["data.synthetic_n_per_class >= 1"] = cfg.data.synthetic_n_per_class >= 1
     for rule, ok in rules.items():

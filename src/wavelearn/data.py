@@ -273,25 +273,13 @@ def generate_synthetic(spec, n_per_class):
     return clips
 
 
-@dataclass
-class DatasetManifest:
-    rows: list  # (relative path, label string)
-    vocabulary: list  # label names in first-seen order
-    root: Path
-
-    def load_all(self):
-        """Every row's clip at 16 kHz, labelled by its index in ``vocabulary``."""
-        clips = []
-        for rel, label in self.rows:
-            clip = resample_to_16k(load_wav(self.root / rel))
-            clip.label = self.vocabulary.index(label)
-            clip.source_id = rel
-            clips.append(clip)
-        return clips
-
-
 def load_manifest(path, root=None):
-    """Read a UTF-8 `path,label` CSV and validate every referenced file exists."""
+    """(clips, vocabulary) from a UTF-8 `path,label` CSV.
+
+    Every referenced file must exist before any is read.  The clips are at
+    16 kHz, in row order, each labelled by its index in ``vocabulary``: the
+    label names in first-seen order.
+    """
     path = Path(path)
     root = Path(root) if root is not None else path.parent
     try:
@@ -315,4 +303,10 @@ def load_manifest(path, root=None):
     if missing:
         raise DatasetError(f"{path}: missing files: {missing}")
     vocabulary = list(dict.fromkeys(label for _, label in rows))
-    return DatasetManifest(rows=rows, vocabulary=vocabulary, root=root)
+    clips = []
+    for rel, label in rows:
+        clip = resample_to_16k(load_wav(root / rel))
+        clip.label = vocabulary.index(label)
+        clip.source_id = rel
+        clips.append(clip)
+    return clips, vocabulary

@@ -106,11 +106,12 @@ class LAHTParams:
     raw_bias_neg: Tensor
 
     @classmethod
-    def init(cls, sharpness=10.0, bias=0.01):
-        raw_bias = float(np.log(np.expm1(bias)))
+    def init(cls):
+        """alpha = -10, beta = 10 and both biases 0.01."""
+        raw_bias = float(np.log(np.expm1(0.01)))
         return cls(
-            raw_alpha=ad.parameter(np.log(sharpness)),
-            raw_beta=ad.parameter(np.log(sharpness)),
+            raw_alpha=ad.parameter(np.log(10.0)),
+            raw_beta=ad.parameter(np.log(10.0)),
             raw_bias_pos=ad.parameter(raw_bias),
             raw_bias_neg=ad.parameter(raw_bias),
         )

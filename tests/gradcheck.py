@@ -98,7 +98,7 @@ def core_cases():
         "sigmoid": (lambda t: ad.reduce_sum(reference.sigmoid(t[0])), [x]),
         "tanh": (lambda t: ad.reduce_sum(reference.tanh(t[0])), [x]),
         "leaky_relu": (
-            lambda t: ad.reduce_sum(ad.leaky_relu(t[0], 0.01)),
+            lambda t: ad.reduce_sum(ad.leaky_relu(t[0])),
             [x + 0.1 * np.sign(x)],  # keep entries away from the kink
         ),
         "softplus": (lambda t: ad.reduce_sum(reference.softplus(t[0])), [x * 2.0]),

@@ -182,7 +182,7 @@ def test_conv1d_shape_errors():
 def test_pointwise_examples():
     assert float(reference.sigmoid(Tensor(0.0)).data) == 0.5
     assert float(reference.tanh(Tensor(0.0)).data) == 0.0
-    assert float(ad.leaky_relu(Tensor(-1.0), 0.01).data) == pytest.approx(-0.01)
+    assert float(ad.leaky_relu(Tensor(-1.0)).data) == pytest.approx(-0.01)
 
 
 def test_branchless_pointwise_ops_match_their_per_sign_forms():
@@ -197,7 +197,7 @@ def test_branchless_pointwise_ops_match_their_per_sign_forms():
     cases = [
         (reference.sigmoid, logistic, g * logistic * (1.0 - logistic)),
         (reference.softplus, np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))), g * logistic),
-        (lambda t: ad.leaky_relu(t, 0.01), x * factor, g * factor),
+        (ad.leaky_relu, x * factor, g * factor),
     ]
     for op, want_out, want_grad in cases:
         leaf = Tensor(x.copy(), requires_grad=True)

@@ -98,11 +98,11 @@ def test_evaluate_test_split_needs_the_training_dataset(tmp_path, monkeypatch):
 
 
 OPTIONS = {
-    "train": ["--ablation", "--config", "--epochs", "--out-dir", "--seed", "--set"],
+    "train": ["--ablation", "--config", "--out-dir", "--set"],
     "evaluate": ["--checkpoint", "--out-dir"],
     "predict": ["--checkpoint"],
     "decompose": ["--checkpoint", "--out-dir"],
-    "synth-data": ["--config", "--out-dir", "--per-class", "--set"],
+    "synth-data": ["--config", "--out-dir", "--set"],
 }
 
 
@@ -115,10 +115,13 @@ def test_cli_options_per_subcommand():
         for name, parser in sub.choices.items()
     }
     assert got == OPTIONS
-    assert sum(map(len, got.values())) == 15
+    assert sum(map(len, got.values())) == 12
 
 
 @pytest.mark.parametrize("argv", [
+    ["train", "--seed", "1"],
+    ["train", "--epochs", "1"],
+    ["synth-data", "--per-class", "2"],
     ["evaluate", "--checkpoint", "m.bin", "--seed", "1"],
     ["evaluate", "--checkpoint", "m.bin", "--epochs", "1"],
     ["decompose", "--checkpoint", "m.bin", "x.wav", "--seed", "1"],
@@ -166,7 +169,8 @@ def test_end_to_end_on_the_tiny_config(tmp_path, capsys, caplog):
     assert cli.main(["synth-data", "--out-dir", str(data), *TINY_ARGS]) == cli.EXIT_OK
     rows = _artifact(data / "manifest.csv", "path,label")[2:]
     assert len(rows) == 40
-    assert cli.main(["train", "--epochs", "1", "--out-dir", str(run), *on_disk]) == cli.EXIT_OK
+    argv = ["train", "--set", "training.epochs=1", "--out-dir", str(run), *on_disk]
+    assert cli.main(argv) == cli.EXIT_OK
     assert cli.main(["evaluate", "--checkpoint", str(run / "checkpoint.bin"),
                      "--out-dir", str(scored)]) == cli.EXIT_OK
     wav = data / rows[0].split(",")[0]
@@ -293,9 +297,42 @@ def test_train_with_a_kernel_longer_than_40_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("per_class", ["0", "-1"])
 def test_synth_data_rejects_a_per_class_count_below_one(tmp_path, capsys, per_class):
-    argv = ["synth-data", "--per-class", per_class, "--out-dir", str(tmp_path / "out")]
+    argv = ["synth-data", "--set", f"data.synthetic_n_per_class={per_class}",
+            "--out-dir", str(tmp_path / "out")]
     assert cli.main(argv) == cli.EXIT_CONFIG
     assert "data.synthetic_n_per_class" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["train", "--set", "training.seed=-1"], "training.seed"),
+    (["synth-data", "--set", "data.synthetic_seed=-5"], "data.synthetic_seed"),
+], ids=["train", "synth-data"])
+def test_a_negative_seed_override_exits_2(tmp_path, capsys, argv, key):
+    assert cli.main([*argv, "--out-dir", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config: {key} is " in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate", "decompose"])
+def test_a_checkpoint_with_a_negative_seed_exits_3(tmp_path, capsys, command):
+    path = tmp_path / "model.bin"
+
+    def negative_seed(cfg, names):
+        run = cfg.to_dict()
+        run["training"]["seed"] = -1
+        return {"run": run, "classes": names}
+
+    _checkpoint(path, negative_seed)
+    wav, _ = _clip_wav(tmp_path)
+    argv = {"predict": [str(wav)], "evaluate": ["--out-dir", str(tmp_path / "out")],
+            "decompose": ["--out-dir", str(tmp_path / "out"), str(wav)]}[command]
+    assert cli.main([command, "--checkpoint", str(path), *argv]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{path}: checkpoint key 'run' is not a run config: training.seed is -1" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -313,7 +350,7 @@ def test_the_run_echo_of_an_ablation_tag_builds_its_network(tag):
 
 def _train(tmp_path, *options):
     run = tmp_path / "run"
-    argv = ["train", "--epochs", "1", "--out-dir", str(run), *TINY_ARGS,
+    argv = ["train", "--set", "training.epochs=1", "--out-dir", str(run), *TINY_ARGS,
             "--set", "data.synthetic_n_per_class=4", *options]
     assert cli.main(argv) == cli.EXIT_OK
     state, meta = load_checkpoint(run / "checkpoint.bin")

@@ -45,6 +45,7 @@ BAD = [
     ("training.lr=true", "training.lr"),
     ("data.manifest=5", "data.manifest"),
     ("data.root=7", "data.root"),
+    ("training.seed=[", "training.seed"),  # not YAML
     # train derives the class count from its dataset's class names
     ("model.classes=1", "model.classes"),
 ]

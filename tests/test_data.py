@@ -216,18 +216,18 @@ def test_manifest_roundtrip(tmp_path):
         write_wav_pcm16(tmp_path / name, np.zeros(100), 16000)
     manifest_path = tmp_path / "manifest.csv"
     manifest_path.write_text("path,label\nx.wav,calm\ny.wav,tense\nz.wav,calm\n")
-    manifest = load_manifest(manifest_path)
-    clips = manifest.load_all()
+    clips, vocabulary = load_manifest(manifest_path)
     assert len(clips) == 3
-    assert manifest.vocabulary == ["calm", "tense"]
+    assert vocabulary == ["calm", "tense"]
     clip = clips[1]
     assert clip.label == 1
     assert clip.sample_rate == 16000
 
 
 def test_manifest_missing_file(tmp_path):
+    (tmp_path / "x.wav").write_bytes(b"not a wav")  # never read: the check comes first
     manifest_path = tmp_path / "manifest.csv"
-    manifest_path.write_text("path,label\nmissing.wav,calm\n")
+    manifest_path.write_text("path,label\nx.wav,calm\nmissing.wav,calm\n")
     with pytest.raises(DatasetError, match="missing.wav"):
         load_manifest(manifest_path)
 

@@ -1,11 +1,15 @@
-"""Byte-mutation fuzzing of the loaders that read untrusted files.
+"""Fuzzing of the inputs a user controls: files and config overrides.
 
-Each test mutates a small valid file (overwrite, insert, delete, truncate) and
-asserts that loading it either succeeds or raises a ``WavelearnError``; any
-other exception would reach the CLI as a traceback instead of an exit code.
+Each loader test mutates a small valid file (overwrite, insert, delete,
+truncate) and asserts that loading it either succeeds or raises a
+``WavelearnError``; any other exception would reach the CLI as a traceback
+instead of an exit code.  The config test draws one ``--set`` override over
+every leaf of ``RunConfig`` and holds what it accepts to the same rule when
+the run builds its network and data.
 """
 
 import struct
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -13,8 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavelearn.checkpoint import load_checkpoint, save_checkpoint
-from wavelearn.data import load_manifest, load_wav
-from wavelearn.errors import WavelearnError
+from wavelearn.config import RunConfig, from_mapping, load_config
+from wavelearn.data import generate_synthetic, load_manifest, load_wav
+from wavelearn.errors import ConfigError, WavelearnError
+from wavelearn.model import Network
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -96,7 +102,42 @@ def test_load_checkpoint_raises_only_package_errors(fuzz_dir, edits):
 @FUZZ
 @given(edits=EDITS)
 def test_load_manifest_raises_only_package_errors(fuzz_dir, edits):
-    for name in ("a.wav", "b.wav"):
-        (fuzz_dir / name).touch()
+    for name in ("a.wav", "b.wav"):  # readable, so an accepted manifest loads its clips
+        (fuzz_dir / name).write_bytes(WAV_SEEDS[0])
     seed = b"# config: {}\npath,label\na.wav,anger\r\nb.wav,neutral\n\"a.wav\",neutral\n"
     _load_mutated(load_manifest, fuzz_dir, "manifest.csv", _mutate(seed, edits), fuzz_dir)
+
+
+def _leaf_keys(section, prefix=""):
+    keys = []
+    for f in fields(section):
+        value = getattr(section, f.name)
+        if is_dataclass(value):
+            keys += _leaf_keys(value, f"{prefix}{f.name}.")
+        else:
+            keys.append(prefix + f.name)
+    return keys
+
+
+YAML_SCALARS = st.one_of(
+    st.integers(-3, 32).map(str),
+    st.sampled_from([".nan", ".inf", "-.inf"]),
+    st.floats(-4.0, 40.0).map(repr),
+    st.sampled_from(["true", "false", "null"]),
+    st.text(max_size=6),
+)
+
+
+@settings(max_examples=400, deadline=2000, derandomize=True)
+@given(key=st.sampled_from(_leaf_keys(RunConfig())), text=YAML_SCALARS)
+def test_a_set_override_is_a_run_or_a_config_error(key, text):
+    try:
+        cfg = load_config(None, [f"{key}={text}"])
+    except ConfigError:
+        return
+    assert from_mapping(cfg.to_dict()) == cfg
+    Network(cfg.model, seed=cfg.training.seed)
+    try:
+        generate_synthetic(cfg.synthetic_spec(), 1)
+    except WavelearnError:
+        pass
