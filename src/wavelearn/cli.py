@@ -1,6 +1,6 @@
 """Command line entry point.
 
-Subcommands: train, evaluate, predict, decompose, synth-data.  The
+Subcommands: train, predict, decompose, synth-data.  The
 finite-difference gradient check is a test suite, not a subcommand:
 ``PYTHONPATH=src python -m pytest -q tests/test_autodiff.py -k
 "gradients_match_finite_differences or non_finite_gradient"``.
@@ -10,8 +10,11 @@ train and synth-data take one.  Every run value has one spelling, its --set
 key: ``--set training.seed=N``, ``--set training.epochs=N``, ``--set
 data.synthetic_n_per_class=N``.  Every artifact lands under --out-dir with
 fixed names and carries the config of the network it used in its header.
-A checkpoint is self-describing: evaluate, predict and decompose read its run
-config, class names and learned parameters and take no config flags.
+A config error exits 2 before --out-dir exists, and train creates --out-dir
+only once its dataset has loaded.  train scores its own test split and
+writes those metrics itself.  A checkpoint is self-describing: predict and
+decompose read its run config, class names and learned parameters and take
+no config flags.
 decompose writes the bands of the checkpoint's own front end: its learned
 filters, then LAHT where the run used it.
 Every subcommand runs on one thread.
@@ -84,10 +87,6 @@ def _build_parser():
     run_config(p_train)
     p_train.add_argument("--ablation", default=None, choices=ABLATION_TAGS)
 
-    p_eval = sub.add_parser(
-        "evaluate", help="score a checkpoint on the test split of the dataset it was trained on")
-    p_eval.add_argument("--checkpoint", required=True)
-
     p_pred = sub.add_parser("predict", help="classify wav files in the order given, CSV on stdout")
     p_pred.add_argument("--checkpoint", required=True)
     p_pred.add_argument("wavs", nargs="+", help="wav files to classify")
@@ -101,7 +100,7 @@ def _build_parser():
     p_synth = sub.add_parser("synth-data", help="write the synthetic dataset as wav + manifest")
     run_config(p_synth)
 
-    for p in (p_train, p_eval, p_dec, p_synth):
+    for p in (p_train, p_dec, p_synth):
         p.add_argument("--out-dir", default="out", help="artifact directory")
     return parser
 
@@ -150,9 +149,9 @@ def _write_epochs(out_dir, cfg, records):
 
 def cmd_train(args):
     cfg = cfgmod.load_config(args.config, args.overrides, args.ablation)
+    clips, labels, names = _load_dataset(cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    clips, labels, names = _load_dataset(cfg)
     n_classes = cfg.model.classes = len(names)
     train_idx, val_idx, test_idx = stratified_split(labels, cfg.training.seed,
                                                     test_frac=cfg.training.test_frac)
@@ -212,24 +211,6 @@ def _restore(checkpoint_path):
     return net, run_cfg, names
 
 
-def cmd_evaluate(args):
-    net, cfg, names = _restore(args.checkpoint)
-    clips, labels, data_names = _load_dataset(cfg)
-    if data_names != names:
-        raise LabelError(
-            f"checkpoint classes {names} do not match dataset classes {data_names}"
-        )
-    *_, keep = stratified_split(labels, cfg.training.seed, test_frac=cfg.training.test_frac)
-    clips = [clips[i] for i in keep]
-    labels = np.asarray(labels)[keep].tolist()
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report = evaluate(net, clips, labels, len(names))
-    _write_metrics(out_dir, cfg, report, extra={"classes": names, "split": "test"})
-    print(f"evaluate done: accuracy {report['accuracy']:.4f}; artifacts in {out_dir}")
-    return EXIT_OK
-
-
 def cmd_predict(args):
     net, _, names = _restore(args.checkpoint)
     clips = _samples([resample_to_16k(load_wav(wav)) for wav in args.wavs], net.cfg.frontend)
@@ -281,7 +262,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     handlers = {
         "train": cmd_train,
-        "evaluate": cmd_evaluate,
         "predict": cmd_predict,
         "decompose": cmd_decompose,
         "synth-data": cmd_synth_data,

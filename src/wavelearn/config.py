@@ -6,12 +6,21 @@ writes its dataset's class count into ``model.classes``.  That field is
 derived, so a file or override that sets it is a ConfigError; a checkpoint's
 ``run`` entry records it, and ``from_mapping`` reads it back.  The band
 pipeline's conv geometry is fixed in ``features`` and is not a setting.
+
+Every number a run reads declares its domain next to its default, as
+``field(metadata={"domain": ...})`` in its section here, in
+``model.ModelConfig`` or in ``wavelet.FrontEndConfig``: an interval such as
+``"(0, inf)"`` or ``"[0, 1)"``, or a tuple of the admitted values.  An open
+end at ``inf`` admits no infinity, and no interval admits NaN.  Besides the
+domains a run needs ``data.synthetic_min_len`` at least the front end's
+``min_input_length``, ``data.synthetic_max_len`` at least
+``data.synthetic_min_len``, and a band vector at least ``fusion.HEAD_KERNEL``
+wide.  A loaded config meets all of these or is a ConfigError.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
-from functools import reduce
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import yaml
@@ -20,31 +29,32 @@ from .data import default_synthetic_spec
 from .errors import ConfigError
 from .fusion import HEAD_KERNEL
 from .model import ModelConfig, apply_ablation
-from .wavelet import FrontEndConfig
 
 
 @dataclass
 class TrainingSection:
-    lr: float = 2e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    epochs: int = 30
-    batch_size: int = 16
-    seed: int = 0
-    test_frac: float = 0.1  # the test share, then the validation share of the rest
-    gamma: float = 2.0
-    lam: float = 1e-4
+    lr: float = field(default=2e-3, metadata={"domain": "(0, inf)"})
+    beta1: float = field(default=0.9, metadata={"domain": "[0, 1)"})
+    beta2: float = field(default=0.999, metadata={"domain": "[0, 1)"})
+    eps: float = field(default=1e-8, metadata={"domain": "(0, inf)"})
+    epochs: int = field(default=30, metadata={"domain": "[1, inf)"})
+    batch_size: int = field(default=16, metadata={"domain": "[1, inf)"})
+    # numpy's SeedSequence takes no negative
+    seed: int = field(default=0, metadata={"domain": "[0, inf)"})
+    # the test share, then the validation share of the rest
+    test_frac: float = field(default=0.1, metadata={"domain": "(0, 1)"})
+    gamma: float = field(default=2.0, metadata={"domain": "[0, inf)"})
+    lam: float = field(default=1e-4, metadata={"domain": "[0, inf)"})
 
 
 @dataclass
 class DataSection:
     manifest: str | None = None
     root: str | None = None
-    synthetic_n_per_class: int = 25
-    synthetic_seed: int = 0
-    synthetic_min_len: int = 8000
-    synthetic_max_len: int = 12800
+    synthetic_n_per_class: int = field(default=25, metadata={"domain": "[1, inf)"})
+    synthetic_seed: int = field(default=0, metadata={"domain": "[0, inf)"})
+    synthetic_min_len: int = field(default=8000, metadata={"domain": "[1, inf)"})
+    synthetic_max_len: int = field(default=12800, metadata={"domain": "[1, inf)"})
 
 
 @dataclass
@@ -165,37 +175,38 @@ def from_mapping(mapping):
     return cfg
 
 
+def _leaves(section, prefix=""):
+    """(dotted key, value, declared domain or None) of every setting under ``section``."""
+    for f in fields(section):
+        value = getattr(section, f.name)
+        if is_dataclass(value):
+            yield from _leaves(value, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name, value, f.metadata.get("domain")
+
+
+def _contains(domain, value):
+    if not isinstance(domain, str):
+        return value in domain
+    lo, hi = (float(end.strip("[]() ")) for end in domain.split(","))
+    return ((lo <= value if domain[0] == "[" else lo < value)
+            and (value <= hi if domain[-1] == "]" else value < hi))
+
+
 def _validate(cfg):
-    fe = cfg.model.frontend
-    FrontEndConfig(**asdict(fe))  # re-run its checks on the coerced values
-    if cfg.data.synthetic_min_len < fe.min_input_length:
-        raise ConfigError(
-            f"synthetic_min_len {cfg.data.synthetic_min_len} below the "
-            f"front-end minimum {fe.min_input_length}"
-        )
-    m, t = cfg.model, cfg.training
-    rules = {  # each rule's first word is the key it checks
-        "model.dropout in [0, 1)": 0 <= m.dropout < 1,
-        "training.test_frac in (0, 1)": 0 < t.test_frac < 1,
-        "training.lr > 0": t.lr > 0,
-        "training.beta1 in [0, 1)": 0 <= t.beta1 < 1,
-        "training.beta2 in [0, 1)": 0 <= t.beta2 < 1,
-        "training.eps > 0": t.eps > 0,
-        "training.gamma >= 0": t.gamma >= 0,
-        "training.lam >= 0": t.lam >= 0,
-    }
-    for key in ("conv_channels", "gru_layers", "gru_hidden"):
-        rules[f"model.{key} >= 1"] = getattr(m, key) >= 1
-    key, vector = (("gru_hidden", 2 * m.gru_hidden) if m.bigru_enabled
-                   else ("conv_channels", m.conv_channels))
-    rules[f"model.{key} giving a band vector >= {HEAD_KERNEL} wide for the head's kernel"] = (
-        vector >= HEAD_KERNEL)
-    rules["training.epochs >= 1"] = t.epochs >= 1
-    rules["training.seed >= 0"] = t.seed >= 0  # numpy's SeedSequence takes no negative
-    rules["data.synthetic_seed >= 0"] = cfg.data.synthetic_seed >= 0
-    rules["training.batch_size >= 1"] = t.batch_size >= 1
-    rules["data.synthetic_n_per_class >= 1"] = cfg.data.synthetic_n_per_class >= 1
-    for rule, ok in rules.items():
-        if not ok:
-            key = rule.split()[0]
-            raise ConfigError(f"{key} is {reduce(getattr, key.split('.'), cfg)!r}; need {rule}")
+    for key, value, domain in _leaves(cfg):
+        if domain is not None and not _contains(domain, value):
+            shown = domain if isinstance(domain, str) else "{" + ", ".join(map(str, domain)) + "}"
+            raise ConfigError(f"{key} is {value!r}; need {key} in {shown}")
+    m, data = cfg.model, cfg.data
+    if data.synthetic_min_len < m.frontend.min_input_length:
+        raise ConfigError(f"data.synthetic_min_len is {data.synthetic_min_len}; need it >= "
+                          f"the front end's min_input_length {m.frontend.min_input_length}")
+    if data.synthetic_max_len < data.synthetic_min_len:
+        raise ConfigError(f"data.synthetic_max_len is {data.synthetic_max_len}; need it >= "
+                          f"data.synthetic_min_len {data.synthetic_min_len}")
+    key, width = (("gru_hidden", 2 * m.gru_hidden) if m.bigru_enabled
+                  else ("conv_channels", m.conv_channels))
+    if width < HEAD_KERNEL:
+        raise ConfigError(f"model.{key} is {getattr(m, key)}; need it giving a band vector "
+                          f">= {HEAD_KERNEL} wide for the head's kernel")

@@ -38,12 +38,12 @@ ABLATION_TAGS = tuple(_ABLATION_SHARING)
 @dataclass
 class ModelConfig:
     frontend: FrontEndConfig = field(default_factory=FrontEndConfig)
-    conv_channels: int = 16
-    gru_layers: int = 6
-    gru_hidden: int = 16
-    dropout: float = 0.2
+    conv_channels: int = field(default=16, metadata={"domain": "[1, inf)"})
+    gru_layers: int = field(default=6, metadata={"domain": "[1, inf)"})
+    gru_hidden: int = field(default=16, metadata={"domain": "[1, inf)"})
+    dropout: float = field(default=0.2, metadata={"domain": "[0, 1)"})
     bigru_enabled: bool = True
-    classes: int = 4
+    classes: int = field(default=4, metadata={"domain": "[1, inf)"})
 
 
 def apply_ablation(cfg, tag):

@@ -19,7 +19,7 @@ filter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -196,21 +196,13 @@ def laht_apply(x, params):
 
 @dataclass
 class FrontEndConfig:
-    levels: int = 8
-    kernel_size: int = 20
-    sharing: str = "all_kernel"
-    laht_enabled: bool = True
+    """The cascade's shape; each field's ``domain`` is what a run config accepts."""
 
-    def __post_init__(self):
-        if self.sharing not in SHARING_MODES:
-            raise ConfigError(f"model.frontend.sharing is {self.sharing!r}; "
-                              f"need one of {', '.join(SHARING_MODES)}")
-        # 40 taps is the longest Daubechies filter float64 derives orthonormal
-        if self.kernel_size % 2 != 0 or not 2 <= self.kernel_size <= 40:
-            raise ConfigError(f"model.frontend.kernel_size is {self.kernel_size}; "
-                              f"need an even number in [2, 40]")
-        if self.levels < 1:
-            raise ConfigError(f"model.frontend.levels is {self.levels}; need >= 1")
+    levels: int = field(default=8, metadata={"domain": "[1, inf)"})
+    # 40 taps is the longest Daubechies filter float64 derives orthonormal
+    kernel_size: int = field(default=20, metadata={"domain": tuple(range(2, 41, 2))})
+    sharing: str = field(default="all_kernel", metadata={"domain": SHARING_MODES})
+    laht_enabled: bool = True
 
     @property
     def min_input_length(self):

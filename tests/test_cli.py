@@ -10,9 +10,8 @@ from wavelearn import cli
 from wavelearn.autodiff import Tensor
 from wavelearn.checkpoint import load_checkpoint, save_checkpoint
 from wavelearn.config import from_mapping, load_config
-from wavelearn.data import generate_synthetic, load_wav, write_wav_pcm16
+from wavelearn.data import load_wav, write_wav_pcm16
 from wavelearn.model import ABLATION_TAGS, Network, apply_ablation
-from wavelearn.training import metrics_from_pairs, stratified_split
 from wavelearn.wavelet import FrontEndConfig, FrontEndFilters, frontend_forward
 
 TINY = [
@@ -23,83 +22,19 @@ TINY = [
 TINY_ARGS = [arg for item in TINY for arg in ("--set", item)]
 
 
-def _checkpoint(path, meta_of, changes=(), ablation=None):
-    cfg = load_config(None, TINY + list(changes), ablation)
-    spec = cfg.synthetic_spec()
-    clips = generate_synthetic(spec, cfg.data.synthetic_n_per_class)
-    names = spec.label_names()
+def _checkpoint(path, meta_of, ablation=None):
+    cfg = load_config(None, TINY, ablation)
     net = Network(cfg.model, seed=cfg.training.seed)
-    save_checkpoint(path, net.state(), meta_of(cfg, names))
-    return cfg, clips
+    save_checkpoint(path, net.state(), meta_of(cfg, cfg.synthetic_spec().label_names()))
+    return cfg
 
 
 def _with_run(cfg, names):
     return {"run": cfg.to_dict(), "classes": names}
 
 
-def _evaluate(tmp_path, checkpoint, monkeypatch, seen):
-    def fake_evaluate(model, clips, labels, n_classes):
-        seen.extend(clips)
-        return metrics_from_pairs(labels, labels, n_classes)
-
-    monkeypatch.setattr(cli, "evaluate", fake_evaluate)
-    return cli.main(["evaluate", "--checkpoint", str(checkpoint),
-                     "--out-dir", str(tmp_path / "out")])
-
-
-def _assert_scored_the_test_split(seen, cfg, clips):
-    ts = cfg.training
-    *_, test_idx = stratified_split([c.label for c in clips], ts.seed, test_frac=ts.test_frac)
-    assert len(seen) == len(test_idx)
-    assert all(np.array_equal(got, clips[i].samples) for got, i in zip(seen, test_idx))
-
-
-def test_evaluate_scores_the_split_the_checkpoint_was_trained_under(tmp_path, monkeypatch):
-    path = tmp_path / "model.bin"
-    cfg, clips = _checkpoint(path, _with_run, ["training.seed=1"])
-    labels = [c.label for c in clips]
-    *_, default_split = stratified_split(labels, 0, test_frac=cfg.training.test_frac)
-    *_, trained_split = stratified_split(labels, 1, test_frac=cfg.training.test_frac)
-    assert not np.array_equal(default_split, trained_split)
-
-    seen = []
-    assert _evaluate(tmp_path, path, monkeypatch, seen) == cli.EXIT_OK
-    _assert_scored_the_test_split(seen, cfg, clips)
-    echo = json.loads((tmp_path / "out" / "metrics.json").read_text())["config"]
-    assert echo == cfg.to_dict()
-
-
-def test_evaluate_test_split_needs_the_run_config(tmp_path, monkeypatch, capsys):
-    path = tmp_path / "model.bin"
-    _checkpoint(path, lambda c, names: {"classes": names})
-    seen = []
-    assert _evaluate(tmp_path, path, monkeypatch, seen) == cli.EXIT_DATA
-    assert seen == []
-    assert "checkpoint key 'run' is not an object" in capsys.readouterr().err
-
-
-def test_evaluate_needs_the_class_names(tmp_path, monkeypatch, capsys):
-    path = tmp_path / "model.bin"
-    _checkpoint(path, lambda c, names: {"run": c.to_dict()})
-    seen = []
-    assert _evaluate(tmp_path, path, monkeypatch, seen) == cli.EXIT_DATA
-    assert seen == []
-    assert "checkpoint key 'classes' is not" in capsys.readouterr().err
-
-
-def test_evaluate_test_split_needs_the_training_dataset(tmp_path, monkeypatch):
-    path = tmp_path / "model.bin"
-    cfg, clips = _checkpoint(path, _with_run, ["data.synthetic_seed=1"])
-    default = generate_synthetic(load_config(None, TINY).synthetic_spec(), 10)
-    assert not np.array_equal(default[0].samples, clips[0].samples)
-    seen = []
-    assert _evaluate(tmp_path, path, monkeypatch, seen) == cli.EXIT_OK
-    _assert_scored_the_test_split(seen, cfg, clips)
-
-
 OPTIONS = {
     "train": ["--ablation", "--config", "--out-dir", "--set"],
-    "evaluate": ["--checkpoint", "--out-dir"],
     "predict": ["--checkpoint"],
     "decompose": ["--checkpoint", "--out-dir"],
     "synth-data": ["--config", "--out-dir", "--set"],
@@ -115,7 +50,7 @@ def test_cli_options_per_subcommand():
         for name, parser in sub.choices.items()
     }
     assert got == OPTIONS
-    assert sum(map(len, got.values())) == 12
+    assert sum(map(len, got.values())) == 10
 
 
 @pytest.mark.parametrize("argv", [
@@ -148,8 +83,8 @@ def test_removed_options_are_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
-    # the gradcheck subcommand is gone with its option
-    removed = ("invalid choice: 'gradcheck'" if argv[0] == "gradcheck"
+    # the gradcheck and evaluate subcommands are gone with their options
+    removed = (f"invalid choice: '{argv[0]}'" if argv[0] in ("gradcheck", "evaluate")
                else f"unrecognized arguments: {argv[-2]}")
     assert removed in capsys.readouterr().err
 
@@ -163,7 +98,7 @@ def _artifact(path, header):
 
 def test_end_to_end_on_the_tiny_config(tmp_path, capsys, caplog):
     caplog.set_level(logging.INFO)
-    data, run, scored = tmp_path / "data", tmp_path / "run", tmp_path / "scored"
+    data, run = tmp_path / "data", tmp_path / "run"
     on_disk = TINY_ARGS + ["--set", f"data.manifest={data / 'manifest.csv'}"]
 
     assert cli.main(["synth-data", "--out-dir", str(data), *TINY_ARGS]) == cli.EXIT_OK
@@ -171,8 +106,6 @@ def test_end_to_end_on_the_tiny_config(tmp_path, capsys, caplog):
     assert len(rows) == 40
     argv = ["train", "--set", "training.epochs=1", "--out-dir", str(run), *on_disk]
     assert cli.main(argv) == cli.EXIT_OK
-    assert cli.main(["evaluate", "--checkpoint", str(run / "checkpoint.bin"),
-                     "--out-dir", str(scored)]) == cli.EXIT_OK
     wav = data / rows[0].split(",")[0]
     capsys.readouterr()
     assert cli.main(["predict", "--checkpoint", str(run / "checkpoint.bin"),
@@ -183,8 +116,6 @@ def test_end_to_end_on_the_tiny_config(tmp_path, capsys, caplog):
     epochs = _artifact(run / "epochs.csv", "epoch,split,loss,accuracy")
     assert [line.split(",")[:2] for line in epochs[2:]] == [["1", "train"], ["1", "val"]]
     _artifact(run / "confusion.csv", "true\\predicted,0,1,2,3")
-    for name in ("metrics.json", "confusion.csv"):
-        assert (scored / name).read_bytes() == (run / name).read_bytes()
     trained = json.loads((run / "metrics.json").read_text())
     assert sum(trained["metrics"]["per_class"]["support"]) == 4
     assert predicted[0] == "path,predicted,logp_0,logp_1,logp_2,logp_3"
@@ -295,6 +226,35 @@ def test_train_with_a_kernel_longer_than_40_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("override, message", [
+    # a spec whose class bands the front end does not have
+    ("model.frontend.levels=4", "config: band index 5 out of range for 4 levels"),
+    ("data.synthetic_min_len=13000",
+     "config: data.synthetic_max_len is 12800; need it >= data.synthetic_min_len 13000"),
+], ids=["levels", "min-len"])
+def test_train_creates_no_out_dir_for_a_dataset_it_cannot_build(tmp_path, capsys, override,
+                                                                message):
+    argv = ["train", "--set", override, "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["training.lr", "training.lam", "training.gamma", "training.eps"])
+def test_an_infinite_training_value_exits_2_before_any_clip_is_read(tmp_path, capsys,
+                                                                    monkeypatch, key):
+    def read_clips(cfg):
+        raise AssertionError("train read its dataset")
+
+    monkeypatch.setattr(cli, "_load_dataset", read_clips)
+    argv = ["train", *TINY_ARGS, "--set", f"{key}=.inf", "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config: {key} is inf; need {key} in " in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("per_class", ["0", "-1"])
 def test_synth_data_rejects_a_per_class_count_below_one(tmp_path, capsys, per_class):
     argv = ["synth-data", "--set", f"data.synthetic_n_per_class={per_class}",
@@ -316,7 +276,7 @@ def test_a_negative_seed_override_exits_2(tmp_path, capsys, argv, key):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["predict", "evaluate", "decompose"])
+@pytest.mark.parametrize("command", ["predict", "decompose"])
 def test_a_checkpoint_with_a_negative_seed_exits_3(tmp_path, capsys, command):
     path = tmp_path / "model.bin"
 
@@ -327,7 +287,7 @@ def test_a_checkpoint_with_a_negative_seed_exits_3(tmp_path, capsys, command):
 
     _checkpoint(path, negative_seed)
     wav, _ = _clip_wav(tmp_path)
-    argv = {"predict": [str(wav)], "evaluate": ["--out-dir", str(tmp_path / "out")],
+    argv = {"predict": [str(wav)],
             "decompose": ["--out-dir", str(tmp_path / "out"), str(wav)]}[command]
     assert cli.main([command, "--checkpoint", str(path), *argv]) == cli.EXIT_DATA
     err = capsys.readouterr().err
@@ -462,7 +422,7 @@ def _bands_csv(cfg, bands):
 
 def test_decompose_of_a_db10_checkpoint_writes_the_fixed_bank_bands(tmp_path):
     path = tmp_path / "model.bin"
-    cfg, _ = _checkpoint(path, _with_run, ablation="db10")
+    cfg = _checkpoint(path, _with_run, ablation="db10")
     wav, signal = _clip_wav(tmp_path)
     assert _decompose(path, wav, tmp_path / "out") == cli.EXIT_OK
     # the fixed bank with thresholding off, built from the config alone
@@ -513,3 +473,4 @@ def test_train_rejects_a_manifest_clip_shorter_than_the_front_end_minimum(tmp_pa
             "--set", f"data.manifest={manifest}"]
     assert cli.main(argv) == cli.EXIT_DATA
     assert "short.wav: 100 samples at 16 kHz" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

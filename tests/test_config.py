@@ -1,9 +1,12 @@
+import re
+from dataclasses import fields, is_dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavelearn.config import load_config
+from wavelearn.config import RunConfig, load_config
 from wavelearn.errors import ConfigError, InputTooShortError
 from wavelearn.model import ModelConfig, Network
 from wavelearn.wavelet import FrontEndConfig
@@ -55,6 +58,32 @@ BAD = [
 def test_values_a_run_cannot_use_are_config_errors(override, key):
     with pytest.raises(ConfigError, match=key):
         load_config(None, [override])
+
+
+def _leaves(section, prefix=""):
+    for f in fields(section):
+        value = getattr(section, f.name)
+        if is_dataclass(value):
+            yield from _leaves(value, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name, f, value
+
+
+def test_every_number_a_run_reads_declares_its_domain():
+    numbers = {key: f for key, f, value in _leaves(RunConfig())
+               if isinstance(value, (int, float)) and not isinstance(value, bool)}
+    assert "model.frontend.kernel_size" in numbers
+    assert [key for key, f in numbers.items() if "domain" not in f.metadata] == []
+
+
+FLOATS = [key for key, _, value in _leaves(RunConfig()) if isinstance(value, float)]
+
+
+@pytest.mark.parametrize("value", [".inf", "-.inf", ".nan"])
+@pytest.mark.parametrize("key", FLOATS)
+def test_a_float_setting_admits_no_infinity_and_no_nan(key, value):
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)} is "):
+        load_config(None, [f"{key}={value}"])
 
 
 def test_a_config_file_cannot_set_the_derived_class_count(tmp_path):

@@ -5,20 +5,26 @@ truncate) and asserts that loading it either succeeds or raises a
 ``WavelearnError``; any other exception would reach the CLI as a traceback
 instead of an exit code.  The config test draws one ``--set`` override over
 every leaf of ``RunConfig`` and holds what it accepts to the same rule when
-the run builds its network and data.
+the run builds its network and data.  The checkpoint test puts the same draw
+into a checkpoint's ``run`` entry, where ``predict`` and ``decompose`` must
+run or exit 3.
 """
 
+import contextlib
+import io
 import struct
 from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wavelearn import cli
 from wavelearn.checkpoint import load_checkpoint, save_checkpoint
 from wavelearn.config import RunConfig, from_mapping, load_config
-from wavelearn.data import generate_synthetic, load_manifest, load_wav
+from wavelearn.data import generate_synthetic, load_manifest, load_wav, write_wav_pcm16
 from wavelearn.errors import ConfigError, WavelearnError
 from wavelearn.model import Network
 
@@ -141,3 +147,33 @@ def test_a_set_override_is_a_run_or_a_config_error(key, text):
         generate_synthetic(cfg.synthetic_spec(), 1)
     except WavelearnError:
         pass
+
+
+TINY = ["model.frontend.levels=6", "model.frontend.kernel_size=4", "model.conv_channels=2",
+        "model.gru_layers=1", "model.gru_hidden=2",
+        "data.synthetic_min_len=300", "data.synthetic_max_len=320"]
+
+
+@settings(max_examples=150, deadline=2000, derandomize=True)
+@given(key=st.sampled_from(_leaf_keys(RunConfig())), text=YAML_SCALARS)
+def test_a_checkpoint_run_entry_is_a_run_or_a_data_error(fuzz_dir, key, text):
+    cfg = load_config(None, TINY)
+    run = cfg.to_dict()
+    *sections, leaf = key.split(".")
+    entry = run
+    for section in sections:
+        entry = entry[section]
+    try:
+        entry[leaf] = yaml.safe_load(text)
+    except yaml.YAMLError:
+        entry[leaf] = text
+    path, wav = fuzz_dir / "run.bin", fuzz_dir / "clip.wav"
+    state = Network(cfg.model, seed=cfg.training.seed).state()
+    save_checkpoint(path, state, {"run": run, "classes": cfg.synthetic_spec().label_names()})
+    write_wav_pcm16(wav, np.random.default_rng(0).uniform(-0.5, 0.5, 400), 16000)
+    for command, *options in (["predict"], ["decompose", "--out-dir", str(fuzz_dir / "bands")]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main([command, "--checkpoint", str(path), *options, str(wav)])
+        assert code in (cli.EXIT_OK, cli.EXIT_DATA)
+        assert code == cli.EXIT_OK or err.getvalue().startswith(f"data: {path}: ")
