@@ -203,7 +203,11 @@ def _restore(checkpoint_path):
     if run_cfg.model.classes != len(names):
         raise ParseError(f"{checkpoint_path}: checkpoint key 'classes' is not one name per "
                          f"class: {len(names)} names for model.classes {run_cfg.model.classes}")
-    net = Network(run_cfg.model, seed=run_cfg.training.seed)
+    try:
+        net = Network(run_cfg.model, seed=run_cfg.training.seed)
+    except MemoryError as exc:
+        raise ParseError(f"{checkpoint_path}: checkpoint key 'run' describes a network too "
+                         f"large to build: {exc}") from exc
     try:
         net.load_state(state)
     except ParseError as exc:

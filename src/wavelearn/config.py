@@ -134,7 +134,7 @@ def load_config(path=None, overrides=(), ablation=None):
             raise ConfigError(f"config file not found: {path}")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}")
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, RecursionError) as exc:
             raise ConfigError(f"cannot parse {path}: {exc}")
         if raw is None:
             raw = {}
@@ -149,7 +149,7 @@ def load_config(path=None, overrides=(), ablation=None):
         dotted, _, text = item.partition("=")
         try:
             value = yaml.safe_load(text)
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, RecursionError) as exc:
             raise ConfigError(f"cannot parse the value of override {item!r}: {exc}")
         mapping = {}
         cursor = mapping

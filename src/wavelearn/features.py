@@ -1,4 +1,5 @@
-"""Per-band local feature extraction.
+"""Per-band local feature extraction, one band at a time: ``Network.encode``
+encodes each band as soon as its features exist.
 
 A fixed stack of three dilated convolution blocks (conv, then a leaky
 activation with slope 0.01), then width-wise attention that scores every
@@ -21,7 +22,6 @@ at half the first block's columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -72,25 +72,16 @@ class SpatialAttentionParams:
         return [self.score_weight]
 
 
-class AttentionResult(NamedTuple):
-    summary: Tensor  # (batch, C) width-summed weighted map
-    weighted: Tensor  # (batch, C, W) attention-weighted feature map
-    weights: Tensor  # (batch, 1, W) probability distribution over width
-
-
 def spatial_attention(l, p):
-    """Width attention over a feature map.
+    """Width attention over a feature map: the attention-weighted map.
 
     The score map is a width-1 convolution of the map, softmax-normalized over
     width.  Scoring map + width-mean context would give the same weights: the
     context adds one constant to every position's score, which the softmax
-    cancels.  Returns the weighted map, the weights, and their width sum.
+    cancels.
     """
-    scores = ad.conv1d(l, p.score_weight)
-    weights = ad.softmax(scores, axis=2)
-    weighted = ad.mul(weights, l)
-    summary = ad.reduce_sum(weighted, axis=2)
-    return AttentionResult(summary=summary, weighted=weighted, weights=weights)
+    weights = ad.softmax(ad.conv1d(l, p.score_weight), axis=2)
+    return ad.mul(weights, l)
 
 
 @dataclass
@@ -111,14 +102,9 @@ class BandPipelineParams:
         return [t for b in self.blocks for t in b.tensors()] + self.attention.tensors()
 
 
-def band_features(band, blocks, attention):
-    """Conv stack then spatial attention for one (batch, 1, W) band.
-
-    Returns the attention-weighted feature sequence that feeds the sequence
-    encoder, and the width-summed summary vector.
-    """
+def band_features(band, pipeline):
+    """The attention-weighted (batch, C, ceil(W / 4)) map of one (batch, 1, W) band."""
     x = band
-    for p in blocks:
+    for p in pipeline.blocks:
         x = conv_block(x, p)
-    result = spatial_attention(x, attention)
-    return result.weighted, result.summary
+    return spatial_attention(x, pipeline.attention)

@@ -1,11 +1,11 @@
 """Full network: wavelet front-end, one shared band pipeline, fusion head.
 
 One forward pass maps a raw waveform (one utterance, any admissible length)
-to log class probabilities.  Every band goes through the same conv stack and
-spatial attention (their fixed geometry is stated in ``features``), then
-``Network.encode`` turns each band's sequence into one vector with the BiGRU
-stack and temporal attention.  Parameters live in a flat name -> tensor
-mapping so the optimizer and the checkpoint format stay trivial.
+to log class probabilities.  ``Network.encode`` takes one band at a time
+through the shared conv stack and spatial attention (their fixed geometry is
+stated in ``features``), then the BiGRU stack and temporal attention, so each
+band is encoded as soon as its features exist.  Parameters live in a flat
+name -> tensor mapping so the optimizer and the checkpoint format stay trivial.
 """
 
 from __future__ import annotations
@@ -137,18 +137,19 @@ class Network:
     def state(self):
         return {name: p.data.copy() for name, p in self._params.items()}
 
-    def encode(self, sequences, rng=None):
-        """One (1, D) vector per band from its ``band_features`` (weighted, summary).
+    def encode(self, band, rng=None):
+        """The (1, D) vector of one (1, 1, W) band.
 
-        The BiGRU stack scans each (1, C, T) ``weighted`` map as a (1, T, C)
-        sequence, drawing dropout from ``rng`` band after band, layer by layer,
-        and temporal attention collapses the states.  Under nogru: the summaries.
+        The band's conv stack and spatial attention give a (1, C, T) map.  The
+        BiGRU stack scans it as a (1, T, C) sequence, drawing dropout from
+        ``rng`` layer by layer, and temporal attention collapses the states.
+        Under nogru the vector is the map's width sum.
         """
+        weighted = band_features(band, self.pipeline)
         if self.stack is None:
-            return [summary for _, summary in sequences]
-        stack, temporal = self.stack, self.temporal
-        return [temporal_attention(bigru_forward(ad.transpose(w, (0, 2, 1)), stack, rng), temporal)
-                for w, _ in sequences]
+            return ad.reduce_sum(weighted, axis=2)
+        return temporal_attention(
+            bigru_forward(ad.transpose(weighted, (0, 2, 1)), self.stack, rng), self.temporal)
 
     def forward(self, samples, training=False, dropout_seed=None):
         """Log class probabilities (1, classes) for one waveform.
@@ -159,8 +160,7 @@ class Network:
         samples = np.asarray(samples, dtype=np.float64).reshape(-1)
         bands = frontend_forward(Tensor(samples.reshape(1, 1, -1)), self.cfg.frontend,
                                  self.filters, self.lahts)
-        pipe = self.pipeline
-        sequences = [band_features(band, pipe.blocks, pipe.attention) for band in bands]
         # a Generator passes through as is
-        vectors = self.encode(sequences, np.random.default_rng(dropout_seed) if training else None)
+        rng = np.random.default_rng(dropout_seed) if training else None
+        vectors = [self.encode(band, rng) for band in bands]
         return classify(channel_weighting(fuse_bands(vectors), self.channel_weights), self.head)

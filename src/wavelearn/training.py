@@ -277,9 +277,11 @@ def train_model(model, clips, labels, loss_cfg, adam, epochs, seed,
 def _apply_l2_and_step(params, lam, adam):
     if lam > 0:
         # the gradient of lam * sum(w^2), bitwise what regularized_objective's
-        # tape gives: its lam * w + lam * w is exactly (2 * lam) * w
+        # tape gives: its lam * w + lam * w is exactly (2 * lam) * w; a
+        # parameter without a gradient is left for adam_step to name
         for p in params.values():
-            p.grad = p.grad + 2.0 * lam * p.data
+            if p.grad is not None:
+                p.grad = p.grad + 2.0 * lam * p.data
     adam_step(params, adam)
     zero_grads(params)
 

@@ -19,7 +19,7 @@ filter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -217,10 +217,15 @@ class FrontEndFilters:
     quadrature mirror map; ``layer_wise`` learns one low-pass filter per
     level, g tied; ``all_kernel`` learns h and g independently per level.
     Tied g filters are re-derived on every forward pass so filter updates
-    propagate immediately.
+    propagate immediately.  A ``kernel_size`` or ``sharing`` outside its
+    field's domain is a ConfigError.
     """
 
     def __init__(self, cfg):
+        for f in fields(FrontEndConfig):
+            domain, value = f.metadata.get("domain"), getattr(cfg, f.name)
+            if isinstance(domain, tuple) and value not in domain:
+                raise ConfigError(f"{f.name} is {value!r}; need {f.name} in {domain}")
         base = daubechies_lowpass(cfg.kernel_size // 2)
         self.mode = cfg.sharing
         self._h = []

@@ -224,12 +224,12 @@ def model_cases():
         [r.normal(size=(1, 2, 10)), r.normal(size=(3, 2, 3)), r.normal(size=(3,))],
     )
 
-    spatial_probe = r.normal(size=(2, 3))
+    spatial_probe = r.normal(size=(2, 3, 5))
 
     def spatial_case(t, spatial_probe=spatial_probe):
         p = features.SpatialAttentionParams(score_weight=t[1])
-        result = features.spatial_attention(t[0], p)
-        return ad.reduce_sum(ad.mul(result.summary, Tensor(spatial_probe)))
+        weighted = features.spatial_attention(t[0], p)
+        return ad.reduce_sum(ad.mul(weighted, Tensor(spatial_probe)))
 
     cases["spatial_attention"] = (
         spatial_case,

@@ -208,6 +208,18 @@ def test_an_unreadable_config_file_exits_2(tmp_path, capsys, make):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("spelling", ["file", "override"])
+def test_a_config_nested_past_the_recursion_limit_exits_2(tmp_path, capsys, spelling):
+    text = "[" * 3000 + "]" * 3000
+    path = tmp_path / "run.yaml"
+    path.write_text(text)
+    source = {"file": ["--config", str(path)], "override": ["--set", f"training.lr={text}"]}
+    argv = ["synth-data", *source[spelling], "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config: cannot parse ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("text, key", [("1: 2\n", "'1'"), ("model:\n  3: x\n", "'model.3'")],
                          ids=["top-level", "nested"])
 def test_a_config_file_with_a_non_string_key_exits_2(tmp_path, capsys, text, key):
@@ -354,6 +366,20 @@ def test_a_checkpoint_whose_parameters_do_not_fit_its_run_exits_3(tmp_path, caps
     _checkpoint(path, lambda c, names: {"run": wider, "classes": names})  # gru_hidden=2 state
     assert _predict(path, tmp_path / "x.wav") == cli.EXIT_DATA
     assert f"{path}: checkpoint shape (6, 2) != (9, 2) for 'gru.0.0'" in capsys.readouterr().err
+
+
+def test_a_checkpoint_whose_run_is_too_large_to_build_exits_3(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "model.bin"
+    _checkpoint(path, _with_run)
+
+    def too_large(model, seed):
+        raise MemoryError("Unable to allocate")
+
+    monkeypatch.setattr(cli, "Network", too_large)
+    assert _predict(path, tmp_path / "x.wav") == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"data: {path}: checkpoint key 'run' describes a network too large")
+    assert "Traceback" not in err
 
 
 def test_a_checkpoint_with_a_parameter_the_network_does_not_hold_exits_3(tmp_path, capsys):

@@ -61,25 +61,26 @@ def _attention(channels, rng=None):
 
 def test_attention_weights_are_distribution():
     rng = np.random.default_rng(1)
-    result = spatial_attention(Tensor(rng.normal(size=(3, 4, 7))), _attention(4, rng))
-    sums = result.weights.data.sum(axis=2)
-    assert_allclose(sums, np.ones((3, 1)), atol=1e-9)
-    assert np.all(result.weights.data >= 0)
+    x = rng.normal(size=(3, 4, 7))
+    weights = spatial_attention(Tensor(x), _attention(4, rng)).data / x
+    sums = weights.sum(axis=2)
+    assert_allclose(sums, np.ones((3, 4)), atol=1e-9)
+    assert np.all(weights >= 0)
 
 
 def test_attention_constant_map_gives_uniform_weights_and_mean():
     x = np.tile(np.array([1.0, -2.0, 0.5])[None, :, None], (2, 1, 6))
-    result = spatial_attention(Tensor(x), _attention(3))
-    assert_allclose(result.weights.data, np.full((2, 1, 6), 1 / 6), atol=1e-12)
-    assert_allclose(result.summary.data, x.mean(axis=2), atol=1e-12)
+    weighted = spatial_attention(Tensor(x), _attention(3)).data
+    assert_allclose(weighted / x, np.full((2, 3, 6), 1 / 6), atol=1e-12)
+    assert_allclose(weighted.sum(axis=2), x.mean(axis=2), atol=1e-12)
 
 
 def test_attention_single_position():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(2, 3, 1))
-    result = spatial_attention(Tensor(x), _attention(3, rng))
-    assert_allclose(result.weights.data, np.ones((2, 1, 1)))
-    assert_allclose(result.summary.data, x[:, :, 0])
+    weighted = spatial_attention(Tensor(x), _attention(3, rng)).data
+    assert_allclose(weighted / x, np.ones((2, 3, 1)))
+    assert_allclose(weighted.sum(axis=2), x[:, :, 0])
 
 
 @pytest.mark.parametrize("width", [1, 7])
@@ -93,10 +94,10 @@ def test_attention_equals_the_paper_form_with_width_mean_context(width):
     scores = np.einsum("c,bct->bt", w, x + x.mean(axis=2, keepdims=True))[:, None]
     e = np.exp(scores - scores.max(axis=2, keepdims=True))
     weights = e / e.sum(axis=2, keepdims=True)
-    result = spatial_attention(Tensor(x), params)
-    assert_allclose(result.weights.data, weights, rtol=0, atol=1e-12)
-    assert_allclose(result.weighted.data, weights * x, rtol=0, atol=1e-12)
-    assert_allclose(result.summary.data, (weights * x).sum(axis=2), rtol=0, atol=1e-12)
+    weighted = spatial_attention(Tensor(x), params).data
+    assert_allclose(weighted / x, np.broadcast_to(weights, x.shape), rtol=0, atol=1e-12)
+    assert_allclose(weighted, weights * x, rtol=0, atol=1e-12)
+    assert_allclose(weighted.sum(axis=2), (weights * x).sum(axis=2), rtol=0, atol=1e-12)
 
 
 def _pipeline(channels=4, rng=None):
@@ -106,37 +107,35 @@ def _pipeline(channels=4, rng=None):
 
 def test_band_features_width_arithmetic():
     pipe = _pipeline()
-    seq, summary = band_features(Tensor(np.random.default_rng(0).normal(size=(1, 1, 511))),
-                                 pipe.blocks, pipe.attention)
+    seq = band_features(Tensor(np.random.default_rng(0).normal(size=(1, 1, 511))), pipe)
     # the stride-4 block gives ceil(W / 4), the stride-1 blocks keep it
     assert seq.data.shape == (1, 4, 128)
-    assert summary.data.shape == (1, 4)
 
 
 def test_band_features_zero_band():
     pipe = _pipeline()
     for block in pipe.blocks:
         block.bias.data = np.zeros_like(block.bias.data)
-    _, summary = band_features(Tensor(np.zeros((1, 1, 64))), pipe.blocks, pipe.attention)
-    assert_allclose(summary.data, np.zeros((1, 4)))
+    seq = band_features(Tensor(np.zeros((1, 1, 64))), pipe)
+    assert_allclose(seq.data, np.zeros((1, 4, 16)))
 
 
 def test_band_features_batch_independence():
     pipe = _pipeline()
     rng = np.random.default_rng(4)
     x = rng.normal(size=(2, 1, 64))
-    _, summary = band_features(Tensor(x), pipe.blocks, pipe.attention)
-    _, swapped = band_features(Tensor(x[::-1].copy()), pipe.blocks, pipe.attention)
-    assert_allclose(summary.data, swapped.data[::-1], atol=1e-12)
+    seq = band_features(Tensor(x), pipe)
+    swapped = band_features(Tensor(x[::-1].copy()), pipe)
+    assert_allclose(seq.data, swapped.data[::-1], atol=1e-12)
 
 
 def test_band_features_one_sample_band_gives_a_one_wide_map():
     # the fixed geometry never runs a band short, so no config rule checks it
     pipe = _pipeline()
-    seq, _ = band_features(Tensor(np.ones((1, 1, 1))), pipe.blocks, pipe.attention)
+    seq = band_features(Tensor(np.ones((1, 1, 1))), pipe)
     assert seq.data.shape == (1, 4, 1)
     for width in range(2, 12):
-        seq, _ = band_features(Tensor(np.ones((1, 1, width))), pipe.blocks, pipe.attention)
+        seq = band_features(Tensor(np.ones((1, 1, width))), pipe)
         assert seq.data.shape[2] == math.ceil(width / 4)
 
 
@@ -145,19 +144,19 @@ def test_band_features_one_sample_band_gives_a_one_wide_map():
 _FULL_BLOCKS = ((1, 2, 1), (2, 2, 2), (4, 1, 4))
 
 
-def _taped_band_features(band, blocks, attention, probes):
-    """Outputs, then the band's and every parameter's gradient, of one taped
-    band_features under a fixed linear probe of both outputs."""
+def _taped_band_features(band, blocks, attention, probe):
+    """Output, then the band's and every parameter's gradient, of one taped
+    band_features under a fixed linear probe of its output."""
     leaves = [Tensor(band, requires_grad=True)]
     leaves += [ad.parameter(t.data) for p in blocks for t in p.tensors()]
     leaves.append(ad.parameter(attention.score_weight.data))
     blocks = [ConvBlockParams(w, b, p.stride, p.dilation, p.padding)
               for p, w, b in zip(blocks, leaves[1::2], leaves[2::2])]
     with Tape():
-        weighted, summary = band_features(leaves[0], blocks, SpatialAttentionParams(leaves[-1]))
-        backward(ad.add(ad.reduce_sum(ad.mul(weighted, Tensor(probes[0]))),
-                        ad.reduce_sum(ad.mul(summary, Tensor(probes[1])))))
-    return [weighted.data, summary.data] + [t.grad for t in leaves]
+        weighted = band_features(leaves[0], BandPipelineParams(
+            blocks, SpatialAttentionParams(leaves[-1])))
+        backward(ad.reduce_sum(ad.mul(weighted, Tensor(probe))))
+    return [weighted.data] + [t.grad for t in leaves]
 
 
 @pytest.mark.parametrize("width", [*range(1, 71), 6042])
@@ -167,9 +166,9 @@ def test_band_features_equal_the_full_stride_2_stack(width):
     full = [ConvBlockParams(p.weight, p.bias, stride=s, dilation=d, padding=pad)
             for p, (d, s, pad) in zip(pipe.blocks, _FULL_BLOCKS)]
     band = rng.normal(size=(2, 1, width))
-    probes = (rng.normal(size=(2, 5, math.ceil(width / 4))), rng.normal(size=(2, 5)))
-    ours = _taped_band_features(band, pipe.blocks, pipe.attention, probes)
-    theirs = _taped_band_features(band, full, pipe.attention, probes)
+    probe = rng.normal(size=(2, 5, math.ceil(width / 4)))
+    ours = _taped_band_features(band, pipe.blocks, pipe.attention, probe)
+    theirs = _taped_band_features(band, full, pipe.attention, probe)
     for a, b in zip(ours, theirs):
         assert a.shape == b.shape
         assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
@@ -186,7 +185,7 @@ def test_every_block_output_position_gets_a_gradient():
             x = conv_block(x, p)
             taps.append(Tensor(np.zeros(x.shape), requires_grad=True))
             x = ad.add(x, taps[-1])  # a zero leaf whose gradient is the output's
-        weighted = spatial_attention(x, pipe.attention).weighted
+        weighted = spatial_attention(x, pipe.attention)
         backward(ad.reduce_sum(ad.mul(weighted, Tensor(rng.normal(size=weighted.shape)))))
     for tap in taps:
         assert np.all(tap.grad != 0.0)

@@ -7,26 +7,28 @@ from wavelearn import autodiff as ad
 from wavelearn.autodiff import Tape, Tensor, backward
 from wavelearn.data import default_synthetic_spec, generate_synthetic
 from wavelearn.features import band_features
-from wavelearn.model import ModelConfig, Network, apply_ablation
+from wavelearn.fusion import channel_weighting, classify, fuse_bands
+from wavelearn.model import ABLATION_TAGS, ModelConfig, Network, apply_ablation
 from wavelearn.recurrent import bigru_forward, temporal_attention
 from wavelearn.training import LossConfig, focal_loss, predict
 from wavelearn.wavelet import FrontEndConfig, frontend_forward
 
 from memory import traced
 
-# The 227 nodes of one recorded forward of the tiny network: each GRU
+# The 220 nodes of one recorded forward of the tiny network: each GRU
 # direction is one `gru_scan` node, each band's temporal attention is one
 # `temporal_attention` node over the last layer's two state views, each LAHT
 # level thresholds both channels of its level with one `laht` node over its
 # four raw parameters, and each wavelet level is one `stack` of its (h, g)
 # bank, one `conv1d` and two `take`s of the approximation and detail channels.
-# (318 when each band concatenated its two views and attention took 13 nodes.)
+# (227 when each band also summed its weighted map, unread, and 318 when each
+# band concatenated its two views and attention took 13 nodes.)
 TINY_FORWARD_KINDS = {
     "concat": 4, "conv1d": 35, "gru_scan": 28, "laht": 6, "leaf": 65, "leaky_relu": 21,
     "log_softmax": 1, "mean": 1, "mul": 8, "reshape": 7, "softmax": 7, "stack": 7,
-    "sum": 7, "take": 16, "temporal_attention": 7, "transpose": 7,
+    "take": 16, "temporal_attention": 7, "transpose": 7,
 }
-# The 166 nodes of the same forward under nogru: each band's summary goes
+# The 166 nodes of the same forward under nogru: each band's width `sum` goes
 # straight to the head, with no transpose, scan or temporal attention.
 TINY_NOGRU_FORWARD_KINDS = {
     "concat": 4, "conv1d": 35, "laht": 6, "leaf": 46, "leaky_relu": 21, "log_softmax": 1,
@@ -34,9 +36,11 @@ TINY_NOGRU_FORWARD_KINDS = {
 }
 
 
-def _tiny(**fields):
+def _tiny(tag=None, **fields):
     fields = {"conv_channels": 4, "gru_layers": 2, "gru_hidden": 4, **fields}
     cfg = ModelConfig(frontend=FrontEndConfig(levels=6), **fields)
+    if tag is not None:
+        cfg = apply_ablation(cfg, tag)
     spec = default_synthetic_spec(levels=6, seed=1, length_range=(1300, 1700))
     return Network(cfg, seed=3), generate_synthetic(spec, 1)[0]
 
@@ -49,29 +53,40 @@ def test_tiny_forward_records_the_pinned_nodes_per_kind():
         assert dict(Counter(tape.kinds)) == kinds
 
 
-def _band_sequences(net, clip):
-    bands = frontend_forward(Tensor(clip.samples.reshape(1, 1, -1)), net.cfg.frontend,
-                             net.filters, net.lahts)
-    return [band_features(b, net.pipeline.blocks, net.pipeline.attention) for b in bands]
+def test_every_recorded_node_reaches_the_loss():
+    # a node whose closure never runs is work, and tape memory, that no
+    # output reads
+    for tag in ABLATION_TAGS:
+        net, clip = _tiny(tag)
+        with Tape() as tape:
+            log_probs = net.forward(clip.samples, training=True, dropout_seed=0)
+            backward(focal_loss(log_probs, [clip.label], LossConfig()))
+            assert all(f is None for f in tape.backward_fns), tag
+
+
+def _bands(net, clip):
+    return frontend_forward(Tensor(clip.samples.reshape(1, 1, -1)), net.cfg.frontend,
+                            net.filters, net.lahts)
 
 
 def test_encode_of_all_bands_equals_encode_of_each_band():
     net, clip = _tiny()
-    sequences = _band_sequences(net, clip)
-    together = net.encode(sequences)
+    bands = _bands(net, clip)
+    together = [net.encode(band) for band in bands]
     assert [v.data.shape for v in together] == [(1, 8)] * 7
-    for vector, sequence in zip(together, sequences):
-        assert np.array_equal(vector.data, net.encode([sequence])[0].data)
+    for vector, band in zip(together, bands):
+        assert np.array_equal(vector.data, net.encode(band).data)
 
 
 def test_encode_draws_dropout_band_major_then_layer_by_layer():
     net, clip = _tiny(gru_layers=3, dropout=0.5)
-    sequences = _band_sequences(net, clip)
+    bands = _bands(net, clip)
+    maps = [band_features(band, net.pipeline) for band in bands]
     reference = []
     rng = np.random.default_rng(11)
-    for weighted, _ in sequences:  # one generator, one band after another
+    for weighted in maps:  # one generator, one band after another
         states = bigru_forward(ad.transpose(weighted, (0, 2, 1)), net.stack, rng)
-        reference.append(temporal_attention(states, net.temporal).data)
+        reference.append(temporal_attention(states, net.temporal))
     drawn = []
 
     class Recording:  # a generator that logs the time extent of each mask it draws
@@ -82,10 +97,14 @@ def test_encode_draws_dropout_band_major_then_layer_by_layer():
             drawn.append(shape[1])
             return self.rng.random(shape)
 
-    vectors = net.encode(sequences, Recording(np.random.default_rng(11)))
+    rng = Recording(np.random.default_rng(11))
+    vectors = [net.encode(band, rng) for band in bands]
     # two masks between three layers per band, the bands in order
-    assert drawn == [w.data.shape[2] for w, _ in sequences for _ in range(2)]
-    assert all(np.array_equal(v.data, r) for v, r in zip(vectors, reference))
+    assert drawn == [w.data.shape[2] for w in maps for _ in range(2)]
+    assert all(np.array_equal(v.data, r.data) for v, r in zip(vectors, reference))
+    composed = classify(channel_weighting(fuse_bands(reference), net.channel_weights), net.head)
+    forward = net.forward(clip.samples, training=True, dropout_seed=11)
+    assert np.array_equal(forward.data, composed.data)
 
 
 @functools.cache
@@ -123,11 +142,11 @@ def test_default_clip_forward_tape_stays_within_its_measured_size():
 
 
 def test_default_clip_backward_high_water_stays_within_its_measured_size():
-    # 7.90 MiB measured for this clip (9.31 when each scan's backward buffers
-    # held all T steps, 12.51 with each conv's im2col matrix and all of band
-    # block 1, 19.41 when every backward closure lived until the tape closed);
-    # the bound is +5%
-    assert _clip_memory()[1] <= 1.05 * 7.90 * 2**20
+    # 7.80 MiB measured for this clip (7.90 when every band's conv stack ran
+    # before any scan, 9.31 when each scan's backward buffers held all T steps,
+    # 12.51 with each conv's im2col matrix and all of band block 1, 19.41 when
+    # every backward closure lived until the tape closed); the bound is +5%
+    assert _clip_memory()[1] <= 1.05 * 7.80 * 2**20
 
 
 def test_nogru_clip_forward_tape_stays_within_its_measured_size():
@@ -145,16 +164,16 @@ def test_nogru_clip_backward_high_water_stays_within_its_measured_size():
 
 
 def test_default_clip_predict_peak_stays_within_its_measured_size():
-    # 1.45 MiB measured for one predict of this clip, which records no tape
-    # (2.96 when each scan's work array and input copy held all T steps); the
-    # bound is +5%
+    # 1.30 MiB measured for one predict of this clip, which records no tape
+    # (1.45 when every band's conv stack ran before any scan, 2.96 when each
+    # scan's work array and input copy held all T steps); the bound is +5%
     clip = generate_synthetic(default_synthetic_spec(seed=0), 1)[0]
     net = Network(ModelConfig(), seed=0)
     predict(net, [clip.samples])  # first calls allocate a few kB that stay
     with traced() as usage:
         predict(net, [clip.samples])
         peak = usage()[1]
-    assert peak <= 1.05 * 1.45 * 2**20
+    assert peak <= 1.05 * 1.30 * 2**20
 
 
 def test_forward_tape_bytes_per_input_sample_do_not_grow_with_clip_length():

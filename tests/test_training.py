@@ -189,6 +189,15 @@ def test_train_model_weight_decay_equals_the_regularized_objective_gradient():
     assert np.array_equal(model.w.data, reference.w.data)
 
 
+@pytest.mark.parametrize("lam", [0.0, 1e-4])
+def test_train_model_names_a_parameter_without_a_gradient_at_any_lam(lam):
+    model = _SoftmaxRegression()
+    unused = Tensor(np.ones(2), requires_grad=True)
+    model.parameters = lambda: {"w": model.w, "a": unused}
+    with pytest.raises(ContractError, match="parameter 'a' has no gradient"):
+        train_model(model, [np.ones(4)], [0], LossConfig(lam=lam), AdamState(), epochs=1, seed=0)
+
+
 def test_split_example_counts():
     labels = np.asarray([0] * 25 + [1] * 25 + [2] * 25 + [3] * 25)
     train, val, test = stratified_split(labels, seed=1)

@@ -125,6 +125,25 @@ def test_cqf_odd_length_rejected():
         derive_cqf(Tensor(np.ones(5)))
 
 
+@pytest.mark.parametrize("fields", [
+    {"levels": 2, "kernel_size": 3},  # 2 taps built, 3 counted by min_input_length
+    {"kernel_size": 42},  # past the 40-tap float64 limit
+    {"sharing": "alll_kernel"},
+], ids=["odd-kernel", "kernel-42", "misspelled-sharing"])
+def test_filters_reject_a_config_outside_its_field_domains(fields):
+    key = next(iter(fields.keys() - {"levels"}))
+    with pytest.raises(ConfigError, match=f"^{key} is "):
+        FrontEndFilters(FrontEndConfig(**fields))
+
+
+def test_filters_build_for_every_kernel_size_and_sharing_mode():
+    for kernel_size in range(2, 41, 2):
+        h, _ = FrontEndFilters(FrontEndConfig(kernel_size=kernel_size)).level_pair(0)
+        assert h.shape == (kernel_size,)
+    for mode in SHARING_MODES:
+        assert FrontEndFilters(FrontEndConfig(sharing=mode)).mode == mode
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(min_value=1, max_value=8),
