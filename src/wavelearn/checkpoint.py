@@ -22,7 +22,8 @@ from .errors import ParseError
 # 5: the run-config echo lost ablation; its model fields state the network built
 # 6: no instance norm, spatial score bias or temporal fc1 bias; names shift
 # 7: the run-config echo lost the five conv-geometry keys, now fixed in features
-FORMAT_VERSION = 7
+# 8: each parameter is named by its attribute path from the network, not its position
+FORMAT_VERSION = 8
 
 
 def save_checkpoint(path, state, config):

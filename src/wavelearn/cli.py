@@ -11,7 +11,8 @@ key: ``--set training.seed=N``, ``--set training.epochs=N``, ``--set
 data.synthetic_n_per_class=N``.  Every artifact lands under --out-dir with
 fixed names and carries the config of the network it used in its header.
 A config error exits 2 before --out-dir exists, and train creates --out-dir
-only once its dataset has loaded.  train scores its own test split and
+only once its dataset has loaded, split and built its network.  An --out-dir
+that cannot be created is a config error.  train scores its own test split and
 writes those metrics itself.  A checkpoint is self-describing: predict and
 decompose read its run config, class names and learned parameters and take
 no config flags.
@@ -53,8 +54,8 @@ from .model import ABLATION_TAGS, Network
 from .training import (
     AdamState,
     LossConfig,
-    evaluate,
     inverse_frequency_alphas,
+    metrics_from_pairs,
     predict,
     stratified_split,
     train_model,
@@ -125,6 +126,16 @@ def _load_dataset(cfg):
     return ([c.samples for c in clips], [c.label for c in clips], spec.label_names())
 
 
+def _out_dir(path):
+    """``path`` as a created directory; one that cannot be created is a ConfigError."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out-dir: cannot create {path}: {exc}") from exc
+    return path
+
+
 def _config_comment(cfg):
     return "# config: " + json.dumps(cfg.to_dict(), sort_keys=True)
 
@@ -150,8 +161,6 @@ def _write_epochs(out_dir, cfg, records):
 def cmd_train(args):
     cfg = cfgmod.load_config(args.config, args.overrides, args.ablation)
     clips, labels, names = _load_dataset(cfg)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     n_classes = cfg.model.classes = len(names)
     train_idx, val_idx, test_idx = stratified_split(labels, cfg.training.seed,
                                                     test_frac=cfg.training.test_frac)
@@ -162,6 +171,7 @@ def cmd_train(args):
     val_labels = labels_arr[val_idx].tolist()
 
     net = Network(cfg.model, seed=cfg.training.seed)
+    out_dir = _out_dir(args.out_dir)
     loss_cfg = LossConfig(
         gamma=cfg.training.gamma,
         class_alpha=inverse_frequency_alphas(train_labels, n_classes),
@@ -180,7 +190,7 @@ def cmd_train(args):
                          {"run": cfg.to_dict(), "classes": names})
     test_clips = [clips[i] for i in test_idx]
     test_labels = labels_arr[test_idx].tolist()
-    report = evaluate(net, test_clips, test_labels, n_classes)
+    report = metrics_from_pairs(test_labels, predict(net, test_clips)[0], n_classes)
     _write_metrics(out_dir, cfg, report, extra={"classes": names, "split": "test"})
     print(f"train done: test accuracy {report['accuracy']:.4f}; artifacts in {out_dir}")
     return EXIT_OK
@@ -197,17 +207,13 @@ def _restore(checkpoint_path):
             f"{checkpoint_path}: checkpoint key 'classes' is not a non-empty list of strings")
     try:
         run_cfg = cfgmod.from_mapping(run)
+        net = Network(run_cfg.model, seed=run_cfg.training.seed)
     except ConfigError as exc:
         raise ParseError(
             f"{checkpoint_path}: checkpoint key 'run' is not a run config: {exc}") from exc
     if run_cfg.model.classes != len(names):
         raise ParseError(f"{checkpoint_path}: checkpoint key 'classes' is not one name per "
                          f"class: {len(names)} names for model.classes {run_cfg.model.classes}")
-    try:
-        net = Network(run_cfg.model, seed=run_cfg.training.seed)
-    except MemoryError as exc:
-        raise ParseError(f"{checkpoint_path}: checkpoint key 'run' describes a network too "
-                         f"large to build: {exc}") from exc
     try:
         net.load_state(state)
     except ParseError as exc:
@@ -231,8 +237,7 @@ def cmd_decompose(args):
     fe = cfg.model.frontend
     [samples] = _samples([resample_to_16k(load_wav(args.wav))], fe)
     bands = frontend_forward(Tensor(samples.reshape(1, 1, -1)), fe, net.filters, net.lahts)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out_dir)
     lines = [_config_comment(cfg), "band,index,value"]
     names = [f"d{level}" for level in range(1, fe.levels + 1)] + [f"a{fe.levels}"]
     for name, band in zip(names, bands):
@@ -248,7 +253,7 @@ def cmd_synth_data(args):
     spec = cfg.synthetic_spec()
     clips = generate_synthetic(spec, cfg.data.synthetic_n_per_class)
     out_dir = Path(args.out_dir)
-    (out_dir / "wav").mkdir(parents=True, exist_ok=True)
+    _out_dir(out_dir / "wav")
     rows = []
     for i, clip in enumerate(clips):
         name = f"wav/clip_{i:04d}.wav"

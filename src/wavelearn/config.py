@@ -15,20 +15,21 @@ end at ``inf`` admits no infinity, and no interval admits NaN.  Besides the
 domains a run needs ``data.synthetic_min_len`` at least the front end's
 ``min_input_length``, ``data.synthetic_max_len`` at least
 ``data.synthetic_min_len``, and a band vector at least ``fusion.HEAD_KERNEL``
-wide.  A loaded config meets all of these or is a ConfigError.
+wide.  A loaded config meets all of these or is a ConfigError.  The checks
+live in ``model``, where ``Network`` runs the model's share of them on any
+``ModelConfig`` it is given.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import yaml
 
 from .data import default_synthetic_spec
 from .errors import ConfigError
-from .fusion import HEAD_KERNEL
-from .model import ModelConfig, apply_ablation
+from .model import ModelConfig, apply_ablation, check_band_width, check_domains
 
 
 @dataclass
@@ -175,29 +176,8 @@ def from_mapping(mapping):
     return cfg
 
 
-def _leaves(section, prefix=""):
-    """(dotted key, value, declared domain or None) of every setting under ``section``."""
-    for f in fields(section):
-        value = getattr(section, f.name)
-        if is_dataclass(value):
-            yield from _leaves(value, f"{prefix}{f.name}.")
-        else:
-            yield prefix + f.name, value, f.metadata.get("domain")
-
-
-def _contains(domain, value):
-    if not isinstance(domain, str):
-        return value in domain
-    lo, hi = (float(end.strip("[]() ")) for end in domain.split(","))
-    return ((lo <= value if domain[0] == "[" else lo < value)
-            and (value <= hi if domain[-1] == "]" else value < hi))
-
-
 def _validate(cfg):
-    for key, value, domain in _leaves(cfg):
-        if domain is not None and not _contains(domain, value):
-            shown = domain if isinstance(domain, str) else "{" + ", ".join(map(str, domain)) + "}"
-            raise ConfigError(f"{key} is {value!r}; need {key} in {shown}")
+    check_domains(cfg)
     m, data = cfg.model, cfg.data
     if data.synthetic_min_len < m.frontend.min_input_length:
         raise ConfigError(f"data.synthetic_min_len is {data.synthetic_min_len}; need it >= "
@@ -205,8 +185,4 @@ def _validate(cfg):
     if data.synthetic_max_len < data.synthetic_min_len:
         raise ConfigError(f"data.synthetic_max_len is {data.synthetic_max_len}; need it >= "
                           f"data.synthetic_min_len {data.synthetic_min_len}")
-    key, width = (("gru_hidden", 2 * m.gru_hidden) if m.bigru_enabled
-                  else ("conv_channels", m.conv_channels))
-    if width < HEAD_KERNEL:
-        raise ConfigError(f"model.{key} is {getattr(m, key)}; need it giving a band vector "
-                          f">= {HEAD_KERNEL} wide for the head's kernel")
+    check_band_width(m)

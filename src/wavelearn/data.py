@@ -289,16 +289,20 @@ def load_manifest(path, root=None):
     lines = [ln for ln in io.StringIO(text, newline="")
              if ln.strip() and not ln.lstrip().startswith("#")]
     reader = csv.reader(lines)
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header[:2]] != ["path", "label"]:
-        raise DatasetError(f"{path}: manifest must start with header 'path,label'")
     rows = []
-    for line in reader:
-        if not line:
-            continue
-        if len(line) < 2 or not line[0].strip() or not line[1].strip():
-            raise DatasetError(f"{path}: malformed row {line!r}")
-        rows.append((line[0].strip(), line[1].strip()))
+    try:
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header[:2]] != ["path", "label"]:
+            raise DatasetError(f"{path}: manifest must start with header 'path,label'")
+        for line in reader:
+            if not line:
+                continue
+            if len(line) < 2 or not line[0].strip() or not line[1].strip():
+                raise DatasetError(f"{path}: malformed row {line!r}")
+            rows.append((line[0].strip(), line[1].strip()))
+    except csv.Error as exc:  # such as a field over csv's field size limit
+        raise DatasetError(f"{path}: unreadable csv at line {reader.line_num}, not counting "
+                           f"blank or comment lines: {exc}") from None
     missing = [rel for rel, _ in rows if not (root / rel).is_file()]
     if missing:
         raise DatasetError(f"{path}: missing files: {missing}")

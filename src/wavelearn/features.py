@@ -47,9 +47,6 @@ class ConvBlockParams:
             stride=stride, dilation=dilation, padding=padding,
         )
 
-    def tensors(self):
-        return [self.weight, self.bias]
-
 
 def conv_block(x, p):
     """leaky_relu(conv1d(x)) with the block's parameters."""
@@ -67,9 +64,6 @@ class SpatialAttentionParams:
     def init(cls, channels, rng):
         scale = (1.0 / channels) ** 0.5
         return cls(score_weight=ad.parameter(rng.normal(0.0, scale, size=(1, channels, 1))))
-
-    def tensors(self):
-        return [self.score_weight]
 
 
 def spatial_attention(l, p):
@@ -97,9 +91,6 @@ class BandPipelineParams:
         blocks = [ConvBlockParams.init(c, channels, rng, *geometry)
                   for c, geometry in zip(c_in, BLOCKS)]
         return cls(blocks=blocks, attention=SpatialAttentionParams.init(channels, rng))
-
-    def tensors(self):
-        return [t for b in self.blocks for t in b.tensors()] + self.attention.tensors()
 
 
 def band_features(band, pipeline):

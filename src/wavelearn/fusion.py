@@ -28,9 +28,6 @@ class ChannelWeights:
     def init(cls, bands):
         return cls(w=ad.parameter(np.ones(bands)))
 
-    def tensors(self):
-        return [self.w]
-
 
 @dataclass
 class HeadParams:
@@ -44,9 +41,6 @@ class HeadParams:
             weight=ad.parameter(rng.normal(0.0, scale, size=(classes, bands, HEAD_KERNEL))),
             bias=ad.parameter(rng.normal(0.0, 0.01, size=(classes,))),
         )
-
-    def tensors(self):
-        return [self.weight, self.bias]
 
 
 def fuse_bands(vectors):

@@ -4,13 +4,19 @@ One forward pass maps a raw waveform (one utterance, any admissible length)
 to log class probabilities.  ``Network.encode`` takes one band at a time
 through the shared conv stack and spatial attention (their fixed geometry is
 stated in ``features``), then the BiGRU stack and temporal attention, so each
-band is encoded as soon as its features exist.  Parameters live in a flat
-name -> tensor mapping so the optimizer and the checkpoint format stay trivial.
+band is encoded as soon as its features exist.  Each parameter is named by
+its attribute path from the network (``filters.h.3``, ``lahts.2.raw_beta``,
+``stack.layers.5.bwd.w_hh``), in one flat name -> tensor mapping that the
+optimizer and the checkpoint format share.
+
+``Network`` checks the model config it is given: every field in its declared
+domain (see ``config``) and a band vector at least ``fusion.HEAD_KERNEL``
+wide, so a hand-built ``ModelConfig`` meets the same rules as a loaded one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -18,7 +24,8 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ParseError
 from .features import BandPipelineParams, band_features
-from .fusion import ChannelWeights, HeadParams, channel_weighting, classify, fuse_bands
+from .fusion import (HEAD_KERNEL, ChannelWeights, HeadParams, channel_weighting, classify,
+                     fuse_bands)
 from .recurrent import BiGRUStack, TemporalAttentionParams, bigru_forward, temporal_attention
 from .wavelet import FrontEndConfig, FrontEndFilters, LAHTParams, frontend_forward
 
@@ -58,50 +65,90 @@ def apply_ablation(cfg, tag):
     return replace(cfg, frontend=frontend, bigru_enabled="nogru" not in tag)
 
 
+def _leaves(section, prefix=""):
+    """(dotted key, value, declared domain or None) of every setting under ``section``."""
+    for f in fields(section):
+        value = getattr(section, f.name)
+        if is_dataclass(value):
+            yield from _leaves(value, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name, value, f.metadata.get("domain")
+
+
+def _contains(domain, value):
+    if not isinstance(domain, str):
+        return value in domain
+    lo, hi = (float(end.strip("[]() ")) for end in domain.split(","))
+    return ((lo <= value if domain[0] == "[" else lo < value)
+            and (value <= hi if domain[-1] == "]" else value < hi))
+
+
+def check_domains(section, prefix=""):
+    """ConfigError for the first setting under ``section`` outside its declared domain."""
+    for key, value, domain in _leaves(section, prefix):
+        if domain is not None and not _contains(domain, value):
+            shown = domain if isinstance(domain, str) else "{" + ", ".join(map(str, domain)) + "}"
+            raise ConfigError(f"{key} is {value!r}; need {key} in {shown}")
+
+
+def check_band_width(cfg):
+    """ConfigError unless ``cfg``'s band vectors are at least ``HEAD_KERNEL`` wide."""
+    key, width = (("gru_hidden", 2 * cfg.gru_hidden) if cfg.bigru_enabled
+                  else ("conv_channels", cfg.conv_channels))
+    if width < HEAD_KERNEL:
+        raise ConfigError(f"model.{key} is {getattr(cfg, key)}; need it giving a band vector "
+                          f">= {HEAD_KERNEL} wide for the head's kernel")
+
+
+def named_parameters(obj, path=""):
+    """{attribute path: Tensor} of every ``requires_grad`` tensor under ``obj``.
+
+    The walk goes through attributes in assignment order and list items in
+    index order, so ``filters.h.3`` is ``obj.filters.h[3]``.
+    """
+    if isinstance(obj, Tensor):
+        return {path: obj} if obj.requires_grad else {}
+    if isinstance(obj, list):
+        items = enumerate(obj)
+    elif hasattr(obj, "__dict__"):
+        items = vars(obj).items()
+    else:
+        return {}
+    found = {}
+    for key, value in items:
+        found.update(named_parameters(value, f"{path}.{key}" if path else str(key)))
+    return found
+
+
 class Network:
-    """Parameter container plus the forward pass."""
+    """Parameter container plus the forward pass; a config it cannot build is a ConfigError."""
 
     def __init__(self, cfg, seed=0):
+        check_domains(cfg, "model.")
+        check_band_width(cfg)
         self.cfg = cfg
         fe = cfg.frontend
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x5EED)))
-        self.filters = FrontEndFilters(fe)
-        self.lahts = (
-            [LAHTParams.init() for _ in range(fe.levels)] if fe.laht_enabled else None
-        )
         bands = fe.levels + 1
-        self.pipeline = BandPipelineParams.init(cfg.conv_channels, rng)
-        if cfg.bigru_enabled:
-            self.stack = BiGRUStack.init(
-                cfg.gru_layers, cfg.conv_channels, cfg.gru_hidden, cfg.dropout, rng
+        try:
+            self.filters = FrontEndFilters(fe)
+            self.lahts = (
+                [LAHTParams.init() for _ in range(fe.levels)] if fe.laht_enabled else None
             )
-            self.temporal = TemporalAttentionParams.init(2 * cfg.gru_hidden, rng)
-        else:
-            self.stack = None
-            self.temporal = None
-        self.channel_weights = ChannelWeights.init(bands)
-        self.head = HeadParams.init(bands, cfg.classes, rng)
-        self._params = self._collect()
-
-    def _collect(self):
-        params = {}
-
-        def put(prefix, tensors):
-            for i, t in enumerate(tensors):
-                params[f"{prefix}.{i}"] = t
-
-        for i, t in enumerate(self.filters.parameters()):
-            params[f"frontend.filter.{i}"] = t
-        if self.lahts is not None:
-            for level, p in enumerate(self.lahts):
-                put(f"frontend.laht.{level}", p.tensors())
-        put("pipeline.0", self.pipeline.tensors())
-        if self.stack is not None:
-            put("gru.0", self.stack.parameters())
-            put("temporal.0", self.temporal.tensors())
-        put("fusion.weights", self.channel_weights.tensors())
-        put("head", self.head.tensors())
-        return params
+            self.pipeline = BandPipelineParams.init(cfg.conv_channels, rng)
+            if cfg.bigru_enabled:
+                self.stack = BiGRUStack.init(
+                    cfg.gru_layers, cfg.conv_channels, cfg.gru_hidden, cfg.dropout, rng
+                )
+                self.temporal = TemporalAttentionParams.init(2 * cfg.gru_hidden, rng)
+            else:
+                self.stack = None
+                self.temporal = None
+            self.channel_weights = ChannelWeights.init(bands)
+            self.head = HeadParams.init(bands, cfg.classes, rng)
+        except MemoryError as exc:
+            raise ConfigError(f"the model describes a network too large to build: {exc}") from exc
+        self._params = named_parameters(self)
 
     def parameters(self):
         return self._params

@@ -50,9 +50,6 @@ class GRUCellParams:
         arrays = [rng.uniform(-k, k, size=s) for s in cls.shapes(input_size, hidden_size)]
         return cls(*[ad.parameter(a) for a in arrays])
 
-    def tensors(self):
-        return [self.w_ih, self.w_hh, self.b_ih, self.b_hh]
-
 
 def _operands(w_ih, w, b_ih, b_hh):
     """(3, D + 1, H) gate blocks of a C-ordered ``[w_ih | b]^T`` and the (H + 1, 3H)
@@ -123,7 +120,7 @@ def gru_scan(x, cell, reverse=False, keep=None, scale=1.0):
     """
     parts = (x,) if isinstance(x, Tensor) else tuple(x)
     xds = [p.data for p in parts]
-    w_ih, w, b_ih, b_hh = (t.data for t in cell.tensors())
+    w_ih, w, b_ih, b_hh = cell.w_ih.data, cell.w_hh.data, cell.b_ih.data, cell.b_hh.data
     edges = [0, *accumulate(xd.shape[-1] for xd in xds)]
     B, T, H, D = *xds[0].shape[:2], w.shape[1], edges[-1]
     if D != w_ih.shape[1] or {xd.shape[:-1] for xd in xds} != {(B, T)} or (
@@ -264,8 +261,6 @@ class BiGRUStack:
 
     @classmethod
     def init(cls, layers, input_size, hidden_size, dropout_p, rng):
-        if not 0.0 <= dropout_p < 1.0:
-            raise DimensionError("dropout_p must lie in [0, 1)")
         built = []
         d_in = input_size
         for _ in range(layers):
@@ -277,13 +272,6 @@ class BiGRUStack:
             )
             d_in = 2 * hidden_size
         return cls(layers=built, dropout_p=dropout_p)
-
-    def parameters(self):
-        out = []
-        for layer in self.layers:
-            out.extend(layer.fwd.tensors())
-            out.extend(layer.bwd.tensors())
-        return out
 
 
 def bigru_forward(seq, stack, rng=None):
@@ -325,9 +313,6 @@ class TemporalAttentionParams:
             fc2_weight=ad.parameter(rng.uniform(-k2, k2, size=(dim, 2 * dim))),
             fc2_bias=ad.parameter(rng.uniform(-k2, k2, size=(dim,))),
         )
-
-    def tensors(self):
-        return [self.fc1_weight, self.fc2_weight, self.fc2_bias]
 
 
 def temporal_attention(states, p):
@@ -375,4 +360,5 @@ def temporal_attention(states, p):
             dparts.append(ds)
         return (*dparts, h_last.T @ d_q, gy.T @ merged, gy.sum(axis=0))
 
-    return ad.record("temporal_attention", out, (*parts, *p.tensors()), bwd)
+    return ad.record("temporal_attention", out, (*parts, p.fc1_weight, p.fc2_weight, p.fc2_bias),
+                     bwd)

@@ -131,8 +131,8 @@ def stratified_split(labels, seed, test_frac=0.1):
 
     The test split takes ``test_frac`` of every class, then validation takes
     ``test_frac`` of what is left; each is within one sample of its
-    proportional share per class.  A class left without a training clip is a
-    dataset error.
+    proportional share per class.  An empty test split, or a class left
+    without a training clip, is a dataset error.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size == 0:
@@ -145,6 +145,9 @@ def stratified_split(labels, seed, test_frac=0.1):
     rng = np.random.default_rng(seed)
     per_class = [rng.permutation(np.flatnonzero(labels == c)) for c in range(n_classes)]
     n_test = _quota(counts, test_frac)
+    if n_test.sum() == 0:
+        raise DatasetError(f"a test_frac of {test_frac} leaves no test clip among "
+                           f"{labels.size} clips")
     n_val = _quota(counts - n_test, test_frac)
     no_train = np.flatnonzero(n_test + n_val == counts)
     if no_train.size:
@@ -317,11 +320,3 @@ def predict(model, clips, workers=1):
     checked = [_checked_clip(clip, index) for index, clip in enumerate(clips)]
     log_probs = np.stack([model.forward(clip).data[0] for clip in checked])
     return np.argmax(log_probs, axis=1), log_probs
-
-
-def evaluate(model, clips, labels, n_classes):
-    """``metrics_from_pairs`` of ``predict`` on a subset; empty subsets are dataset errors."""
-    if len(clips) == 0:
-        raise DatasetError("cannot evaluate an empty subset")
-    predicted, _ = predict(model, clips)
-    return metrics_from_pairs(labels, predicted, n_classes)

@@ -19,7 +19,7 @@ filter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -123,11 +123,8 @@ class LAHTParams:
         overflowing raw value gives inf with a RuntimeWarning, never an
         OverflowError.
         """
-        r_alpha, r_beta, r_pos, r_neg = (t.data for t in self.tensors())
-        return -np.exp(r_alpha), np.exp(r_beta), ad._softplus(r_pos), ad._softplus(r_neg)
-
-    def tensors(self):
-        return [self.raw_alpha, self.raw_beta, self.raw_bias_pos, self.raw_bias_neg]
+        return (-np.exp(self.raw_alpha.data), np.exp(self.raw_beta.data),
+                ad._softplus(self.raw_bias_pos.data), ad._softplus(self.raw_bias_neg.data))
 
 
 def _half_tanh(x, shift, sharpness):
@@ -155,7 +152,7 @@ def laht_apply(x, params):
     S(r_neg) sum d1.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
-    raws = params.tensors()
+    raws = (params.raw_alpha, params.raw_beta, params.raw_bias_pos, params.raw_bias_neg)
     if any(t.data.ndim for t in raws):
         raise DimensionError("LAHT parameters must be scalars")
     a, b, bp, bn = params.values()
@@ -217,40 +214,32 @@ class FrontEndFilters:
     quadrature mirror map; ``layer_wise`` learns one low-pass filter per
     level, g tied; ``all_kernel`` learns h and g independently per level.
     Tied g filters are re-derived on every forward pass so filter updates
-    propagate immediately.  A ``kernel_size`` or ``sharing`` outside its
-    field's domain is a ConfigError.
+    propagate immediately.  ``h`` holds the stored low-pass filters, and
+    ``g`` the high-pass ones under ``all_kernel`` (empty otherwise); under
+    ``db10_fixed`` the one h is a constant, not a parameter.
     """
 
     def __init__(self, cfg):
-        for f in fields(FrontEndConfig):
-            domain, value = f.metadata.get("domain"), getattr(cfg, f.name)
-            if isinstance(domain, tuple) and value not in domain:
-                raise ConfigError(f"{f.name} is {value!r}; need {f.name} in {domain}")
         base = daubechies_lowpass(cfg.kernel_size // 2)
         self.mode = cfg.sharing
-        self._h = []
-        self._g = []
+        self.h = []  # before g, so h's parameters are named and stored first
+        self.g = []
         if self.mode == "db10_fixed":
-            self._h = [Tensor(base)]
+            self.h = [Tensor(base)]
         elif self.mode == "single_kernel":
-            self._h = [ad.parameter(base)]
+            self.h = [ad.parameter(base)]
         elif self.mode == "layer_wise":
-            self._h = [ad.parameter(base.copy()) for _ in range(cfg.levels)]
+            self.h = [ad.parameter(base.copy()) for _ in range(cfg.levels)]
         else:  # all_kernel
             g0 = derive_cqf(base).data
-            self._h = [ad.parameter(base.copy()) for _ in range(cfg.levels)]
-            self._g = [ad.parameter(g0.copy()) for _ in range(cfg.levels)]
+            self.h = [ad.parameter(base.copy()) for _ in range(cfg.levels)]
+            self.g = [ad.parameter(g0.copy()) for _ in range(cfg.levels)]
 
     def level_pair(self, level):
         if self.mode == "all_kernel":
-            return self._h[level], self._g[level]
-        h = self._h[0 if self.mode in ("db10_fixed", "single_kernel") else level]
+            return self.h[level], self.g[level]
+        h = self.h[0 if self.mode in ("db10_fixed", "single_kernel") else level]
         return h, derive_cqf(h)
-
-    def parameters(self):
-        if self.mode == "db10_fixed":
-            return []
-        return list(self._h) + list(self._g)
 
 
 def frontend_forward(signal, cfg, filters, lahts=None):

@@ -13,6 +13,7 @@ import numpy as np
 from wavelearn import autodiff as ad
 from wavelearn import features, fusion, recurrent, training, wavelet
 from wavelearn.autodiff import Tape, Tensor, backward
+from wavelearn.model import named_parameters
 
 import reference
 
@@ -70,7 +71,7 @@ def _rng(seed):
 
 
 def _stack_from_tensors(tensors, layers, dropout_p):
-    """A ``recurrent.BiGRUStack`` over tensors in its ``parameters()`` order."""
+    """A ``recurrent.BiGRUStack`` over tensors in its ``named_parameters`` order."""
     cells = [recurrent.GRUCellParams(*tensors[i : i + 4]) for i in range(0, 8 * layers, 4)]
     built = [recurrent.BiGRULayer(fwd=f, bwd=b) for f, b in zip(cells[::2], cells[1::2])]
     return recurrent.BiGRUStack(layers=built, dropout_p=dropout_p)
@@ -284,7 +285,8 @@ def model_cases():
 
     bigru_probe = r.normal(size=(1, 4, 2 * d_h))
     template = recurrent.BiGRUStack.init(2, d_in, d_h, 0.0, _rng(7))
-    bigru_arrays = [r.normal(size=(1, 4, d_in))] + [p.data * 0.5 for p in template.parameters()]
+    bigru_arrays = [r.normal(size=(1, 4, d_in))]
+    bigru_arrays += [p.data * 0.5 for p in named_parameters(template).values()]
     for name, p in (("bigru_2layer", 0.0), ("bigru_2layer_dropout", 0.3)):
         def bigru_case(t, p=p, bigru_probe=bigru_probe):
             # a fresh generator draws the same dropout masks on every evaluation
@@ -300,8 +302,9 @@ def model_cases():
     rr = _rng(14)
     ragged_probe = rr.normal(size=(2, 1, 4))
     ragged_arrays = [rr.normal(size=(1, 3, 1)), rr.normal(size=(1, 5, 1))]
-    ragged_arrays += [p.data for p in recurrent.BiGRUStack.init(2, 1, 2, 0.0, rr).parameters()
-                      + recurrent.TemporalAttentionParams.init(4, rr).tensors()]
+    ragged_arrays += [p.data for p in [
+        *named_parameters(recurrent.BiGRUStack.init(2, 1, 2, 0.0, rr)).values(),
+        *named_parameters(recurrent.TemporalAttentionParams.init(4, rr)).values()]]
 
     def encode_ragged_case(t, ragged_probe=ragged_probe):
         stack = _stack_from_tensors(t[2:18], layers=2, dropout_p=0.3)

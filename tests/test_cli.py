@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from wavelearn import cli
+from wavelearn import cli, model
 from wavelearn.autodiff import Tensor
 from wavelearn.checkpoint import load_checkpoint, save_checkpoint
 from wavelearn.config import from_mapping, load_config
@@ -337,7 +337,7 @@ def test_a_set_override_wins_over_the_ablation_tag_and_is_echoed(tmp_path):
                           "--set", "model.frontend.laht_enabled=true")
     assert model["frontend"]["sharing"] == "db10_fixed"
     assert model["frontend"]["laht_enabled"]
-    assert "frontend.laht.0.0" in state
+    assert "lahts.0.raw_alpha" in state
 
 
 def test_the_echo_states_the_class_count_of_the_data(tmp_path, capsys):
@@ -346,7 +346,7 @@ def test_the_echo_states_the_class_count_of_the_data(tmp_path, capsys):
     assert "'model.classes' is derived" in capsys.readouterr().err
     model, state = _train(tmp_path)
     assert model["classes"] == 4
-    assert state["head.0"].shape[0] == 4
+    assert state["head.weight"].shape[0] == 4
 
 
 @pytest.mark.parametrize("source", ["yaml", "set"])
@@ -365,21 +365,31 @@ def test_a_checkpoint_whose_parameters_do_not_fit_its_run_exits_3(tmp_path, caps
     wider = load_config(None, TINY + ["model.gru_hidden=3"]).to_dict()
     _checkpoint(path, lambda c, names: {"run": wider, "classes": names})  # gru_hidden=2 state
     assert _predict(path, tmp_path / "x.wav") == cli.EXIT_DATA
-    assert f"{path}: checkpoint shape (6, 2) != (9, 2) for 'gru.0.0'" in capsys.readouterr().err
+    assert f"{path}: checkpoint shape (6, 2) != (9, 2) for 'stack.layers.0.fwd.w_ih'" in capsys.readouterr().err
+
+
+def _too_large(*args):
+    raise MemoryError("Unable to allocate")
 
 
 def test_a_checkpoint_whose_run_is_too_large_to_build_exits_3(tmp_path, capsys, monkeypatch):
     path = tmp_path / "model.bin"
     _checkpoint(path, _with_run)
-
-    def too_large(model, seed):
-        raise MemoryError("Unable to allocate")
-
-    monkeypatch.setattr(cli, "Network", too_large)
+    monkeypatch.setattr(model.BiGRUStack, "init", _too_large)
     assert _predict(path, tmp_path / "x.wav") == cli.EXIT_DATA
     err = capsys.readouterr().err
-    assert err.startswith(f"data: {path}: checkpoint key 'run' describes a network too large")
+    assert err.startswith(f"data: {path}: checkpoint key 'run' ")
+    assert "too large to build" in err
     assert "Traceback" not in err
+
+
+def test_train_of_a_network_too_large_to_build_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(model.BiGRUStack, "init", _too_large)
+    argv = ["train", *TINY_ARGS, "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config: ") and "too large to build" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_a_checkpoint_with_a_parameter_the_network_does_not_hold_exits_3(tmp_path, capsys):
@@ -398,12 +408,12 @@ def test_a_checkpoint_with_a_non_finite_parameter_exits_3(tmp_path, capsys):
     path, wav = tmp_path / "model.bin", tmp_path / "clip.wav"
     cfg = load_config(None, TINY)
     state = Network(cfg.model, seed=cfg.training.seed).state()
-    state["head.0"].flat[3] = np.nan
+    state["head.weight"].flat[3] = np.nan
     save_checkpoint(path, state, _with_run(cfg, cfg.synthetic_spec().label_names()))
     write_wav_pcm16(wav, np.random.default_rng(0).uniform(-0.5, 0.5, 400), 16000)
     assert _predict(path, wav) == cli.EXIT_DATA
     out, err = capsys.readouterr()
-    assert f"data: {path}: checkpoint parameter 'head.0' holds a non-finite value" in err
+    assert f"data: {path}: checkpoint parameter 'head.weight' holds a non-finite value" in err
     assert "nan" not in out
 
 
@@ -464,8 +474,8 @@ def test_decompose_writes_what_the_checkpoint_learned(tmp_path):
     cfg = load_config(None, TINY)
     initial = Network(cfg.model, seed=cfg.training.seed)
     state = initial.state()
-    state["frontend.filter.0"][0] += 0.25  # level 0's h
-    state["frontend.laht.0.0"] += 0.5  # level 0's raw alpha
+    state["filters.h.0"][0] += 0.25  # level 0's h
+    state["lahts.0.raw_alpha"] += 0.5  # level 0's raw alpha
     save_checkpoint(path, state, _with_run(cfg, cfg.synthetic_spec().label_names()))
     wav, signal = _clip_wav(tmp_path)
     assert _decompose(path, wav, tmp_path / "out") == cli.EXIT_OK
@@ -500,3 +510,44 @@ def test_train_rejects_a_manifest_clip_shorter_than_the_front_end_minimum(tmp_pa
     assert cli.main(argv) == cli.EXIT_DATA
     assert "short.wav: 100 samples at 16 kHz" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_train_on_a_manifest_field_over_the_csv_limit_exits_3(tmp_path, capsys):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(f"path,label\n{'a' * 200_000}.wav,calm\n")
+    argv = ["train", "--set", f"data.manifest={manifest}", "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"data: {manifest}: unreadable csv at line 2")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_with_an_empty_test_split_exits_3_before_training(tmp_path, capsys, monkeypatch):
+    def train_model(*args, **kwargs):
+        raise AssertionError("train trained")
+
+    monkeypatch.setattr(cli, "train_model", train_model)
+    argv = ["train", *TINY_ARGS, "--set", "data.synthetic_n_per_class=1",
+            "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert "data: a test_frac of 0.1 leaves no test clip among 4 clips" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "decompose", "synth-data"])
+def test_an_out_dir_that_cannot_be_created_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "taken"
+    out.write_text("a file")
+    if command == "decompose":
+        path = tmp_path / "model.bin"
+        _checkpoint(path, _with_run)
+        wav, _ = _clip_wav(tmp_path)
+        argv = ["decompose", "--checkpoint", str(path), str(wav)]
+    else:
+        argv = [command, *TINY_ARGS]
+    assert cli.main([*argv, "--out-dir", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config: --out-dir: cannot create {out}")
+    assert "Traceback" not in err
+    assert out.read_text() == "a file"

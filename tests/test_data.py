@@ -247,3 +247,16 @@ def test_manifest_invalid_utf8_reports_offset(tmp_path):
     manifest_path.write_bytes(b"path,label\nx.wav,\xffcalm\n")
     with pytest.raises(ParseError, match="invalid UTF-8 at byte 17"):
         load_manifest(manifest_path)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("path,label\n# a comment\nx.wav,calm\n\n{field}.wav,calm\n", 3),
+    ("{field},label\n", 1),
+], ids=["row", "header"])
+def test_a_manifest_field_over_the_csv_limit_is_a_dataset_error_naming_its_line(
+        tmp_path, text, line):
+    manifest_path = tmp_path / "manifest.csv"
+    manifest_path.write_text(text.format(field="a" * 200_000))
+    with pytest.raises(DatasetError, match=f"manifest.csv: unreadable csv at line {line}, "
+                                           ".*field larger than field limit"):
+        load_manifest(manifest_path)

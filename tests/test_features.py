@@ -148,7 +148,7 @@ def _taped_band_features(band, blocks, attention, probe):
     """Output, then the band's and every parameter's gradient, of one taped
     band_features under a fixed linear probe of its output."""
     leaves = [Tensor(band, requires_grad=True)]
-    leaves += [ad.parameter(t.data) for p in blocks for t in p.tensors()]
+    leaves += [ad.parameter(t.data) for p in blocks for t in (p.weight, p.bias)]
     leaves.append(ad.parameter(attention.score_weight.data))
     blocks = [ConvBlockParams(w, b, p.stride, p.dilation, p.padding)
               for p, w, b in zip(blocks, leaves[1::2], leaves[2::2])]

@@ -7,18 +7,23 @@ instead of an exit code.  The config test draws one ``--set`` override over
 every leaf of ``RunConfig`` and holds what it accepts to the same rule when
 the run builds its network and data.  The checkpoint test puts the same draw
 into a checkpoint's ``run`` entry, where ``predict`` and ``decompose`` must
-run or exit 3.
+run or exit 3.  Both draw a leaf's value from a fixed scalar pool or from its
+declared domain's edges: each finite bound and its neighbours on both sides,
+or each admitted value and values just outside.  A hand-built ``ModelConfig``
+with one such value must be refused by ``Network`` exactly when the same
+``--set`` override is refused.
 """
 
 import contextlib
 import io
+import math
 import struct
-from dataclasses import fields, is_dataclass
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavelearn import cli
@@ -26,7 +31,7 @@ from wavelearn.checkpoint import load_checkpoint, save_checkpoint
 from wavelearn.config import RunConfig, from_mapping, load_config
 from wavelearn.data import generate_synthetic, load_manifest, load_wav, write_wav_pcm16
 from wavelearn.errors import ConfigError, WavelearnError
-from wavelearn.model import Network
+from wavelearn.model import ModelConfig, Network, _leaves
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -114,16 +119,37 @@ def test_load_manifest_raises_only_package_errors(fuzz_dir, edits):
     _load_mutated(load_manifest, fuzz_dir, "manifest.csv", _mutate(seed, edits), fuzz_dir)
 
 
-def _leaf_keys(section, prefix=""):
-    keys = []
-    for f in fields(section):
-        value = getattr(section, f.name)
-        if is_dataclass(value):
-            keys += _leaf_keys(value, f"{prefix}{f.name}.")
+def _edges(template, domain):
+    """Values at and on both sides of each finite end of ``domain``, or its
+    members and values just outside it, of ``template``'s type."""
+    if domain is None:
+        return []
+    if isinstance(domain, tuple):
+        outside = ([domain[-1] + "s"] if isinstance(template, str)
+                   else [min(domain) - 1, min(domain) + 1, max(domain) + 2])
+        return [*domain, *outside]
+    edges = []
+    for end in domain.split(","):
+        bound = float(end.strip("[]() "))
+        if math.isinf(bound):
+            continue
+        if isinstance(template, int):
+            edges += [int(bound) - 1, int(bound), int(bound) + 1]
         else:
-            keys.append(prefix + f.name)
-    return keys
+            edges += [float(np.nextafter(bound, -np.inf)), bound,
+                      float(np.nextafter(bound, np.inf))]
+    return edges
 
+
+def _text(value):
+    """``value`` as the text of a ``--set`` override that reads back as it."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+LEAVES = {key: (value, domain) for key, value, domain in _leaves(RunConfig())}
+EDGES = {key: _edges(value, domain) for key, (value, domain) in LEAVES.items()}
 
 YAML_SCALARS = st.one_of(
     st.integers(-3, 32).map(str),
@@ -134,9 +160,30 @@ YAML_SCALARS = st.one_of(
 )
 
 
+def _drawn(key, pool, as_text=True):
+    """(key, value): from ``pool``, or about half the time one of the key's domain edges."""
+    edges = [_text(v) if as_text else v for v in EDGES[key]]
+    return st.tuples(st.just(key), st.one_of(st.sampled_from(edges), pool) if edges else pool)
+
+
+OVERRIDES = st.sampled_from(list(LEAVES)).flatmap(lambda key: _drawn(key, YAML_SCALARS))
+
+
+def _at_every_edge(argument, keys, as_text=True):
+    """One explicit example per domain edge of each key, so none is left to chance."""
+    def decorate(test):
+        for key in keys:
+            for value in EDGES[key]:
+                test = example(**{argument: (key, _text(value) if as_text else value)})(test)
+        return test
+    return decorate
+
+
 @settings(max_examples=400, deadline=2000, derandomize=True)
-@given(key=st.sampled_from(_leaf_keys(RunConfig())), text=YAML_SCALARS)
-def test_a_set_override_is_a_run_or_a_config_error(key, text):
+@given(override=OVERRIDES)
+@_at_every_edge("override", LEAVES)
+def test_a_set_override_is_a_run_or_a_config_error(override):
+    key, text = override
     try:
         cfg = load_config(None, [f"{key}={text}"])
     except ConfigError:
@@ -155,8 +202,10 @@ TINY = ["model.frontend.levels=6", "model.frontend.kernel_size=4", "model.conv_c
 
 
 @settings(max_examples=150, deadline=2000, derandomize=True)
-@given(key=st.sampled_from(_leaf_keys(RunConfig())), text=YAML_SCALARS)
-def test_a_checkpoint_run_entry_is_a_run_or_a_data_error(fuzz_dir, key, text):
+@given(override=OVERRIDES)
+@_at_every_edge("override", LEAVES)
+def test_a_checkpoint_run_entry_is_a_run_or_a_data_error(fuzz_dir, override):
+    key, text = override
     cfg = load_config(None, TINY)
     run = cfg.to_dict()
     *sections, leaf = key.split(".")
@@ -177,3 +226,46 @@ def test_a_checkpoint_run_entry_is_a_run_or_a_data_error(fuzz_dir, key, text):
             code = cli.main([command, "--checkpoint", str(path), *options, str(wav)])
         assert code in (cli.EXIT_OK, cli.EXIT_DATA)
         assert code == cli.EXIT_OK or err.getvalue().startswith(f"data: {path}: ")
+
+
+def _typed(template):
+    """Values of ``template``'s type from a pool small enough to build."""
+    if isinstance(template, bool):
+        return st.booleans()
+    if isinstance(template, int):
+        return st.integers(-3, 32)
+    if isinstance(template, float):
+        return st.floats(-4.0, 40.0) | st.sampled_from([math.nan, math.inf, -math.inf])
+    return st.text(max_size=6)
+
+
+# model.classes is derived, so an override of it is always refused
+MODEL_KEYS = [key for key in LEAVES if key.startswith("model.") and key != "model.classes"]
+# clips long enough for any drawn front end, so only the model's own rules refuse
+LONG_CLIPS = ["data.synthetic_min_len=1000000000000000",
+              "data.synthetic_max_len=1000000000000000"]
+
+
+def _with_leaf(section, dotted, value):
+    head, _, rest = dotted.partition(".")
+    return replace(section, **{head: _with_leaf(getattr(section, head), rest, value)
+                               if rest else value})
+
+
+@settings(max_examples=300, deadline=2000, derandomize=True)
+@given(draw=st.sampled_from(MODEL_KEYS).flatmap(
+    lambda key: _drawn(key, _typed(LEAVES[key][0]), as_text=False)))
+@_at_every_edge("draw", MODEL_KEYS, as_text=False)
+def test_a_hand_built_model_is_refused_exactly_when_its_override_is(draw):
+    key, value = draw
+    try:
+        load_config(None, [*LONG_CLIPS, f"{key}={_text(value)}"])
+        loaded = True
+    except ConfigError:
+        loaded = False
+    try:
+        Network(_with_leaf(ModelConfig(), key.removeprefix("model."), value))
+        built = True
+    except ConfigError:
+        built = False
+    assert built == loaded

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from wavelearn.autodiff import Tape, backward
 from wavelearn.data import default_synthetic_spec, generate_synthetic
+from wavelearn.errors import ConfigError
 from wavelearn.model import ABLATION_TAGS, ModelConfig, Network, apply_ablation
 from wavelearn.training import AdamState, LossConfig, focal_loss, train_model
 from wavelearn.wavelet import FrontEndConfig
@@ -54,3 +57,51 @@ def test_every_parameter_gets_a_gradient_from_one_training_clip(tag):
     dead = [name for name, p in net.parameters().items()
             if p.grad is None or np.abs(p.grad).max() <= 1e-12]
     assert dead == []
+
+
+def _resolve(net, name):
+    node = net
+    for part in name.split("."):
+        node = node[int(part)] if isinstance(node, list) else getattr(node, part)
+    return node
+
+
+@pytest.mark.parametrize("tag", ABLATION_TAGS)
+def test_each_parameter_is_named_by_its_attribute_path(tag):
+    net = Network(apply_ablation(ModelConfig(), tag), seed=0)
+    params = net.parameters()
+    assert all(_resolve(net, name) is p for name, p in params.items())
+    assert len({id(p) for p in params.values()}) == len(params)
+
+
+def test_default_network_names_its_blocks_in_forward_order():
+    net = Network(ModelConfig(), seed=0)
+    shapes = [(16, 1, 3), (16,), (16, 16, 3), (16,), (16, 16, 3), (16,), (1, 16, 1)]
+    for layer in range(6):
+        cell = [(48, 32 if layer else 16), (48, 16), (48,), (48,)]
+        shapes += cell + cell
+    expected = ([(20,)] * 16 + [()] * 32 + shapes
+                + [(32, 32), (32, 64), (32,), (9,), (4, 9, 3), (4,)])
+    params = net.parameters()
+    assert [p.data.shape for p in params.values()] == expected
+    assert list(params)[:2] + list(params)[-3:] == [
+        "filters.h.0", "filters.h.1", "channel_weights.w", "head.weight", "head.bias"]
+    assert list(dict.fromkeys(name.split(".")[0] for name in params)) == [
+        "filters", "lahts", "pipeline", "stack", "temporal", "channel_weights", "head"]
+    containers = [net.filters, net.lahts[0], net.pipeline, net.pipeline.blocks[0],
+                  net.pipeline.attention, net.stack, net.stack.layers[0],
+                  net.stack.layers[0].fwd, net.temporal, net.channel_weights, net.head]
+    assert [c for c in containers if hasattr(c, "tensors") or hasattr(c, "parameters")] == []
+
+
+@pytest.mark.parametrize("cfg, message", [
+    (ModelConfig(frontend=FrontEndConfig(levels=0)),
+     "model.frontend.levels is 0; need model.frontend.levels in [1, inf)"),
+    (ModelConfig(dropout=1.0), "model.dropout is 1.0; need model.dropout in [0, 1)"),
+    (ModelConfig(gru_hidden=1), "model.gru_hidden is 1; need it giving a band vector >= 3"),
+    (ModelConfig(conv_channels=2, bigru_enabled=False),
+     "model.conv_channels is 2; need it giving a band vector >= 3"),
+], ids=["levels", "dropout", "gru-hidden", "nogru-channels"])
+def test_a_hand_built_model_config_is_checked_by_the_network(cfg, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        Network(cfg)

@@ -6,7 +6,7 @@ from wavelearn import autodiff as ad
 from wavelearn.autodiff import Tape, Tensor, backward
 from wavelearn.data import default_synthetic_spec, generate_synthetic
 from wavelearn.errors import DimensionError, InputTooShortError
-from wavelearn.model import ModelConfig, Network
+from wavelearn.model import ModelConfig, Network, named_parameters
 from wavelearn.recurrent import (
     CHUNK,
     BiGRULayer,
@@ -27,6 +27,10 @@ from reference import gru_cell_step, matmul, taped_temporal_attention
 def _cell(input_size, hidden, fill=0.0):
     arrays = [np.full(s, fill) for s in GRUCellParams.shapes(input_size, hidden)]
     return GRUCellParams(*[Tensor(a) for a in arrays])
+
+
+def _data(params):
+    return [t.data for t in named_parameters(params).values()]
 
 
 def test_cell_all_zero():
@@ -92,7 +96,7 @@ SCAN_SHAPES = [(2, 5, 3, 4), (1, 1, 3, 2), (3, 1, 2, 2), (1, 7, 4, 4), (3, 6, 5,
 def test_scan_matches_repeated_cell_steps(batch, t_len, d_in, hidden):
     rng = np.random.default_rng(1)
     cell = GRUCellParams.init(d_in, hidden, rng)
-    arrays = [rng.normal(size=(batch, t_len, d_in))] + [t.data for t in cell.tensors()]
+    arrays = [rng.normal(size=(batch, t_len, d_in))] + _data(cell)
     probe = rng.normal(size=(batch, t_len, hidden))
     for reverse in (False, True):
         scan_out, scan_grads = _scan_and_grads(gru_scan, arrays, probe, reverse)
@@ -118,7 +122,7 @@ CHUNK_CASES = [pytest.param(batch, t_len, masked, id=f"{batch}-{t_len}" + "-mask
 def test_scan_matches_cell_steps_across_chunk_boundaries(batch, t_len, masked):
     rng = np.random.default_rng(t_len)
     cell = GRUCellParams.init(3, 4, rng)
-    arrays = [rng.normal(size=(batch, t_len, 3))] + [t.data for t in cell.tensors()]
+    arrays = [rng.normal(size=(batch, t_len, 3))] + _data(cell)
     probe = rng.normal(size=(batch, t_len, 4))
     scan, steps = gru_scan, _repeated_cell_steps
     if masked:  # parts of widths 1 and 2; the steps read x * keep * scale
@@ -166,7 +170,7 @@ def test_scan_buffers_do_not_grow_with_sequence_length(reverse):
 def test_scan_saturated_gates_stay_finite(reverse):
     rng = np.random.default_rng(14)
     cell = GRUCellParams.init(5, 4, rng)
-    arrays = [rng.normal(size=(2, 30, 5)) * 1e3] + [t.data for t in cell.tensors()]
+    arrays = [rng.normal(size=(2, 30, 5)) * 1e3] + _data(cell)
     probe = rng.normal(size=(2, 30, 4))
     scan_out, scan_grads = _scan_and_grads(gru_scan, arrays, probe, reverse)
     step_out, step_grads = _scan_and_grads(_repeated_cell_steps, arrays, probe, reverse)
@@ -243,7 +247,7 @@ def test_scan_backward_writes_into_none_of_its_inputs(reverse):
 def test_scan_leaves_its_inputs_and_shared_cells_intact():
     rng = np.random.default_rng(11)
     cell = GRUCellParams.init(3, 4, rng)
-    arrays = [rng.normal(size=(2, 6, 3))] + [t.data for t in cell.tensors()]
+    arrays = [rng.normal(size=(2, 6, 3))] + _data(cell)
     before = [a.copy() for a in arrays]
     probe = rng.normal(size=(2, 6, 4))
     separate = [_scan_and_grads(gru_scan, arrays, probe, reverse)[1] for reverse in (False, True)]
@@ -283,7 +287,7 @@ def test_init_stacks_the_per_gate_draws():
     rng = np.random.default_rng(12)
     per_gate = [rng.uniform(-k, k, size=s) for s in [(4, 3)] * 3 + [(4, 4)] * 3 + [(4,)] * 6]
     fused = [np.concatenate(per_gate[i : i + 3]) for i in range(0, 12, 3)]
-    for tensor, expected in zip(cell.tensors(), fused):
+    for tensor, expected in zip(named_parameters(cell).values(), fused):
         assert np.array_equal(tensor.data, expected)
 
 
@@ -425,7 +429,7 @@ ATTENTION_CASES = [pytest.param(2, 5, [6], id="one-tensor"),
 def test_temporal_attention_matches_the_taped_composition(batch, t_len, widths):
     rng = np.random.default_rng(20)
     arrays = [rng.normal(size=(batch, t_len, w)) for w in widths]
-    arrays += [t.data for t in TemporalAttentionParams.init(sum(widths), rng).tensors()]
+    arrays += _data(TemporalAttentionParams.init(sum(widths), rng))
     probe = rng.normal(size=(batch, sum(widths)))
 
     def run(fused):

@@ -236,6 +236,11 @@ def test_split_keeps_a_lone_clip_for_training():
     assert (len(train), len(val), len(test)) == (33, 4, 4)
 
 
+def test_split_names_an_empty_test_split():
+    with pytest.raises(DatasetError, match="a test_frac of 0.1 leaves no test clip among 4 clips"):
+        stratified_split([0, 1, 2, 3], seed=0)
+
+
 def test_split_names_a_class_left_without_training_clips():
     with pytest.raises(DatasetError, match="class 1 has no sample left for training"):
         stratified_split([0, 0, 1], seed=0, test_frac=0.5)

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from wavelearn import autodiff as ad
 from wavelearn.autodiff import Tape, Tensor, backward
 from wavelearn.errors import ConfigError, DimensionError, InputTooShortError
+from wavelearn.model import ModelConfig, Network, named_parameters
 from wavelearn.wavelet import (
     SHARING_MODES,
     FrontEndConfig,
@@ -132,8 +133,8 @@ def test_cqf_odd_length_rejected():
 ], ids=["odd-kernel", "kernel-42", "misspelled-sharing"])
 def test_filters_reject_a_config_outside_its_field_domains(fields):
     key = next(iter(fields.keys() - {"levels"}))
-    with pytest.raises(ConfigError, match=f"^{key} is "):
-        FrontEndFilters(FrontEndConfig(**fields))
+    with pytest.raises(ConfigError, match=f"^model.frontend.{key} is "):
+        Network(ModelConfig(frontend=FrontEndConfig(**fields)))
 
 
 def test_filters_build_for_every_kernel_size_and_sharing_mode():
@@ -208,7 +209,7 @@ def test_decompose_level_equals_one_conv_per_filter(mode):
     rng = np.random.default_rng(8)
     cfg = FrontEndConfig(levels=1, kernel_size=6, sharing=mode, laht_enabled=False)
     filters = FrontEndFilters(cfg)
-    for p in filters.parameters():
+    for p in named_parameters(filters).values():
         p.data = rng.normal(size=p.data.shape) * 0.5
     x = rng.normal(size=(2, 1, 15))
     probes = [Tensor(rng.normal(size=(2, 1, 8))) for _ in range(2)]
@@ -224,12 +225,12 @@ def test_decompose_level_equals_one_conv_per_filter(mode):
     results = []
     for level_fn in (two_channel_level, one_conv_per_filter):
         a = Tensor(x, requires_grad=True)
-        for p in filters.parameters():
+        for p in named_parameters(filters).values():
             p.grad = None
         with Tape():
             outs = level_fn(a, *filters.level_pair(0))
             backward(ad.add(*[ad.reduce_sum(ad.mul(o, q)) for o, q in zip(outs, probes)]))
-        grads = [a.grad] + [p.grad for p in filters.parameters()]
+        grads = [a.grad] + [p.grad for p in named_parameters(filters).values()]
         results.append(([o.data for o in outs], grads))
     (outs, grads), (want_outs, want_grads) = results
     assert all(grad is not None for grad in grads)
@@ -500,7 +501,7 @@ def test_cqf_gradient_flow_perturbation():
     filters = FrontEndFilters(cfg)
     x = Tensor(np.random.default_rng(1).normal(size=(1, 1, 16)))
     _, d0 = _channels(decompose_level(x, *filters.level_pair(0)))
-    filters._h[0].data = filters._h[0].data + 1e-3
+    filters.h[0].data = filters.h[0].data + 1e-3
     _, d1 = _channels(decompose_level(x, *filters.level_pair(0)))
     assert np.abs(d1.data - d0.data).max() > 1e-6
 
@@ -510,7 +511,7 @@ def test_frontend_gradcheck_through_cascade():
         cfg = FrontEndConfig(levels=2, kernel_size=4, sharing="single_kernel",
                              laht_enabled=False)
         filters = FrontEndFilters(cfg)
-        filters._h[0] = t[0]
+        filters.h[0] = t[0]
         *details, approximation = frontend_forward(t[1], cfg, filters)
         probe = Tensor(np.random.default_rng(0).normal(size=approximation.data.shape))
         total = ad.reduce_sum(ad.mul(approximation, probe))
@@ -532,6 +533,6 @@ def test_sharing_mode_parameter_counts():
     ]:
         cfg = FrontEndConfig(levels=4, kernel_size=20, sharing=mode, laht_enabled=False)
         filters = FrontEndFilters(cfg)
-        assert len(filters.parameters()) == expected
-        for p in filters.parameters():
+        assert len(named_parameters(filters)) == expected
+        for p in named_parameters(filters).values():
             assert p.data.shape == (20,)
